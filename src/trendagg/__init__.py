@@ -10,7 +10,7 @@ without materializing the (worst-case exponential) set of matched trends.
 A brute-force enumerating oracle ships alongside for verification.
 """
 
-from .bench import BenchResult, compare_backends, run_benchmark
+from .bench import BenchResult, run_benchmark
 from .engines import Engine, build_engine, build_kernel_plan
 from .errors import (
     DuplicateTypeInPattern,
@@ -35,7 +35,7 @@ from .events import (
     read_csv_stream,
     write_csv_stream,
 )
-from .kernels import available_backends, get_backend
+from .kernels import get_backend
 from .oracle import (
     Trend,
     aggregate_trends,
@@ -108,11 +108,9 @@ __all__ = [
     "WindowManager",
     "WindowSpec",
     "aggregate_trends",
-    "available_backends",
     "build_engine",
     "build_kernel_plan",
     "classify_and_plan",
-    "compare_backends",
     "compile_template",
     "enumerate_any",
     "enumerate_cont",

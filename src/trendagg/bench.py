@@ -39,9 +39,9 @@ def _max_rss_kb() -> int:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 
 
-def run_pass(query: Query, events, backend=None, emit_empty=False):
+def run_pass(query: Query, events, emit_empty=False):
     """One timed pass; returns (manager, rows_emitted, elapsed_seconds)."""
-    manager = WindowManager(query, backend=backend, emit_empty=emit_empty)
+    manager = WindowManager(query, emit_empty=emit_empty)
     rows = 0
     started = time.perf_counter()
     for event in events:
@@ -51,24 +51,19 @@ def run_pass(query: Query, events, backend=None, emit_empty=False):
     return manager, rows, elapsed
 
 
-def run_benchmark(
-    query: Query, events, backend=None, reps: int = 3, emit_empty=False
-) -> BenchResult:
+def run_benchmark(query: Query, events, reps: int = 3, emit_empty=False) -> BenchResult:
     events = list(events)
-    module = backend if hasattr(backend, "TypeKernel") else kernels.get_backend(backend)
     timings = []
     rows = 0
     peak = 0
     for _ in range(max(1, reps)):
-        manager, rows, elapsed = run_pass(
-            query, events, backend=module, emit_empty=emit_empty
-        )
+        manager, rows, elapsed = run_pass(query, events, emit_empty=emit_empty)
         timings.append(elapsed)
         peak = manager.peak_entries
     mean_elapsed = fmean(timings)
     n = len(events)
     return BenchResult(
-        backend=kernels.backend_name(module),
+        backend=kernels.backend_name(kernels.get_backend()),
         events=n,
         reps=len(timings),
         mean_elapsed_s=mean_elapsed,
@@ -78,15 +73,6 @@ def run_benchmark(
         rows=rows,
         max_rss_kb=_max_rss_kb(),
     )
-
-
-def compare_backends(query: Query, events, reps: int = 3, emit_empty=False):
-    """Benchmark every available kernel backend on the same input."""
-    events = list(events)
-    return [
-        run_benchmark(query, events, backend=name, reps=reps, emit_empty=emit_empty)
-        for name in sorted(kernels.available_backends())
-    ]
 
 
 def format_results(results) -> str:

@@ -5,6 +5,12 @@ trends end at the carrier of this cell), the remaining slots hold one
 accumulator per requested aggregate. One cell carries every aggregate of a
 query at once, so engines touch their predecessors a single time per event.
 
+Kernels keep one cell per open window of a partition key, stored by slot:
+a cell vector is a list holding, per slot, a list with one value per
+window (oldest window first). Merges and event updates then run over all
+windows of a slot at once. The plain-cell functions at the end are the
+one-window case.
+
 Counts are plain Python integers and therefore unbounded - under
 skip-till-any-match they grow exponentially with window size and would
 overflow any fixed width. Sums over integer attributes stay exact for the
@@ -26,6 +32,8 @@ SUM/COUNT(variable) and is null when that count is zero.
 """
 
 from __future__ import annotations
+
+from operator import add
 
 from .errors import MissingAttribute
 from .query import AggKind, AggSpec
@@ -76,29 +84,105 @@ def build_accumulators(specs):
     return tuple(accs), tuple(extractors)
 
 
-def identity_cell(accs):
-    cell = [0]
+def merge_functions(accs):
+    """One binary merge per cell slot: counts and sums add, min/max
+    lattice-merge with ``None`` as the identity."""
+    return (add, *(_MERGE[code] for code, _, _ in accs))
+
+
+def _merge_min(x, y):
+    if x is None:
+        return y
+    if y is None:
+        return x
+    return x if x <= y else y
+
+
+def _merge_max(x, y):
+    if x is None:
+        return y
+    if y is None:
+        return x
+    return x if x >= y else y
+
+
+_MERGE = {ACC_COUNT: add, ACC_SUM: add, ACC_MIN: _merge_min, ACC_MAX: _merge_max}
+
+
+def identity_cells(accs, width):
+    """Identity cells of ``width`` windows, one fresh list per slot."""
+    cells = [[0] * width]
     for code, _, _ in accs:
-        cell.append(0 if code in (ACC_COUNT, ACC_SUM) else None)
-    return cell
+        cells.append([0] * width if code in (ACC_COUNT, ACC_SUM) else [None] * width)
+    return cells
+
+
+def combine_cells(a, b, merges):
+    """Window-by-window merge of two cell vectors of equal width."""
+    return list(map(list, map(map, merges, a, b)))
+
+
+def event_updates(accs, variable):
+    """The slots an event of ``variable`` changes, as
+    ``(slot, code, variable, attr)``; the trend count aside."""
+    return tuple(
+        (i, code, target, attr)
+        for i, (code, target, attr) in enumerate(accs, start=1)
+        if target == variable
+    )
+
+
+def absorb_cells(pred, updates, attrs, is_start):
+    """Cells of a fresh event, window by window, given the merged cells of
+    its predecessors in each window and the event's ``event_updates``.
+
+    The event extends every partial trend counted in ``pred`` and, when it
+    is of the start variable, opens one more. Slots the event does not
+    change are shared with ``pred``.
+    """
+    counts = [c + 1 for c in pred[0]] if is_start else pred[0]
+    cells = pred.copy()
+    cells[0] = counts
+    for i, code, target, attr in updates:
+        prev = pred[i]
+        if code == ACC_COUNT:
+            cells[i] = [p + c for p, c in zip(prev, counts)]
+            continue
+        try:
+            value = attrs[attr]
+        except KeyError:
+            raise MissingAttribute(
+                f"aggregate needs {target}.{attr}, absent on event"
+            ) from None
+        # On zero trends the event contributes nothing; min/max must not
+        # pick up its value.
+        if code == ACC_SUM:
+            cells[i] = [p + value * c for p, c in zip(prev, counts)]
+        elif code == ACC_MIN:
+            cells[i] = [
+                p if c == 0 or p is not None and p <= value else value
+                for p, c in zip(prev, counts)
+            ]
+        else:
+            cells[i] = [
+                p if c == 0 or p is not None and p >= value else value
+                for p, c in zip(prev, counts)
+            ]
+    return cells
+
+
+def window_cell(cells, slot):
+    """The plain cell of one window out of a cell vector."""
+    return [values[slot] for values in cells]
+
+
+def identity_cell(accs):
+    return window_cell(identity_cells(accs, 1), 0)
 
 
 def combine(a, b, accs):
     """Merge two cells: counts and sums add, min/max lattice-merge."""
-    out = [a[0] + b[0]]
-    for i, (code, _, _) in enumerate(accs, start=1):
-        x, y = a[i], b[i]
-        if code in (ACC_COUNT, ACC_SUM):
-            out.append(x + y)
-        elif x is None:
-            out.append(y)
-        elif y is None:
-            out.append(x)
-        elif code == ACC_MIN:
-            out.append(x if x <= y else y)
-        else:
-            out.append(x if x >= y else y)
-    return out
+    return [m(x, y) for m, x, y in zip(merge_functions(accs), a, b)]
 
 
 def combine_all(cells, accs):
@@ -109,40 +193,10 @@ def combine_all(cells, accs):
 
 
 def absorb_event(pred_cell, variable, attrs, is_start, accs):
-    """Cell for a fresh event given the merged cell of its predecessors.
-
-    The event extends every partial trend counted in ``pred_cell`` and, when
-    it is of the start variable, opens one more.
-    """
-    count = pred_cell[0] + 1 if is_start else pred_cell[0]
-    cell = [count]
-    for i, (code, target, attr) in enumerate(accs, start=1):
-        prev = pred_cell[i]
-        if variable != target:
-            cell.append(prev)
-            continue
-        if code == ACC_COUNT:
-            cell.append(prev + count)
-            continue
-        try:
-            value = attrs[attr]
-        except KeyError:
-            raise MissingAttribute(
-                f"aggregate needs {target}.{attr}, absent on event"
-            ) from None
-        if code == ACC_SUM:
-            cell.append(prev + value * count)
-        elif count == 0:
-            # On zero trends this event contributes nothing; min/max must
-            # not pick up its value.
-            cell.append(prev)
-        elif prev is None:
-            cell.append(value)
-        elif code == ACC_MIN:
-            cell.append(prev if prev <= value else value)
-        else:
-            cell.append(prev if prev >= value else value)
-    return cell
+    """Cell for a fresh event given the merged cell of its predecessors."""
+    pred = [[value] for value in pred_cell]
+    updates = event_updates(accs, variable)
+    return window_cell(absorb_cells(pred, updates, attrs, is_start), 0)
 
 
 def finalize(cell, specs, extractors):

@@ -4,7 +4,7 @@ Subcommands:
 
     run     evaluate a query over a CSV stream with the incremental engine
     oracle  same, but by explicit trend enumeration (slow; for checking)
-    bench   time the engine over a stream, optionally per kernel backend
+    bench   time the engine over a stream
     gen     write a synthetic public-transport stream
 
 ``run`` and ``oracle`` print the same CSV shape:
@@ -93,29 +93,15 @@ def _open_out(path):
 
 def cmd_run(args) -> int:
     query, events = _load(args)
-    manager = WindowManager(
-        query, backend=args.backend, emit_empty=args.emit_empty
-    )
+    manager = WindowManager(query, emit_empty=args.emit_empty)
     fh, owned = _open_out(args.output)
     try:
         n = write_rows(manager.run(events), query, fh)
     finally:
         if owned:
             fh.close()
-    print(
-        f"{manager.events_ingested} events -> {n} rows "
-        f"(backend: {_resolved_backend_name(manager.backend)})",
-        file=sys.stderr,
-    )
+    print(f"{manager.events_ingested} events -> {n} rows", file=sys.stderr)
     return 0
-
-
-def _resolved_backend_name(backend) -> str:
-    from . import kernels
-
-    if hasattr(backend, "TypeKernel"):
-        return kernels.backend_name(backend)
-    return kernels.backend_name(kernels.get_backend(backend))
 
 
 def oracle_rows(query: Query, events, cap: int = DEFAULT_CAP, emit_empty: bool = False):
@@ -192,23 +178,10 @@ def cmd_oracle(args) -> int:
 
 def cmd_bench(args) -> int:
     query, events = _load(args)
-    if args.impl == "both":
-        results = bench_mod.compare_backends(
-            query, events, reps=args.reps, emit_empty=args.emit_empty
-        )
-        if len(results) < 2:
-            print("compiled backend not available", file=sys.stderr)
-    else:
-        results = [
-            bench_mod.run_benchmark(
-                query,
-                events,
-                backend=args.impl,
-                reps=args.reps,
-                emit_empty=args.emit_empty,
-            )
-        ]
-    print(bench_mod.format_results(results))
+    result = bench_mod.run_benchmark(
+        query, events, reps=args.reps, emit_empty=args.emit_empty
+    )
+    print(bench_mod.format_results([result]))
     return 0
 
 
@@ -232,7 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def io_args(p, with_backend=False):
+    def io_args(p):
         p.add_argument("--query", required=True, help="query text file")
         p.add_argument("--input", required=True, help="input stream CSV")
         p.add_argument("--schema", help="schema JSON (inferred from the stream if omitted)")
@@ -247,16 +220,9 @@ def build_parser() -> argparse.ArgumentParser:
             choices=("any", "next", "cont"),
             help="override the query's SEMANTICS clause",
         )
-        if with_backend:
-            p.add_argument(
-                "--backend",
-                choices=("auto", "python", "compiled"),
-                default=None,
-                help="kernel backend (default: auto, honoring TRENDAGG_KERNELS)",
-            )
 
     p_run = sub.add_parser("run", help="evaluate a query with the incremental engine")
-    io_args(p_run, with_backend=True)
+    io_args(p_run)
     p_run.set_defaults(func=cmd_run)
 
     p_oracle = sub.add_parser(
@@ -274,12 +240,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench = sub.add_parser("bench", help="time the engine over a stream")
     io_args(p_bench)
     p_bench.add_argument("--reps", type=int, default=3, help="timed passes to average")
-    p_bench.add_argument(
-        "--impl",
-        choices=("auto", "python", "compiled", "both"),
-        default="both",
-        help="kernel backend(s) to time (default: both)",
-    )
     p_bench.set_defaults(func=cmd_bench)
 
     p_gen = sub.add_parser("gen", help="write a synthetic public-transport stream")

@@ -1,30 +1,28 @@
-"""Engine facade: compiles a query into a kernel and tracks instrumentation.
+"""Engine facade: compiles a query and drives one kernel per partition key.
 
-An Engine owns one kernel instance - the incremental state for a single
-(window, partition) pair - plus bookkeeping the tests and the benchmark
-read: per-step result cells, peak state-entry count, and predecessor-access
-totals.
+``compile_query`` plans a query once: granularity, kernel plan, aggregate
+read-out and role probe. An Engine owns one kernel instance - the
+incremental state of one partition key over its open windows - plus the
+read-out of a window's aggregates and the accessors the tests read.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
+from typing import NamedTuple
 
 from . import kernels
-from .cells import build_accumulators, finalize
+from .cells import build_accumulators, finalize, window_cell
 from .errors import UnsupportedQuery
 from .events import Event
 from .query import (
     Granularity,
     GranularityPlan,
-    Op,
     Query,
     RoleProbe,
     Semantics,
     classify_and_plan,
 )
-
-_OPCODE = {Op.LT: 0, Op.LE: 1, Op.GT: 2, Op.GE: 3, Op.EQ: 4, Op.NE: 5}
 
 KernelPlan = namedtuple(
     "KernelPlan",
@@ -40,7 +38,7 @@ def build_kernel_plan(query: Query, plan: GranularityPlan) -> KernelPlan:
     for p in query.adjacent_predicates:
         if p.prev_variable in template.pred_types.get(p.next_variable, ()):
             theta.setdefault((p.prev_variable, p.next_variable), []).append(
-                (p.prev_attr, _OPCODE[p.op], p.next_attr)
+                (p.prev_attr, p.op.apply, p.next_attr)
             )
     accs, _ = build_accumulators(query.aggregates)
     return KernelPlan(
@@ -55,46 +53,81 @@ def build_kernel_plan(query: Query, plan: GranularityPlan) -> KernelPlan:
     )
 
 
-class Engine:
-    """Incremental aggregation state for one (window, partition) pair."""
+class CompiledQuery(NamedTuple):
+    """Everything an engine needs that depends on the query alone."""
 
-    def __init__(self, query: Query, plan: GranularityPlan | None = None, backend=None):
+    plan: GranularityPlan
+    kplan: KernelPlan
+    kernel: type
+    extractors: tuple
+    probe: RoleProbe
+
+
+def compile_query(query: Query) -> CompiledQuery:
+    """Plan a query once; every engine of a run shares the result."""
+    plan = classify_and_plan(query)
+    module = kernels.get_backend()
+    if plan.mode is Granularity.TYPE:
+        kernel = module.TypeKernel
+    elif plan.mode is Granularity.MIXED:
+        kernel = module.MixedKernel
+    else:
+        sources = list(query.aliases.values())
+        if len(set(sources)) != len(sources):
+            raise UnsupportedQuery(
+                "single-match-state semantics cannot run a pattern that "
+                "binds one stream type to several variables"
+            )
+        kernel = module.PatternKernel
+    _, extractors = build_accumulators(query.aggregates)
+    return CompiledQuery(
+        plan=plan,
+        kplan=build_kernel_plan(query, plan),
+        kernel=kernel,
+        extractors=extractors,
+        probe=RoleProbe(query),
+    )
+
+
+class Engine:
+    """Incremental aggregation state for one partition key.
+
+    The state covers every open window of the key (see ``_kernels_py``).
+    Built directly from a query, an engine is a single partition with one
+    window that never closes.
+    """
+
+    def __init__(self, query: Query, compiled: CompiledQuery | None = None):
         self.query = query
-        self.plan = plan if plan is not None else classify_and_plan(query)
-        self.kplan = build_kernel_plan(query, self.plan)
-        _, self._extractors = build_accumulators(query.aggregates)
-        module = backend if hasattr(backend, "TypeKernel") else kernels.get_backend(backend)
-        self.backend_name = kernels.backend_name(module)
-        mode = self.plan.mode
-        if mode is Granularity.TYPE:
-            self.kernel = module.TypeKernel(self.kplan)
-        elif mode is Granularity.MIXED:
-            self.kernel = module.MixedKernel(self.kplan)
-        else:
-            sources = list(query.aliases.values())
-            if len(set(sources)) != len(sources):
-                raise UnsupportedQuery(
-                    "single-match-state semantics cannot run a pattern that "
-                    "binds one stream type to several variables"
-                )
-            self.kernel = module.PatternKernel(self.kplan)
+        self.compiled = compiled if compiled is not None else compile_query(query)
+        self.plan = self.compiled.plan
+        self.kernel = self.compiled.kernel(self.compiled.kplan)
         self.peak_entries = self.kernel.entries()
-        self.matchable = RoleProbe(query)
 
     @property
     def mode(self) -> Granularity:
         return self.plan.mode
 
-    def step(self, event: Event):
-        """Feed one event; returns the cells created for it (or None)."""
-        return self.step_with_roles(event, self.matchable(event))
+    @property
+    def width(self) -> int:
+        """Number of open windows."""
+        return self.kernel.width
 
-    def step_with_roles(self, event: Event, roles):
-        out = self.kernel.step(event.time, roles, event.attrs)
+    def step(self, event: Event):
+        """Feed one event; returns the cells created for it in the oldest
+        open window (or None), and tracks ``peak_entries``."""
+        out = self.step_with_roles(event, self.compiled.probe(event))
         entries = self.kernel.entries()
         if entries > self.peak_entries:
             self.peak_entries = entries
-        return out
+        if out is None:
+            return None
+        return [(r, window_cell(cells, 0)) for r, cells in out]
+
+    def step_with_roles(self, event: Event, roles, width: int = 1):
+        """Feed one event that falls into ``width`` windows, the open ones
+        first; returns the cell vectors created for it (or None)."""
+        return self.kernel.step(event.time, roles, event.attrs, width)
 
     def run(self, events):
         for event in events:
@@ -105,10 +138,17 @@ class Engine:
         return self.kernel.entries()
 
     def results(self) -> dict:
-        """Aggregate values keyed by their RETURN-clause spelling."""
-        return finalize(self.kernel.final_cell(), self.query.aggregates, self._extractors)
+        """Aggregate values of the oldest open window, keyed by their
+        RETURN-clause spelling."""
+        return finalize(
+            self.kernel.final_cell(), self.query.aggregates, self.compiled.extractors
+        )
 
-    # ---- trace accessors (used by tests and the oracle CLI) ----
+    def drop_window(self):
+        """Forget the oldest open window."""
+        self.kernel.drop_front()
+
+    # ---- trace accessors, of the oldest open window (used by tests) ----
 
     @property
     def final_count(self):
@@ -117,9 +157,9 @@ class Engine:
     def role_count(self, role):
         """Current per-variable trend count (type-grained cells only)."""
         if self.mode is Granularity.TYPE:
-            return self.kernel.cells[role][0]
+            return self.kernel.cells[role][0][0]
         if self.mode is Granularity.MIXED:
-            return self.kernel.type_cells[role][0]
+            return self.kernel.type_cells[role][0][0]
         raise ValueError("pattern-grained state has no per-variable cells")
 
     @property
@@ -127,16 +167,14 @@ class Engine:
         """Trend count of the last matched event (pattern-grained only)."""
         if self.mode is not Granularity.PATTERN:
             raise ValueError("only pattern-grained state tracks a last event")
-        if self.kernel.last is None:
-            return 0
-        return self.kernel.last_cell[0]
+        return self.kernel.last_count()
 
     def stored_events(self):
         """(time, role, count) for retained events (mixed-grained only)."""
         if self.mode is not Granularity.MIXED:
             return []
-        return [(t, r, cell[0]) for (t, r, _, cell) in self.kernel.events]
+        return [(t, r, cell[0]) for (t, r, cell) in self.kernel.stored()]
 
 
-def build_engine(query: Query, backend=None, plan=None) -> Engine:
-    return Engine(query, plan=plan, backend=backend)
+def build_engine(query: Query) -> Engine:
+    return Engine(query)

@@ -8,6 +8,7 @@ millisecond are rejected rather than rounded.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import random
 from dataclasses import dataclass, field
@@ -51,9 +52,6 @@ class Schema:
     def has_type(self, etype):
         return etype in self.types
 
-    def attrs_for(self, etype):
-        return self.types.get(etype, {})
-
     def kind_of(self, etype, attr) -> Optional[str]:
         return self.types.get(etype, {}).get(attr)
 
@@ -71,20 +69,26 @@ class Schema:
 class StreamSource:
     """Iterator of events with a checked non-decreasing time order."""
 
-    def __init__(self, events: Iterable[Event], ordered: bool = True):
+    def __init__(self, events: Iterable[Event]):
         self._events = events
-        self.ordered = ordered
 
     def __iter__(self) -> Iterator[Event]:
         last = -1
         for n, ev in enumerate(self._events, start=1):
-            if self.ordered and ev.time < last:
+            if ev.time < last:
                 raise OutOfOrder(n, last, ev.time)
             last = ev.time
             yield ev
 
 
 def _parse_time_ms(cell, row_number):
+    # Fast path for plain ``digits[.digits]``; everything else, and every
+    # error, goes through Fraction.
+    whole, dot, frac = cell.partition(".")
+    if whole.isdigit() and cell.isascii() and (frac.isdigit() or not dot):
+        frac = frac.rstrip("0")
+        if len(frac) <= 3:
+            return int(whole) * 1000 + int(frac.ljust(3, "0"))
     try:
         seconds = Fraction(cell)
     except (ValueError, ZeroDivisionError):
@@ -133,8 +137,13 @@ def read_csv_stream(path, schema: Optional[Schema] = None) -> StreamSource:
     non-decreasing time order.
     """
 
+    @functools.cache
+    def kind_of(etype, attr):
+        return schema.kind_of(etype, attr) if schema else None
+
     def rows():
         last_ms = -1
+        column_kinds = {}  # event type -> kind per typed column
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
             try:
@@ -173,14 +182,16 @@ def read_csv_stream(path, schema: Optional[Schema] = None) -> StreamSource:
                         if "=" not in cell:
                             raise MalformedRow(row_number, f"expected key=value, got {cell!r}")
                         key, value = cell.split("=", 1)
-                        kind = schema.kind_of(etype, key) if schema else None
+                        kind = kind_of(etype, key)
                         attrs[key] = _coerce(value, kind, row_number, key) if kind else _infer(value)
                 else:
-                    for attr, cell in zip(columns, row[2:]):
+                    kinds = column_kinds.get(etype)
+                    if kinds is None:
+                        kinds = column_kinds[etype] = [kind_of(etype, a) for a in columns]
+                    for attr, kind, cell in zip(columns, kinds, row[2:]):
                         cell = cell.strip()
                         if cell == "":
                             continue
-                        kind = schema.kind_of(etype, attr) if schema else None
                         attrs[attr] = _coerce(cell, kind, row_number, attr) if kind else _infer(cell)
                 yield Event(time=time_ms, etype=etype, attrs=attrs)
 

@@ -1,44 +1,17 @@
-"""Kernel backend selection.
+"""Kernel lookup.
 
-Two interchangeable implementations of the engine kernels exist: the
-pure-Python reference (`trendagg._kernels_py`) and an optional compiled
-twin (`trendagg._kernels_c`, built from Cython when available). The
-compiled one is preferred when importable; set ``TRENDAGG_KERNELS=python``
-(or ``compiled``) to force a choice, or pass a name explicitly.
+The engine kernels live in ``trendagg._kernels_py``, the one
+implementation. Engines and the benchmark find the kernel classes through
+``get_backend`` and name them with ``backend_name``.
 """
 
 from __future__ import annotations
 
-import importlib
-import os
-
-_CACHE = None
+from . import _kernels_py
 
 
-def available_backends() -> dict:
-    global _CACHE
-    if _CACHE is None:
-        backends = {"python": importlib.import_module("trendagg._kernels_py")}
-        try:
-            backends["compiled"] = importlib.import_module("trendagg._kernels_c")
-        except ImportError:
-            pass
-        _CACHE = backends
-    return _CACHE
-
-
-def get_backend(name: str | None = None):
-    backends = available_backends()
-    if name is None:
-        name = os.environ.get("TRENDAGG_KERNELS") or "auto"
-    name = name.lower()
-    if name == "auto":
-        return backends.get("compiled", backends["python"])
-    if name not in backends:
-        raise ValueError(
-            f"kernel backend {name!r} not available (have: {', '.join(sorted(backends))})"
-        )
-    return backends[name]
+def get_backend():
+    return _kernels_py
 
 
 def backend_name(module) -> str:

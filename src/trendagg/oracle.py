@@ -52,10 +52,6 @@ class Trend:
     def end(self):
         return self.occurrences[-1]
 
-    @property
-    def mid(self):
-        return self.occurrences[1:-1]
-
     def indices(self):
         return frozenset(o.index for o in self.occurrences)
 

@@ -53,7 +53,6 @@ Pattern = Union[TypeAtom, Plus, Seq]
 class PatternTemplate:
     start_type: str
     end_type: str
-    mid_types: frozenset
     pred_types: dict  # variable -> frozenset of predecessor variables
 
     @property
@@ -110,7 +109,7 @@ def _analyze(pattern: Pattern):
 
 
 def compile_template(pattern: Pattern) -> PatternTemplate:
-    """Derive start/end/mid variables and the predecessor relation."""
+    """Derive start/end variables and the predecessor relation."""
     validate_pattern(pattern)
     first, last, follow = _analyze(pattern)
     # With single-binding atoms, sequences keep exactly one entry and one
@@ -120,10 +119,7 @@ def compile_template(pattern: Pattern) -> PatternTemplate:
     end = next(iter(last))
     variables = pattern_variables(pattern)
     preds = {v: frozenset(p for (p, n) in follow if n == v) for v in variables}
-    mid = frozenset(v for v in variables if v != start and v != end)
-    return PatternTemplate(
-        start_type=start, end_type=end, mid_types=mid, pred_types=preds
-    )
+    return PatternTemplate(start_type=start, end_type=end, pred_types=preds)
 
 
 _TOKEN = re.compile(r"\s*([A-Za-z_][A-Za-z0-9_]*|[(),+])")

@@ -19,6 +19,7 @@ next to each other inside a trend).
 from __future__ import annotations
 
 import enum
+import operator
 import re
 from dataclasses import dataclass, field
 from typing import Optional, Union
@@ -57,18 +58,20 @@ class Op(enum.Enum):
     EQ = "="
     NE = "!="
 
-    def apply(self, a, b):
-        if self is Op.LT:
-            return a < b
-        if self is Op.LE:
-            return a <= b
-        if self is Op.GT:
-            return a > b
-        if self is Op.GE:
-            return a >= b
-        if self is Op.EQ:
-            return a == b
-        return a != b
+    @property
+    def apply(self):
+        """The comparison as a function of its two operands."""
+        return _OPERATORS[self]
+
+
+_OPERATORS = {
+    Op.LT: operator.lt,
+    Op.LE: operator.le,
+    Op.GT: operator.gt,
+    Op.GE: operator.ge,
+    Op.EQ: operator.eq,
+    Op.NE: operator.ne,
+}
 
 
 @dataclass(frozen=True)
@@ -103,10 +106,6 @@ class Adjacent:
     @property
     def is_self(self):
         return self.prev_variable == self.next_variable
-
-
-def AdjacentSelf(variable, attr, op, next_attr):
-    return Adjacent(variable, attr, op, variable, next_attr)
 
 
 Predicate = Union[Local, Equivalence, Adjacent]
@@ -562,14 +561,15 @@ class RoleProbe:
 
     def __call__(self, event: Event) -> tuple:
         roles = self._by_type.get(event.etype, ())
-        if roles and self._locals:
-            get = event.attrs.get
-            roles = tuple(
-                v
-                for v in roles
-                if all(
-                    (value := get(attr)) is not None and apply(value, constant)
-                    for (attr, apply, constant) in self._locals.get(v, ())
-                )
-            )
-        return roles
+        if not (roles and self._locals):
+            return roles
+        attrs = event.attrs
+        kept = []
+        for v in roles:
+            for attr, apply, constant in self._locals.get(v, ()):
+                value = attrs.get(attr)
+                if value is None or not apply(value, constant):
+                    break
+            else:
+                kept.append(v)
+        return tuple(kept)

@@ -1,6 +1,6 @@
-"""Benchmark harness sanity: metrics, determinism, backend comparison."""
+"""Benchmark harness sanity: metrics, determinism, table layout."""
 
-from trendagg import available_backends, compare_backends, run_benchmark
+from trendagg import run_benchmark
 from trendagg.bench import format_results, run_pass
 from trendagg.events import TRANSPORT_SCHEMA, generate_transport_stream
 from trendagg.query import parse_query
@@ -30,30 +30,19 @@ def test_run_benchmark_fields():
     assert result.mean_latency_ms > 0
     assert result.peak_entries > 0
     assert result.rows > 0
-    assert result.backend in available_backends()
+    assert result.backend == "python"
 
 
-def test_rows_deterministic_across_reps_and_backends():
+def test_rows_deterministic_across_reps():
     events = _events()
-    row_sets = []
-    for name in sorted(available_backends()):
-        first = list(run_pass(QUERY, events, backend=name))
-        second = list(run_pass(QUERY, events, backend=name))
-        assert first[1] == second[1]  # row counts
-        assert first[0].peak_entries == second[0].peak_entries
-        row_sets.append((first[1], first[0].peak_entries))
-    assert len(set(row_sets)) == 1
-
-
-def test_compare_backends_covers_all():
-    results = compare_backends(QUERY, _events(), reps=1)
-    assert [r.backend for r in results] == sorted(available_backends())
-    assert len({r.rows for r in results}) == 1
-    assert len({r.peak_entries for r in results}) == 1
+    first = list(run_pass(QUERY, events))
+    second = list(run_pass(QUERY, events))
+    assert first[1] == second[1]  # row counts
+    assert first[0].peak_entries == second[0].peak_entries
 
 
 def test_format_results_is_tabular():
-    results = compare_backends(QUERY, _events(), reps=1)
+    results = [run_benchmark(QUERY, _events(), reps=1)]
     text = format_results(results)
     lines = text.splitlines()
     assert len(lines) == 1 + len(results)

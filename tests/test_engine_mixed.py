@@ -25,7 +25,7 @@ class TestShowcaseTrace:
     """
 
     def test_per_event_cell_counts(self, backend):
-        engine = build_engine(_mixed_query(), backend=backend)
+        engine = build_engine(_mixed_query())
         assert engine.mode is Granularity.MIXED
         assert engine.plan.event_grained == frozenset({"B"})
         counts = []
@@ -35,7 +35,7 @@ class TestShowcaseTrace:
         assert counts == [1, 1, 3, 6, None, 10, 12, 22]
 
     def test_running_state(self, backend):
-        engine = build_engine(_mixed_query(), backend=backend)
+        engine = build_engine(_mixed_query())
         a_counts, finals = [], []
         for e in SHOWCASE:
             engine.step(e)
@@ -67,7 +67,7 @@ class TestSelfAdjacency:
             Event(3000, "A", {"v": 1}),
         ]
         query = make_query(pattern="A+", where="A.v < NEXT(A).v")
-        engine = build_engine(query, backend=backend).run(events)
+        engine = build_engine(query).run(events)
         assert engine.mode is Granularity.MIXED
         assert engine.plan.event_grained == frozenset({"A"})
         # a1; a2; a3; (a1,a2) -- value 1 is not < 1, so (a1,a3) is out.
@@ -77,20 +77,20 @@ class TestSelfAdjacency:
     def test_tied_events_never_chain(self, backend):
         events = [Event(1000, "A", {"v": 1}), Event(1000, "A", {"v": 2})]
         query = make_query(pattern="A+", where="A.v < NEXT(A).v")
-        engine = build_engine(query, backend=backend).run(events)
+        engine = build_engine(query).run(events)
         assert engine.final_count == 2
 
 
 class TestStateFootprint:
     @staticmethod
-    def _run(n_a, n_b, backend):
+    def _run(n_a, n_b):
         events = []
         t = 1000
         for i in range(n_a + n_b):
             etype = "B" if i % ((n_a + n_b) // max(n_b, 1)) == 0 and n_b else "A"
             events.append(Event(t, etype, {"v": i % 7}))
             t += 1000
-        engine = build_engine(_mixed_query(), backend=backend)
+        engine = build_engine(_mixed_query())
         engine.run(events)
         stored = len(engine.stored_events())
         return engine.peak_entries, stored
@@ -98,16 +98,16 @@ class TestStateFootprint:
     def test_entries_track_stored_events_only(self, backend):
         # Quadrupling the A traffic leaves the footprint unchanged; the
         # state grows with B (event-grained) events alone.
-        peak_small, stored_small = self._run(100, 5, backend)
-        peak_large, stored_large = self._run(400, 5, backend)
+        peak_small, stored_small = self._run(100, 5)
+        peak_large, stored_large = self._run(400, 5)
         assert stored_small == stored_large
         assert peak_small == peak_large
         # One A type cell, every B stored, plus one in-batch shadow copy.
         assert peak_small == 1 + stored_small + 1
 
     def test_entries_grow_with_event_grained_count(self, backend):
-        peak_5, _ = self._run(100, 5, backend)
-        peak_10, _ = self._run(100, 10, backend)
+        peak_5, _ = self._run(100, 5)
+        peak_10, _ = self._run(100, 10)
         assert peak_10 - peak_5 == 5
 
 

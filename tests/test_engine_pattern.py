@@ -8,7 +8,7 @@ from trendagg import Event, Granularity, build_engine
 from trendagg.errors import UnsupportedQuery
 from trendagg.oracle import enumerate_trends
 
-from conftest import SHOWCASE, make_query, stream_strategy
+from conftest import NEXT_SAFE, SHOWCASE, make_query, stream_strategy
 
 
 def _trace(engine, events):
@@ -30,7 +30,7 @@ class TestShowcaseTraces:
     """
 
     def test_next_trace(self, backend):
-        engine = build_engine(make_query(semantics="next"), backend=backend)
+        engine = build_engine(make_query(semantics="next"))
         assert engine.mode is Granularity.PATTERN
         counts, lasts, finals = _trace(engine, SHOWCASE)
         assert counts == [1, 1, 2, 3, None, 3, 4, 4]
@@ -38,7 +38,7 @@ class TestShowcaseTraces:
         assert finals == [0, 1, 1, 1, 1, 4, 4, 8]
 
     def test_cont_trace(self, backend):
-        engine = build_engine(make_query(semantics="cont"), backend=backend)
+        engine = build_engine(make_query(semantics="cont"))
         counts, lasts, finals = _trace(engine, SHOWCASE)
         assert counts == [1, 1, 2, 3, None, None, 1, 1]
         # c5 resets the open chain to zero; b6 cannot restart (B is not
@@ -66,7 +66,7 @@ class TestKnownDivergence:
             Event(3000, "B", {"v": 3}),
         ]
         query = make_query(pattern="SEQ(A, B)", semantics="next")
-        engine = build_engine(query, backend=backend).run(events)
+        engine = build_engine(query).run(events)
         assert engine.final_count == 1
         assert len(enumerate_trends(events, query)) == 2
 
@@ -75,13 +75,13 @@ class TestEdgeBehaviour:
     def test_tied_starts_each_count(self, backend):
         events = [Event(1000, "A", {"v": 1}), Event(1000, "A", {"v": 2})]
         query = make_query(pattern="A+", semantics="next")
-        engine = build_engine(query, backend=backend).run(events)
+        engine = build_engine(query).run(events)
         assert engine.final_count == 2
         assert len(enumerate_trends(events, query)) == 2
 
     def test_state_stays_constant(self, backend):
         query = make_query(semantics="next")
-        engine = build_engine(query, backend=backend)
+        engine = build_engine(query)
         assert engine.entries() == 2
         engine.run(SHOWCASE)
         assert engine.entries() == 3
@@ -89,7 +89,7 @@ class TestEdgeBehaviour:
 
     def test_cont_reset_releases_entry(self, backend):
         query = make_query(semantics="cont")
-        engine = build_engine(query, backend=backend)
+        engine = build_engine(query)
         engine.step(Event(1000, "A", {"v": 1}))
         assert engine.entries() == 3
         engine.step(Event(2000, "C", {"v": 0}))
@@ -102,25 +102,10 @@ class TestEdgeBehaviour:
             build_engine(query)
 
 
-# Pattern/predicate pairs where the greedy single chain provably finishes
-# the same trends as full multi-chain enumeration (conditions: every
-# variable with outgoing edges can precede the start variable's matches
-# only via stored state the engine keeps; no predicate gates edges into
-# the start variable; strictly increasing timestamps).
-_NEXT_SAFE = [
-    ("A+", None),
-    ("SEQ(A+, B)", None),
-    ("SEQ(A+, B)", "A.v <= B.v"),
-    ("(SEQ(A+, B))+", None),
-    ("(SEQ(A+, B))+", "A.v <= B.v"),
-    ("(SEQ(A+, B+))+", None),
-]
-
-
 @settings(max_examples=120, deadline=None)
 @given(data=st.data())
 def test_random_next_matches_oracle(data):
-    pattern, where = data.draw(st.sampled_from(_NEXT_SAFE))
+    pattern, where = data.draw(st.sampled_from(NEXT_SAFE))
     if data.draw(st.booleans()):
         where = f"{where} AND A.v > 0" if where else "A.v > 0"
     query = make_query(pattern=pattern, semantics="next", where=where)

@@ -1,4 +1,8 @@
+from fractions import Fraction
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trendagg import (
     Event,
@@ -12,6 +16,7 @@ from trendagg import (
     read_csv_stream,
     write_csv_stream,
 )
+from trendagg.events import _parse_time_ms
 
 
 def test_event_validation():
@@ -154,3 +159,72 @@ def test_generator_is_deterministic_and_valid():
         assert TRANSPORT_SCHEMA.kind_of("Trip", "wait") == "float"
     with pytest.raises(ValueError):
         generate_transport_stream(0, 3, 300, seed=1)
+
+
+def _fraction_time_ms(cell):
+    """Reference: every time cell parsed as an exact Fraction of seconds."""
+    try:
+        seconds = Fraction(cell)
+    except (ValueError, ZeroDivisionError):
+        return f"row 7: bad time value {cell!r}"
+    ms = seconds * 1000
+    if ms.denominator != 1:
+        return f"row 7: time {cell!r} is not a whole millisecond"
+    if ms < 0:
+        return f"row 7: negative time {cell!r}"
+    return int(ms)
+
+
+_DIGITS = st.text(
+    # Arabic-Indic, Devanagari and fullwidth decimal digits, and a
+    # superscript two, which is a digit to str.isdigit but not to Fraction.
+    alphabet=st.sampled_from("0123456789" * 4 + "\u0663\u0967\uff12\u00b2"),
+    min_size=0,
+    max_size=7,
+)
+
+
+@st.composite
+def _time_cells(draw):
+    whole = draw(_DIGITS)
+    kind = draw(st.sampled_from(("int", "decimal", "decimal", "ratio", "garbage")))
+    if kind == "decimal":
+        cell = f"{whole}.{draw(_DIGITS)}{'0' * draw(st.integers(0, 3))}"
+    elif kind == "ratio":
+        cell = f"{whole}/{draw(_DIGITS)}"
+    elif kind == "garbage":
+        cell = draw(st.text(alphabet="0123456789.eE+-_/ x", max_size=8))
+    else:
+        cell = whole
+    if draw(st.booleans()):
+        cell += draw(st.sampled_from(("e3", "E-2", "e+1", "e")))
+    return (
+        draw(st.sampled_from(("", "", "+", "-", " ")))
+        + cell
+        + draw(st.sampled_from(("", "", " ", "\t")))
+    )
+
+
+@settings(max_examples=400, deadline=None)
+@given(cell=_time_cells())
+def test_time_parsing_agrees_with_fractions(cell):
+    want = _fraction_time_ms(cell)
+    try:
+        got = _parse_time_ms(cell, 7)
+    except MalformedRow as exc:
+        got = str(exc)
+    assert got == want
+    assert type(got) is type(want)
+
+
+def test_time_parsing_examples():
+    assert _parse_time_ms("12", 2) == 12000
+    assert _parse_time_ms("0.5", 2) == 500
+    assert _parse_time_ms("1.250000", 2) == 1250
+    assert _parse_time_ms("3.007", 2) == 3007
+    assert _parse_time_ms("1.5e3", 2) == 1_500_000
+    assert _parse_time_ms("7/8", 2) == 875
+    with pytest.raises(MalformedRow, match="not a whole millisecond"):
+        _parse_time_ms("1.0005", 2)
+    with pytest.raises(MalformedRow, match="negative time"):
+        _parse_time_ms("-1", 2)

@@ -45,7 +45,7 @@ def test_trend_identity_and_accessors():
     c = Trend([Occurrence(1, "A", ev(2, "A")), Occurrence(2, "B", ev(3, "B"))])
     assert a == b and hash(a) == hash(b) and a != c
     assert len(a) == 2
-    assert a.start.variable == "A" and a.end.variable == "B" and a.mid == ()
+    assert a.start.variable == "A" and a.end.variable == "B"
     assert a.indices() == frozenset({0, 2})
     assert sorted([c, a]) == [a, c]
 

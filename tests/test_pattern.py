@@ -56,7 +56,6 @@ def test_str_roundtrip():
 def test_template_single_plus():
     t = compile_template(parse_pattern("A+"))
     assert t.start_type == "A" and t.end_type == "A"
-    assert t.mid_types == frozenset()
     assert t.pred_types == {"A": frozenset({"A"})}
 
 
@@ -70,7 +69,6 @@ def test_template_kleene_of_seq():
     # The outer plus loops the end variable back to the start variable.
     t = compile_template(parse_pattern("(SEQ(A+, B))+"))
     assert t.start_type == "A" and t.end_type == "B"
-    assert t.mid_types == frozenset()
     assert t.pred_types == {
         "A": frozenset({"A", "B"}),
         "B": frozenset({"A"}),
@@ -80,7 +78,6 @@ def test_template_kleene_of_seq():
 def test_template_three_variables():
     t = compile_template(parse_pattern("SEQ(A+, B, C+)"))
     assert t.start_type == "A" and t.end_type == "C"
-    assert t.mid_types == frozenset({"B"})
     assert t.pred_types == {
         "A": frozenset({"A"}),
         "B": frozenset({"A"}),

@@ -3,12 +3,14 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trendagg import Event, Schema, WindowManager, WindowSpec, windows_of
 from trendagg.cli import oracle_rows
 from trendagg.errors import MissingGroupAttribute
 
-from conftest import make_query
+from conftest import NEXT_SAFE, make_query
 
 GROUPED_SCHEMA = Schema(
     {t: {"v": "int", "g": "int"} for t in ("A", "B", "C")}
@@ -93,6 +95,19 @@ class TestLifecycle:
         assert list(WindowManager(query).run(events)) == []
         rows = list(WindowManager(query, emit_empty=True).run(events))
         assert [r.values for r in rows] == [{"COUNT(*)": 0}]
+
+    def test_kept_event_outlives_its_oldest_window(self):
+        # a2 is kept with one cell per window: 2 trends end at it in window
+        # 0 (a1 a2, a2), 1 in window 1. Window 0 closes when a3 arrives, so
+        # a3 must extend a2's window-1 cell.
+        query = make_query(pattern="A+", where="A.v < NEXT(A).v",
+                           within="3 s", slide="1 s", schema=GROUPED_SCHEMA)
+        events = [_ev(0, "A", v=0), _ev(1000, "A", v=1), _ev(3000, "A", v=2)]
+        rows = list(WindowManager(query).run(events))
+        assert [(r.wid, r.values["COUNT(*)"]) for r in rows] == [
+            (0, 3), (1, 3), (2, 1), (3, 1),
+        ]
+        assert rows == list(oracle_rows(query, events))
 
     def test_untouched_windows_never_emit(self):
         query = make_query(within="10 s", schema=GROUPED_SCHEMA)
@@ -184,3 +199,72 @@ class TestOracleEquivalence:
                 sorted(want, key=lambda r: (r.wid, r.key)),
             ):
                 assert g_row.values == w_row.values
+
+
+# (semantics, pattern, where, returns, ties). The next and cont kernels
+# are checked without timestamp ties, as in their single-window tests.
+_WINDOWED_FAMILIES = [
+    ("any", "A+", None, "COUNT(*), SUM(A.v), MIN(A.v), AVG(A.v)", True),
+    ("any", "(SEQ(A+, B))+", None, "COUNT(*), COUNT(A), MAX(B.v)", True),
+    ("any", "SEQ(A+, B, C+)", "A.v > 0", "COUNT(*), SUM(C.v), MIN(B.v)", True),
+    ("any", "SEQ(A X+, A Y)", None, "COUNT(*), SUM(X.v), AVG(Y.v)", True),
+    ("any", "A+", "A.v < NEXT(A).v", "COUNT(*), SUM(A.v), MAX(A.v)", True),
+    ("any", "(SEQ(A+, B))+", "B.v < A.v", "COUNT(*), SUM(B.v), MIN(A.v)", True),
+    ("cont", "(SEQ(A+, B))+", None, "COUNT(*), SUM(A.v)", False),
+    ("cont", "A+", "A.v < NEXT(A).v AND A.v > 0", "COUNT(*), MAX(A.v)", False),
+    ("cont", "SEQ(A+, B, C+)", None, "COUNT(*), AVG(A.v)", False),
+    *(
+        ("next", pattern, where, "COUNT(*), SUM(A.v), MIN(A.v)", False)
+        for pattern, where in NEXT_SAFE
+    ),
+]
+
+
+@st.composite
+def _window_shapes(draw):
+    """(within, slide) in ms: tumbling, within a multiple of slide, or not."""
+    slide = draw(st.sampled_from((1000, 1500, 2000)))
+    shape = draw(st.sampled_from(("tumbling", "multiple", "other")))
+    if shape == "tumbling":
+        return slide, slide
+    within = slide * draw(st.integers(2, 4))
+    return (within + 500 if shape == "other" else within), slide
+
+
+@settings(max_examples=500, deadline=None)
+@given(data=st.data())
+def test_windowed_rows_match_oracle(data):
+    semantics, pattern, where, returns, ties = data.draw(
+        st.sampled_from(_WINDOWED_FAMILIES)
+    )
+    grouping = data.draw(st.sampled_from((None, "GROUP-BY", "[g]")))
+    if grouping == "[g]":
+        where = f"{where} AND [g]" if where else "[g]"
+    within, slide = data.draw(_window_shapes())
+    query = make_query(
+        pattern=pattern,
+        semantics=semantics,
+        where=where,
+        returns=returns,
+        group_by="g" if grouping == "GROUP-BY" else None,
+        within=f"{within} ms",
+        slide=f"{slide} ms",
+        schema=GROUPED_SCHEMA,
+    )
+    events, t = [], 0
+    for _ in range(data.draw(st.integers(0, 14))):
+        t += data.draw(st.sampled_from((0, 500, 1000, 1500) if ties else (500, 1000, 1500)))
+        events.append(
+            _ev(
+                t,
+                data.draw(st.sampled_from("AABBC")),
+                v=data.draw(st.integers(0, 4)),
+                g=data.draw(st.sampled_from((1, 2))),
+            )
+        )
+    emit_empty = data.draw(st.booleans())
+    got = list(WindowManager(query, emit_empty=emit_empty).run(events))
+    want = list(oracle_rows(query, events, emit_empty=emit_empty))
+    assert [(r.wid, r.key, r.values) for r in got] == [
+        (r.wid, r.key, r.values) for r in want
+    ]
