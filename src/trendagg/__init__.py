@@ -15,6 +15,7 @@ from .engines import Engine, build_engine, build_kernel_plan
 from .errors import (
     DuplicateTypeInPattern,
     ExplosionGuard,
+    InputError,
     MalformedRow,
     MissingAttribute,
     MissingGroupAttribute,
@@ -83,6 +84,7 @@ __all__ = [
     "ExplosionGuard",
     "Granularity",
     "GranularityPlan",
+    "InputError",
     "Local",
     "MalformedRow",
     "MissingAttribute",

@@ -33,7 +33,8 @@ window kept its own state.
 
 from __future__ import annotations
 
-from itertools import islice
+from itertools import chain, compress, repeat
+from operator import eq
 
 from .cells import (
     absorb_cells,
@@ -138,6 +139,24 @@ class TypeKernel:
         return self.width * (len(self.cells) + len(self._shadow))
 
 
+class _Absent:
+    """Column value of a kept event that lacks the attribute. Comparing it
+    raises ``MissingAttribute``, so the event fails exactly when a check
+    reaches it."""
+
+    __slots__ = ("attr",)
+
+    def __init__(self, attr):
+        self.attr = attr
+
+    def _missing(self, other):
+        raise MissingAttribute(
+            f"adjacency predicate needs attribute {self.attr}, absent on event"
+        )
+
+    __lt__ = __le__ = __gt__ = __ge__ = __eq__ = __ne__ = _missing
+
+
 class MixedKernel:
     """Cells per variable, except that events of variables constrained by
     an adjacency predicate are kept individually and rechecked against
@@ -146,9 +165,17 @@ class MixedKernel:
     A kept event is stored once, with one cell for each window that holds
     it: from the oldest window open when it arrived to the newest. Windows
     are numbered from the kernel's creation on, so that a kept event's
-    first window stays valid as older windows close. A new event checks
-    each kept predecessor once and merges the predecessor's cells into
-    every window the two share.
+    first window stays valid as older windows close.
+
+    Beside the kept events, the kernel keeps their variables and the
+    left-hand operand of every adjacency check in columns, in arrival
+    order. A new event selects its predecessors column by column:
+    ``compress`` over the kept positions with ``map(op, column,
+    repeat(value))`` as selector, one check after another, so that a kept
+    event meets a check only if it passed the earlier ones. The selected
+    events' cells are then merged in arrival order, into every window the
+    two events share, so float sums do not depend on how the predecessors
+    were selected.
     """
 
     def __init__(self, plan):
@@ -162,13 +189,58 @@ class MixedKernel:
             for r in plan.roles
             if r not in plan.event_grained
         }
-        self.events = []  # (time, role, attrs, first window, cells) in arrival order
+        # Per variable: (kept predecessor variable, its adjacency checks).
+        self.sources = {
+            r: tuple(
+                (p, plan.theta.get((p, r), ()))
+                for p in plan.preds[r]
+                if p not in self.type_cells
+            )
+            for r in plan.roles
+        }
+        self.events = []  # (time, role, first window, cells) in arrival order
+        self.roles = []  # role of each kept event
+        self._one_role = len(plan.roles) - len(self.type_cells) == 1
+        self.columns = {
+            a: [] for checks in plan.theta.values() for a, _, _ in checks
+        }
+        self._absent = {a: _Absent(a) for a in self.columns}
         self.final_acc = identity_cells(plan.accs, 1)
         self._held = 0  # (kept event, open window) pairs
         self._shadow = {}
         self._batch_time = -1
         self._watermark = 0
         self.pred_accesses = 0
+
+    def _predecessors(self, r, attrs):
+        """Positions of the kept events, up to the current timestamp, that
+        may directly precede an ``r``-event with ``attrs``; ascending."""
+        n = self._watermark
+        picked = []
+        for p, checks in self.sources[r]:
+            if self._one_role:
+                positions = range(n)
+            else:
+                positions = list(compress(range(n), map(eq, self.roles, repeat(p))))
+            self.pred_accesses += len(positions)
+            for prev_attr, op, next_attr in checks:
+                if not positions:
+                    break
+                try:
+                    value = attrs[next_attr]
+                except KeyError:
+                    raise MissingAttribute(
+                        f"adjacency predicate needs attribute {next_attr}, "
+                        "absent on event"
+                    ) from None
+                column = self.columns[prev_attr]
+                if type(positions) is not range:
+                    column = map(column.__getitem__, positions)
+                positions = list(compress(positions, map(op, column, repeat(value))))
+            picked.append(positions)
+        if len(picked) == 1:
+            return picked[0]
+        return sorted(chain.from_iterable(picked))
 
     def step(self, time, roles, attrs, width=1):
         if time != self._batch_time:
@@ -183,27 +255,21 @@ class MixedKernel:
         plan = self.plan
         accs = plan.accs
         merges = self.merges
-        theta = plan.theta
         base = self.base
+        events = self.events
         out = []
         for r in roles:
-            preds = plan.preds[r]
             pred = identity_cells(accs, self.width)
-            for p in preds:
+            for p in plan.preds[r]:
                 if p in self.type_cells:
                     prev = self._shadow.get(p)
                     if prev is None:
                         prev = self.type_cells[p]
                     _add_into(pred, prev, merges)
                     self.pred_accesses += 1
-            kept = islice(self.events, self._watermark)
-            for _, p, stored_attrs, first, stored_cells in kept:
-                if p not in preds:
-                    continue
-                self.pred_accesses += 1
-                checks = theta.get((p, r))
-                if checks is not None and not _theta_ok(checks, stored_attrs, attrs):
-                    continue
+            for _, _, first, stored_cells in map(
+                events.__getitem__, self._predecessors(r, attrs)
+            ):
                 # The stored event's windows from the oldest open one on are
                 # exactly the windows it shares with the new event.
                 _add_into(pred, stored_cells, merges, base - first)
@@ -213,7 +279,10 @@ class MixedKernel:
                     self._shadow[r] = self.type_cells[r]
                 self.type_cells[r] = combine_cells(self.type_cells[r], cell, merges)
             else:
-                self.events.append((time, r, attrs, base, cell))
+                events.append((time, r, base, cell))
+                self.roles.append(r)
+                for a, column in self.columns.items():
+                    column.append(attrs.get(a, self._absent[a]))
                 self._held += self.width
                 if r == plan.end:
                     self.final_acc = combine_cells(self.final_acc, cell, merges)
@@ -226,12 +295,16 @@ class MixedKernel:
         self.width -= 1
         self.base += 1
         gone = 0
-        for _, _, _, first, cells in events:
+        for _, _, first, cells in events:
             if first + len(cells[0]) > self.base:
                 break
             gone += 1
-        del events[:gone]
-        self._watermark = max(0, self._watermark - gone)
+        if gone:
+            del events[:gone]
+            del self.roles[:gone]
+            for column in self.columns.values():
+                del column[:gone]
+            self._watermark = max(0, self._watermark - gone)
         self.type_cells = {r: _drop_oldest(c) for r, c in self.type_cells.items()}
         self._shadow = {r: _drop_oldest(c) for r, c in self._shadow.items()}
         self.final_acc = _drop_oldest(self.final_acc)
@@ -245,7 +318,7 @@ class MixedKernel:
         """(time, role, cell) of every kept event, in the oldest window."""
         return [
             (t, r, window_cell(cells, self.base - first))
-            for (t, r, _, first, cells) in self.events
+            for (t, r, first, cells) in self.events
         ]
 
     def entries(self):

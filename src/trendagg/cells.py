@@ -11,6 +11,12 @@ window (oldest window first). Merges and event updates then run over all
 windows of a slot at once. The plain-cell functions at the end are the
 one-window case.
 
+A vector of width 1 - every vector of a tumbling query, and of a sliding
+query whose key holds one open window - takes a scalar branch in
+``combine_cells`` and ``absorb_cells``: the same arithmetic on each slot's
+single value, without building a list per slot window by window. Both
+functions read the width from the vector itself.
+
 Counts are plain Python integers and therefore unbounded - under
 skip-till-any-match they grow exponentially with window size and would
 overflow any fixed width. Sums over integer attributes stay exact for the
@@ -36,7 +42,7 @@ from __future__ import annotations
 from operator import add
 
 from .errors import MissingAttribute
-from .query import AggKind, AggSpec
+from .query import AggKind
 
 # Accumulator codes
 ACC_COUNT = 0  # count of target-variable events, weighted by trend count
@@ -119,6 +125,8 @@ def identity_cells(accs, width):
 
 def combine_cells(a, b, merges):
     """Window-by-window merge of two cell vectors of equal width."""
+    if len(a[0]) == 1:
+        return [[m(x[0], y[0])] for m, x, y in zip(merges, a, b)]
     return list(map(list, map(map, merges, a, b)))
 
 
@@ -140,6 +148,8 @@ def absorb_cells(pred, updates, attrs, is_start):
     is of the start variable, opens one more. Slots the event does not
     change are shared with ``pred``.
     """
+    if len(pred[0]) == 1:
+        return _absorb_one(pred, updates, attrs, is_start)
     counts = [c + 1 for c in pred[0]] if is_start else pred[0]
     cells = pred.copy()
     cells[0] = counts
@@ -148,12 +158,7 @@ def absorb_cells(pred, updates, attrs, is_start):
         if code == ACC_COUNT:
             cells[i] = [p + c for p, c in zip(prev, counts)]
             continue
-        try:
-            value = attrs[attr]
-        except KeyError:
-            raise MissingAttribute(
-                f"aggregate needs {target}.{attr}, absent on event"
-            ) from None
+        value = _value(attrs, target, attr)
         # On zero trends the event contributes nothing; min/max must not
         # pick up its value.
         if code == ACC_SUM:
@@ -169,6 +174,36 @@ def absorb_cells(pred, updates, attrs, is_start):
                 for p, c in zip(prev, counts)
             ]
     return cells
+
+
+def _absorb_one(pred, updates, attrs, is_start):
+    """``absorb_cells`` on a vector of one window."""
+    count = pred[0][0] + 1 if is_start else pred[0][0]
+    cells = pred.copy()
+    if is_start:
+        cells[0] = [count]
+    for i, code, target, attr in updates:
+        p = pred[i][0]
+        if code == ACC_COUNT:
+            cells[i] = [p + count]
+            continue
+        value = _value(attrs, target, attr)
+        if code == ACC_SUM:
+            cells[i] = [p + value * count]
+        elif code == ACC_MIN:
+            cells[i] = [p if count == 0 or p is not None and p <= value else value]
+        else:
+            cells[i] = [p if count == 0 or p is not None and p >= value else value]
+    return cells
+
+
+def _value(attrs, target, attr):
+    try:
+        return attrs[attr]
+    except KeyError:
+        raise MissingAttribute(
+            f"aggregate needs {target}.{attr}, absent on event"
+        ) from None
 
 
 def window_cell(cells, slot):
@@ -199,10 +234,11 @@ def absorb_event(pred_cell, variable, attrs, is_start, accs):
     return window_cell(absorb_cells(pred, updates, attrs, is_start), 0)
 
 
-def finalize(cell, specs, extractors):
-    """Read the requested aggregate values out of a final cell."""
+def finalize(cell, names, extractors):
+    """Read the requested aggregate values out of a final cell, keyed by
+    ``names`` (the aggregates' RETURN-clause spellings, in order)."""
     out = {}
-    for spec, (how, a, b) in zip(specs, extractors):
+    for name, (how, a, b) in zip(names, extractors):
         if how == "star":
             value = cell[0]
         elif how == "acc":
@@ -210,5 +246,5 @@ def finalize(cell, specs, extractors):
         else:  # avg
             total, n = cell[a], cell[b]
             value = None if n == 0 else total / n
-        out[str(spec)] = value
+        out[name] = value
     return out

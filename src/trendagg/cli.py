@@ -34,7 +34,7 @@ from .events import (
     write_csv_stream,
 )
 from .oracle import DEFAULT_CAP, aggregate_trends, enumerate_trends
-from .query import Query, Semantics, load_query, matchable_variables
+from .query import Query, Semantics, aggregate_names, load_query, matchable_variables
 from .windows import ResultRow, WindowManager, WindowSpec, windows_of
 
 
@@ -52,22 +52,24 @@ def result_header(query: Query) -> list:
         "window_start_ms",
         "window_end_ms",
         *query.partition_attrs,
-        *[str(spec) for spec in query.aggregates],
+        *aggregate_names(query),
     ]
 
 
 def write_rows(rows, query: Query, fh) -> int:
     writer = csv.writer(fh)
     writer.writerow(result_header(query))
+    names = aggregate_names(query)
     n = 0
     for row in rows:
+        values = row.values
         writer.writerow(
             [
                 row.wid,
                 row.window_start_ms,
                 row.window_end_ms,
                 *[_format_cell(v) for v in row.key],
-                *[_format_cell(row.values[str(s)]) for s in query.aggregates],
+                *[_format_cell(values[name]) for name in names],
             ]
         )
         n += 1
@@ -264,6 +266,9 @@ def main(argv=None) -> int:
         return 2
     except BrokenPipeError:  # e.g. `trendagg run ... | head`
         return 0
+    except OSError as exc:  # a missing or unreadable file
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

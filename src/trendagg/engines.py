@@ -21,6 +21,7 @@ from .query import (
     Query,
     RoleProbe,
     Semantics,
+    aggregate_names,
     classify_and_plan,
 )
 
@@ -59,6 +60,7 @@ class CompiledQuery(NamedTuple):
     plan: GranularityPlan
     kplan: KernelPlan
     kernel: type
+    names: tuple  # each aggregate's RETURN-clause spelling
     extractors: tuple
     probe: RoleProbe
 
@@ -84,6 +86,7 @@ def compile_query(query: Query) -> CompiledQuery:
         plan=plan,
         kplan=build_kernel_plan(query, plan),
         kernel=kernel,
+        names=aggregate_names(query),
         extractors=extractors,
         probe=RoleProbe(query),
     )
@@ -107,11 +110,6 @@ class Engine:
     @property
     def mode(self) -> Granularity:
         return self.plan.mode
-
-    @property
-    def width(self) -> int:
-        """Number of open windows."""
-        return self.kernel.width
 
     def step(self, event: Event):
         """Feed one event; returns the cells created for it in the oldest
@@ -141,7 +139,7 @@ class Engine:
         """Aggregate values of the oldest open window, keyed by their
         RETURN-clause spelling."""
         return finalize(
-            self.kernel.final_cell(), self.query.aggregates, self.compiled.extractors
+            self.kernel.final_cell(), self.compiled.names, self.compiled.extractors
         )
 
     def drop_window(self):

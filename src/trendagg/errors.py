@@ -13,6 +13,10 @@ class MalformedRow(TrendAggError):
         self.row_number = row_number
 
 
+class InputError(TrendAggError):
+    """An input file is not in the expected encoding or format."""
+
+
 class OutOfOrder(TrendAggError):
     """Event time decreased within a stream."""
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional
 
-from .errors import MalformedRow, OutOfOrder
+from .errors import InputError, MalformedRow, OutOfOrder
 
 _KINDS = ("int", "float", "str")
 
@@ -57,8 +57,22 @@ class Schema:
 
     @classmethod
     def from_json(cls, path):
-        with open(path) as fh:
-            return cls(json.load(fh))
+        with open(path, encoding="utf-8") as fh:
+            try:
+                types = json.load(fh)
+            except ValueError as exc:  # not UTF-8 or not JSON
+                raise InputError(f"schema {path}: not a JSON file ({exc})") from None
+        if not isinstance(types, dict) or not all(
+            isinstance(attrs, dict) for attrs in types.values()
+        ):
+            raise InputError(
+                f"schema {path}: expected an object of event types, each an "
+                "object of attribute kinds"
+            )
+        try:
+            return cls(types)
+        except ValueError as exc:
+            raise InputError(f"schema {path}: {exc}") from None
 
     def to_json(self, path):
         with open(path, "w") as fh:
@@ -125,6 +139,10 @@ def _infer(cell):
         return cell
 
 
+# Converter per schema kind; a column the schema does not cover is inferred.
+_DECODERS = {"int": int, "float": float, "str": str, None: _infer}
+
+
 def read_csv_stream(path, schema: Optional[Schema] = None) -> StreamSource:
     """Read an event stream from a CSV file.
 
@@ -141,10 +159,14 @@ def read_csv_stream(path, schema: Optional[Schema] = None) -> StreamSource:
     def kind_of(etype, attr):
         return schema.kind_of(etype, attr) if schema else None
 
+    def decode(etype, attr, cell, row_number):
+        kind = kind_of(etype, attr)
+        return _coerce(cell, kind, row_number, attr) if kind else _infer(cell)
+
     def rows():
         last_ms = -1
-        column_kinds = {}  # event type -> kind per typed column
-        with open(path, newline="") as fh:
+        column_decoders = {}  # event type -> (attr, converter) per column
+        with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
             try:
                 header = next(reader)
@@ -182,22 +204,34 @@ def read_csv_stream(path, schema: Optional[Schema] = None) -> StreamSource:
                         if "=" not in cell:
                             raise MalformedRow(row_number, f"expected key=value, got {cell!r}")
                         key, value = cell.split("=", 1)
-                        kind = kind_of(etype, key)
-                        attrs[key] = _coerce(value, kind, row_number, key) if kind else _infer(value)
+                        attrs[key] = decode(etype, key, value, row_number)
                 else:
-                    kinds = column_kinds.get(etype)
-                    if kinds is None:
-                        kinds = column_kinds[etype] = [kind_of(etype, a) for a in columns]
-                    for attr, kind, cell in zip(columns, kinds, row[2:]):
-                        cell = cell.strip()
-                        if cell == "":
-                            continue
-                        attrs[attr] = _coerce(cell, kind, row_number, attr) if kind else _infer(cell)
+                    decoders = column_decoders.get(etype)
+                    if decoders is None:
+                        decoders = column_decoders[etype] = [
+                            (attr, _DECODERS[kind_of(etype, attr)]) for attr in columns
+                        ]
+                    try:
+                        for (attr, convert), cell in zip(decoders, row[2:]):
+                            cell = cell.strip()
+                            if cell:
+                                attrs[attr] = convert(cell)
+                    except ValueError:
+                        # Decode the row again cell by cell; the bad cell
+                        # raises MalformedRow with its column and kind.
+                        attrs = {}
+                        for attr, cell in zip(columns, row[2:]):
+                            cell = cell.strip()
+                            if cell:
+                                attrs[attr] = decode(etype, attr, cell, row_number)
                 yield Event(time=time_ms, etype=etype, attrs=attrs)
 
     # Materialize eagerly so malformed rows and ordering problems surface
     # with their row number at read time rather than mid-pipeline.
-    return StreamSource(list(rows()))
+    try:
+        return StreamSource(list(rows()))
+    except UnicodeDecodeError as exc:
+        raise InputError(f"input {path}: not UTF-8 text ({exc.reason})") from None
 
 
 def _format_seconds(ms: int) -> str:
@@ -216,7 +250,7 @@ def write_csv_stream(events: Iterable[Event], path, schema: Optional[Schema] = N
     """Write events as a typed-column CSV that read_csv_stream round-trips."""
     events = list(events)
     columns = sorted({a for ev in events for a in ev.attrs})
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["time", "type", *columns])
         for ev in events:

@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Union
 
 from .errors import (
+    InputError,
     MissingAttribute,
     QuerySyntaxError,
     UnknownAttribute,
@@ -450,9 +451,18 @@ def parse_query(text: str, schema: Schema) -> Query:
     )
 
 
+def aggregate_names(query: Query) -> tuple:
+    """The RETURN-clause spelling of each aggregate, in RETURN order."""
+    return tuple(str(spec) for spec in query.aggregates)
+
+
 def load_query(path, schema: Schema) -> Query:
-    with open(path) as fh:
-        return parse_query(fh.read(), schema)
+    with open(path, encoding="utf-8") as fh:
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise InputError(f"query {path}: not UTF-8 text ({exc.reason})") from None
+    return parse_query(text, schema)
 
 
 # --------------------------------------------------------------------------

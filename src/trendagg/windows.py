@@ -92,36 +92,36 @@ class WindowManager:
         self.peak_entries = 0
 
     def _key_of(self, event, required: bool):
-        values = []
-        for attr in self._partition_attrs:
-            if attr not in event.attrs:
-                if required:
-                    raise MissingGroupAttribute(
-                        f"event at {event.time}ms lacks partition "
-                        f"attribute {attr!r}"
-                    )
-                return None
-            values.append(event.attrs[attr])
-        return tuple(values)
+        try:
+            return tuple(map(event.attrs.__getitem__, self._partition_attrs))
+        except KeyError as exc:
+            if required:
+                raise MissingGroupAttribute(
+                    f"event at {event.time}ms lacks partition "
+                    f"attribute {exc.args[0]!r}"
+                ) from None
+            return None
 
     def ingest(self, event):
         """Feed one event; returns rows for windows that just closed."""
-        rows = self.close_expired(event.time)
+        time = event.time
+        rows = self.close_expired(time) if time >= self._min_end else []
         self.events_ingested += 1
         roles = self._matchable(event)
         if roles:
             key = self._key_of(event, required=True)
-            wids = windows_of(event.time, self.spec)
+            wids = windows_of(time, self.spec)
             width = len(wids)
             engine = self._engines.get(key)
             if engine is None:
                 engine = self._engines[key] = Engine(self.query, self.compiled)
                 held = 0
             else:
-                held = engine.width
+                held = engine.kernel.width
             # The key's open windows are the oldest of the event's windows.
-            for wid in wids[held:]:
-                self._open(wid, key)
+            if width > held:
+                for wid in wids[held:]:
+                    self._open(wid, key)
         elif self._cont:
             key = self._key_of(event, required=False)
             engine = self._engines.get(key)
@@ -131,7 +131,7 @@ class WindowManager:
         else:
             return rows
         engine.step_with_roles(event, roles, width)
-        entries = engine.entries()
+        entries = engine.kernel.entries()
         self.current_entries += entries - self._entries.get(key, 0)
         self._entries[key] = entries
         if self.current_entries > self.peak_entries:
@@ -191,9 +191,9 @@ class WindowManager:
                     )
                 )
             engine.drop_window()
-            entries = engine.entries()
+            entries = engine.kernel.entries()
             self.current_entries += entries - self._entries[key]
-            if engine.width:
+            if engine.kernel.width:
                 self._entries[key] = entries
             else:
                 del self._engines[key]

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from trendagg import AggKind, AggSpec, MissingAttribute
 from trendagg.cells import (
@@ -6,12 +8,16 @@ from trendagg.cells import (
     ACC_MAX,
     ACC_MIN,
     ACC_SUM,
+    absorb_cells,
     absorb_event,
     build_accumulators,
     combine,
     combine_all,
+    combine_cells,
+    event_updates,
     finalize,
     identity_cell,
+    merge_functions,
 )
 
 SPECS = (
@@ -22,6 +28,7 @@ SPECS = (
     AggSpec(AggKind.MAX, "A", "v"),
     AggSpec(AggKind.AVG, "A", "v"),
 )
+NAMES = tuple(str(spec) for spec in SPECS)
 
 
 def test_accumulator_slots_are_shared():
@@ -101,7 +108,7 @@ def test_absorb_missing_attribute():
 
 def test_finalize_including_avg():
     accs, extractors = build_accumulators(SPECS)
-    out = finalize([4, 2, 10, 3, 7], SPECS, extractors)
+    out = finalize([4, 2, 10, 3, 7], NAMES, extractors)
     assert out == {
         "COUNT(*)": 4,
         "COUNT(A)": 2,
@@ -110,7 +117,7 @@ def test_finalize_including_avg():
         "MAX(A.v)": 7,
         "AVG(A.v)": 5.0,
     }
-    empty = finalize(identity_cell(accs), SPECS, extractors)
+    empty = finalize(identity_cell(accs), NAMES, extractors)
     assert empty == {
         "COUNT(*)": 0,
         "COUNT(A)": 0,
@@ -128,3 +135,53 @@ def test_counts_are_arbitrary_precision():
     for _ in range(128):
         cell = combine(cell, absorb_event(cell, "A", {}, True, accs), accs)
     assert cell[0] == 2**128 - 1
+
+
+_NUMBERS = st.one_of(
+    st.integers(-5, 5), st.floats(-5, 5, allow_nan=False, allow_subnormal=False)
+)
+
+
+@st.composite
+def _cells(draw):
+    """A cell of SPECS: counts, a sum, and a min and a max that may be None."""
+    return [
+        draw(st.integers(0, 5)),
+        draw(st.integers(0, 5)),
+        draw(_NUMBERS),
+        draw(st.one_of(st.none(), _NUMBERS)),
+        draw(st.one_of(st.none(), _NUMBERS)),
+    ]
+
+
+def _vector(*cells):
+    return [list(values) for values in zip(*cells)]
+
+
+@given(
+    a=_cells(),
+    b=_cells(),
+    other_a=_cells(),
+    other_b=_cells(),
+    variable=st.sampled_from("AB"),
+    attrs=st.one_of(st.just({}), st.fixed_dictionaries({"v": _NUMBERS})),
+    is_start=st.booleans(),
+)
+def test_one_window_branch_matches_vector_path(
+    a, b, other_a, other_b, variable, attrs, is_start
+):
+    accs, _ = build_accumulators(SPECS)
+    merges = merge_functions(accs)
+    one = combine_cells(_vector(a), _vector(b), merges)
+    two = combine_cells(_vector(a, other_a), _vector(b, other_b), merges)
+    assert one == [values[:1] for values in two]
+
+    updates = event_updates(accs, variable)
+    try:
+        two = absorb_cells(_vector(a, other_a), updates, attrs, is_start)
+    except MissingAttribute:
+        with pytest.raises(MissingAttribute):
+            absorb_cells(_vector(a), updates, attrs, is_start)
+        return
+    one = absorb_cells(_vector(a), updates, attrs, is_start)
+    assert one == [values[:1] for values in two]

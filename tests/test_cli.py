@@ -1,5 +1,10 @@
 """End-to-end command line behaviour (in-process, via main(argv))."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from trendagg.cli import main
@@ -165,3 +170,57 @@ class TestErrors:
         )
         assert code == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "case",
+        [
+            "missing input",
+            "missing query",
+            "missing schema",
+            "directory as input",
+            "schema not JSON",
+            "schema with an unknown kind",
+            "schema not an object",
+            "input not UTF-8",
+            "query not UTF-8",
+        ],
+    )
+    def test_unusable_input_files_exit_2(self, workdir, capsys, case):
+        (workdir / "notjson.json").write_text("{not json")
+        (workdir / "double.json").write_text('{"A": {"v": "double"}}')
+        (workdir / "list.json").write_text('["A"]')
+        (workdir / "latin1.csv").write_bytes(b"time,type,v\n1,A,caf\xe9\n")
+        (workdir / "latin1.txt").write_bytes(b"RETURN COUNT(*) -- caf\xe9\n")
+        files = {
+            "--query": workdir / "q.txt",
+            "--input": workdir / "stream.csv",
+            "--schema": workdir / "schema.json",
+        }
+        flag, path = {
+            "missing input": ("--input", workdir / "absent.csv"),
+            "missing query": ("--query", workdir / "absent.txt"),
+            "missing schema": ("--schema", workdir / "absent.json"),
+            "directory as input": ("--input", workdir),
+            "schema not JSON": ("--schema", workdir / "notjson.json"),
+            "schema with an unknown kind": ("--schema", workdir / "double.json"),
+            "schema not an object": ("--schema", workdir / "list.json"),
+            "input not UTF-8": ("--input", workdir / "latin1.csv"),
+            "query not UTF-8": ("--query", workdir / "latin1.txt"),
+        }[case]
+        files[flag] = path
+        code = _run(["run", *[a for item in files.items() for a in item]])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_module_entry_point():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "trendagg", "--help"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == 0
+    assert done.stdout.startswith("usage: trendagg")

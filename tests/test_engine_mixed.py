@@ -4,10 +4,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trendagg import Event, Granularity, build_engine
+from trendagg import (
+    Event,
+    Granularity,
+    MissingAttribute,
+    Schema,
+    WindowManager,
+    build_engine,
+)
 from trendagg.oracle import aggregate_trends, enumerate_trends
 
 from conftest import SHOWCASE, make_query, stream_strategy
+
+_VW_SCHEMA = Schema({"A": {"v": "int", "w": "int"}})
 
 
 def _mixed_query(**kw):
@@ -142,3 +151,51 @@ def test_random_mixed_matches_oracle(data):
             assert got[name] == pytest.approx(want, rel=1e-9)
         else:
             assert got[name] == want
+
+
+_OPS = ("<", "<=", ">", ">=", "=", "!=")
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_every_operator_matches_oracle(data):
+    # Each operator on a self-adjacency, sometimes followed by a second
+    # check on the same pair that the first one short-circuits.
+    where = f"A.v {data.draw(st.sampled_from(_OPS))} NEXT(A).v"
+    if data.draw(st.booleans()):
+        where += f" AND A.v {data.draw(st.sampled_from(_OPS))} NEXT(A).v"
+    query = make_query(pattern="A+", where=where, returns="COUNT(*), SUM(A.v)")
+    events = data.draw(stream_strategy(types="AB"))
+    expected = aggregate_trends(enumerate_trends(events, query), query.aggregates)
+    assert build_engine(query).run(events).results() == expected
+
+
+class TestMissingPredicateAttribute:
+    QUERY = dict(pattern="A+", where="A.v < NEXT(A).v", within="10 s", slide="5 s")
+
+    def test_kept_event_lacks_the_attribute(self, backend):
+        manager = WindowManager(make_query(**self.QUERY))
+        manager.ingest(Event(1000, "A", {}))  # kept, nothing to compare yet
+        with pytest.raises(MissingAttribute, match="attribute v"):
+            manager.ingest(Event(2000, "A", {"v": 1}))
+
+    def test_new_event_lacks_the_attribute(self, backend):
+        manager = WindowManager(make_query(**self.QUERY))
+        manager.ingest(Event(1000, "A", {"v": 1}))
+        with pytest.raises(MissingAttribute, match="attribute v"):
+            manager.ingest(Event(2000, "A", {}))
+
+    def test_unchecked_events_may_lack_it(self, backend):
+        # Tied events are never compared, and a kept event that an earlier
+        # check rejects never meets the later one.
+        engine = build_engine(make_query(pattern="A+", where="A.v < NEXT(A).v"))
+        engine.run([Event(1000, "A", {}), Event(1000, "A", {"v": 2})])
+        assert engine.final_count == 2
+        schema_query = make_query(
+            pattern="A+",
+            where="A.v < NEXT(A).v AND A.w < NEXT(A).w",
+            schema=_VW_SCHEMA,
+        )
+        engine = build_engine(schema_query)
+        engine.run([Event(1000, "A", {"v": 5}), Event(2000, "A", {"v": 1, "w": 0})])
+        assert engine.final_count == 2

@@ -16,7 +16,7 @@ from trendagg import (
     read_csv_stream,
     write_csv_stream,
 )
-from trendagg.events import _parse_time_ms
+from trendagg.events import _coerce, _infer, _parse_time_ms
 
 
 def test_event_validation():
@@ -228,3 +228,65 @@ def test_time_parsing_examples():
         _parse_time_ms("1.0005", 2)
     with pytest.raises(MalformedRow, match="negative time"):
         _parse_time_ms("-1", 2)
+
+
+_READ_SCHEMA = Schema(
+    {
+        "A": {"u": "int", "w": "float", "s": "str"},
+        "B": {"u": "float", "w": "str", "s": "int"},
+    }
+)
+_READ_CELLS = ("", " ", "  \t", "3", " -4 ", "2.5", "1e3", "-0.0", "x", "007", "inf", "1_0")
+
+
+def _reference_read(rows, schema):
+    """The typed-column rows decoded cell by cell through ``_coerce``."""
+    events = []
+    for row_number, (etype, cells) in enumerate(rows, start=2):
+        attrs = {}
+        for attr, cell in zip("uws", cells):
+            cell = cell.strip()
+            if cell:
+                kind = schema.kind_of(etype, attr)
+                attrs[attr] = _coerce(cell, kind, row_number, attr) if kind else _infer(cell)
+        events.append(Event(row_number * 1000, etype, attrs))
+    return events
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    rows=st.lists(
+        st.tuples(
+            st.sampled_from("ABC"),  # C is not in the schema: inferred
+            st.tuples(*[st.sampled_from(_READ_CELLS)] * 3),
+        ),
+        max_size=6,
+    )
+)
+def test_column_decoders_agree_with_coerce(tmp_path_factory, rows):
+    path = tmp_path_factory.mktemp("read") / "stream.csv"
+    path.write_text(
+        "time,type,u,w,s\n"
+        + "".join(f"{n},{t},{','.join(cells)}\n" for n, (t, cells) in enumerate(rows, 2))
+    )
+    try:
+        want = _reference_read(rows, _READ_SCHEMA)
+    except MalformedRow as exc:
+        with pytest.raises(MalformedRow) as err:
+            read_csv_stream(path, schema=_READ_SCHEMA)
+        assert str(err.value) == str(exc)
+        return
+    got = list(read_csv_stream(path, schema=_READ_SCHEMA))
+    assert got == want
+    assert [[type(v) for v in e.attrs.values()] for e in got] == [
+        [type(v) for v in e.attrs.values()] for e in want
+    ]
+
+
+def test_column_decoder_errors_name_the_cell(tmp_path):
+    path = _write(tmp_path, "time,type,u,w\n1,A,1,2\n2,A,3,x\n")
+    with pytest.raises(MalformedRow, match="row 3: value 'x' for w is not a valid float"):
+        read_csv_stream(path, schema=_READ_SCHEMA)
+    path = _write(tmp_path, "time,type,u,w\n1,B,1,2\n2,A,2.5,x\n")
+    with pytest.raises(MalformedRow, match="row 3: value '2.5' for u is not a valid int"):
+        read_csv_stream(path, schema=_READ_SCHEMA)

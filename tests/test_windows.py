@@ -210,6 +210,8 @@ _WINDOWED_FAMILIES = [
     ("any", "SEQ(A X+, A Y)", None, "COUNT(*), SUM(X.v), AVG(Y.v)", True),
     ("any", "A+", "A.v < NEXT(A).v", "COUNT(*), SUM(A.v), MAX(A.v)", True),
     ("any", "(SEQ(A+, B))+", "B.v < A.v", "COUNT(*), SUM(B.v), MIN(A.v)", True),
+    ("any", "A+", "A.v < NEXT(A).v AND A.g <= NEXT(A).g", "COUNT(*), SUM(A.v)", True),
+    ("any", "SEQ(A+, B+)", "A.v < B.v AND B.v < NEXT(B).v", "COUNT(*), SUM(B.v), MIN(A.v)", True),
     ("cont", "(SEQ(A+, B))+", None, "COUNT(*), SUM(A.v)", False),
     ("cont", "A+", "A.v < NEXT(A).v AND A.v > 0", "COUNT(*), MAX(A.v)", False),
     ("cont", "SEQ(A+, B, C+)", None, "COUNT(*), AVG(A.v)", False),
