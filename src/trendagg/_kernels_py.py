@@ -234,7 +234,7 @@ class MixedKernel:
                         "absent on event"
                     ) from None
                 column = self.columns[prev_attr]
-                if type(positions) is not range:
+                if type(positions) is not range:  # not every kept event
                     column = map(column.__getitem__, positions)
                 positions = list(compress(positions, map(op, column, repeat(value))))
             picked.append(positions)
