@@ -30,7 +30,6 @@ from .events import (
     TRANSPORT_SCHEMA,
     Event,
     Schema,
-    StreamSource,
     generate_transport_stream,
     infer_schema,
     read_csv_stream,
@@ -99,7 +98,6 @@ __all__ = [
     "Schema",
     "Semantics",
     "Seq",
-    "StreamSource",
     "TRANSPORT_SCHEMA",
     "Trend",
     "TrendAggError",

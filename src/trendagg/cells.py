@@ -8,8 +8,8 @@ query at once, so engines touch their predecessors a single time per event.
 Kernels keep one cell per open window of a partition key, stored by slot:
 a cell vector is a list holding, per slot, a list with one value per
 window (oldest window first). Merges and event updates then run over all
-windows of a slot at once. The plain-cell functions at the end are the
-one-window case.
+windows of a slot at once. ``window_cell`` reads one window's plain cell
+out of a vector.
 
 A vector of width 1 - every vector of a tumbling query, and of a sliding
 query whose key holds one open window - takes a scalar branch in
@@ -213,25 +213,6 @@ def window_cell(cells, slot):
 
 def identity_cell(accs):
     return window_cell(identity_cells(accs, 1), 0)
-
-
-def combine(a, b, accs):
-    """Merge two cells: counts and sums add, min/max lattice-merge."""
-    return [m(x, y) for m, x, y in zip(merge_functions(accs), a, b)]
-
-
-def combine_all(cells, accs):
-    out = identity_cell(accs)
-    for cell in cells:
-        out = combine(out, cell, accs)
-    return out
-
-
-def absorb_event(pred_cell, variable, attrs, is_start, accs):
-    """Cell for a fresh event given the merged cell of its predecessors."""
-    pred = [[value] for value in pred_cell]
-    updates = event_updates(accs, variable)
-    return window_cell(absorb_cells(pred, updates, attrs, is_start), 0)
 
 
 def finalize(cell, names, extractors):

@@ -24,7 +24,7 @@ import dataclasses
 import sys
 
 from . import bench as bench_mod
-from .errors import TrendAggError
+from .errors import InputError, TrendAggError
 from .events import (
     TRANSPORT_SCHEMA,
     Schema,
@@ -34,8 +34,8 @@ from .events import (
     write_csv_stream,
 )
 from .oracle import DEFAULT_CAP, aggregate_trends, enumerate_trends
-from .query import Query, Semantics, aggregate_names, load_query, matchable_variables
-from .windows import ResultRow, WindowManager, WindowSpec, windows_of
+from .query import Query, RoleProbe, Semantics, aggregate_names, load_query
+from .windows import ResultRow, WindowManager, WindowSpec, route, windows_of
 
 
 def _format_cell(value) -> str:
@@ -78,7 +78,7 @@ def write_rows(rows, query: Query, fh) -> int:
 
 def _load(args):
     schema = Schema.from_json(args.schema) if args.schema else None
-    events = list(read_csv_stream(args.input, schema=schema))
+    events = read_csv_stream(args.input, schema=schema)
     if schema is None:
         schema = infer_schema(events)
     query = load_query(args.query, schema)
@@ -107,24 +107,23 @@ def cmd_run(args) -> int:
 
 
 def oracle_rows(query: Query, events, cap: int = DEFAULT_CAP, emit_empty: bool = False):
-    """Result rows computed by explicit enumeration, per window and key."""
+    """Result rows computed by explicit enumeration, per window and key.
+
+    Events are routed as by ``WindowManager``: a matchable event opens the
+    slots of all its windows, a gap event joins only slots already open.
+    """
     spec = WindowSpec(query.within_ms, query.slide_ms)
+    probe = RoleProbe(query)
+    attrs = query.partition_attrs
     cont = query.semantics is Semantics.CONT
     slots: dict = {}
-    routed = []
     for event in events:
-        if matchable_variables(query, event):
-            key = _key_or_raise(query, event)
-            for wid in windows_of(event.time, spec):
-                slots.setdefault((wid, key), [])
-            routed.append((event, key, True))
-        elif cont:
-            key = _key_or_none(query, event)
-            if key is not None:
-                routed.append((event, key, False))
-    for event, key, _ in routed:
+        routed = route(event, probe, attrs, cont)
+        if routed is None:
+            continue
+        roles, key = routed
         for wid in windows_of(event.time, spec):
-            slot = slots.get((wid, key))
+            slot = slots.setdefault((wid, key), []) if roles else slots.get((wid, key))
             if slot is not None:
                 slot.append(event)
     for (wid, key) in sorted(slots):
@@ -138,28 +137,6 @@ def oracle_rows(query: Query, events, cap: int = DEFAULT_CAP, emit_empty: bool =
             key=key,
             values=aggregate_trends(trends, query.aggregates),
         )
-
-
-def _key_or_raise(query, event):
-    from .errors import MissingGroupAttribute
-
-    values = []
-    for attr in query.partition_attrs:
-        if attr not in event.attrs:
-            raise MissingGroupAttribute(
-                f"event at {event.time}ms lacks partition attribute {attr!r}"
-            )
-        values.append(event.attrs[attr])
-    return tuple(values)
-
-
-def _key_or_none(query, event):
-    values = []
-    for attr in query.partition_attrs:
-        if attr not in event.attrs:
-            return None
-        values.append(event.attrs[attr])
-    return tuple(values)
 
 
 def cmd_oracle(args) -> int:
@@ -188,11 +165,12 @@ def cmd_bench(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    events = list(
-        generate_transport_stream(
+    try:
+        events = generate_transport_stream(
             args.passengers, args.stations, args.duration, args.seed
         )
-    )
+    except ValueError as exc:  # a count or duration below 1
+        raise InputError(str(exc)) from None
     write_csv_stream(events, args.output)
     if args.schema_out:
         TRANSPORT_SCHEMA.to_json(args.schema_out)

@@ -14,7 +14,8 @@ class MalformedRow(TrendAggError):
 
 
 class InputError(TrendAggError):
-    """An input file is not in the expected encoding or format."""
+    """An input file or argument is not in the expected encoding, format
+    or range."""
 
 
 class OutOfOrder(TrendAggError):

@@ -1,4 +1,4 @@
-"""Event model: events, schemas, and ordered stream sources.
+"""Event model: events, schemas, and stream readers and generators.
 
 Timestamps are application time in integer milliseconds. CSV files carry
 time in (possibly fractional) seconds; values that do not land on a whole
@@ -13,7 +13,7 @@ import json
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Optional
 
 from .errors import InputError, MalformedRow, OutOfOrder
 
@@ -31,9 +31,6 @@ class Event:
             raise ValueError(f"negative event time {self.time}")
         if not self.etype:
             raise ValueError("empty event type")
-
-    def attr(self, name):
-        return self.attrs[name]
 
 
 class Schema:
@@ -78,21 +75,6 @@ class Schema:
         with open(path, "w") as fh:
             json.dump(self.types, fh, indent=2, sort_keys=True)
             fh.write("\n")
-
-
-class StreamSource:
-    """Iterator of events with a checked non-decreasing time order."""
-
-    def __init__(self, events: Iterable[Event]):
-        self._events = events
-
-    def __iter__(self) -> Iterator[Event]:
-        last = -1
-        for n, ev in enumerate(self._events, start=1):
-            if ev.time < last:
-                raise OutOfOrder(n, last, ev.time)
-            last = ev.time
-            yield ev
 
 
 def _parse_time_ms(cell, row_number):
@@ -143,7 +125,7 @@ def _infer(cell):
 _DECODERS = {"int": int, "float": float, "str": str, None: _infer}
 
 
-def read_csv_stream(path, schema: Optional[Schema] = None) -> StreamSource:
+def read_csv_stream(path, schema: Optional[Schema] = None) -> list:
     """Read an event stream from a CSV file.
 
     Two layouts are accepted, chosen by the header:
@@ -229,7 +211,7 @@ def read_csv_stream(path, schema: Optional[Schema] = None) -> StreamSource:
     # Materialize eagerly so malformed rows and ordering problems surface
     # with their row number at read time rather than mid-pipeline.
     try:
-        return StreamSource(list(rows()))
+        return list(rows())
     except UnicodeDecodeError as exc:
         raise InputError(f"input {path}: not UTF-8 text ({exc.reason})") from None
 
@@ -283,7 +265,7 @@ TRANSPORT_SCHEMA = Schema(
 )
 
 
-def generate_transport_stream(passengers, stations, duration, seed) -> StreamSource:
+def generate_transport_stream(passengers, stations, duration, seed) -> list:
     """Synthetic public-transport workload.
 
     Each of ``passengers`` passengers takes one trip per ~30 seconds of
@@ -307,7 +289,7 @@ def generate_transport_stream(passengers, stations, duration, seed) -> StreamSou
                 )
             )
     records.sort(key=lambda r: r[0])
-    events = [
+    return [
         Event(
             time=t,
             etype="Trip",
@@ -315,4 +297,3 @@ def generate_transport_stream(passengers, stations, duration, seed) -> StreamSou
         )
         for (t, passenger, station, wait) in records
     ]
-    return StreamSource(events)

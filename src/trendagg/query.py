@@ -104,10 +104,6 @@ class Adjacent:
     next_variable: str
     next_attr: str
 
-    @property
-    def is_self(self):
-        return self.prev_variable == self.next_variable
-
 
 Predicate = Union[Local, Equivalence, Adjacent]
 

@@ -16,7 +16,8 @@ into. The event is applied once per key; the engine opens the missing
 windows at the back. The open window ids of all keys together are
 contiguous, so closing visits only the windows that end.
 
-Routing rules:
+Routing rules, applied by ``route`` for both this manager and the
+enumerating oracle (``cli.oracle_rows``):
 
 * An event that can play at least one pattern variable must carry every
   partition attribute (``MissingGroupAttribute`` otherwise) and is fed to
@@ -28,6 +29,9 @@ Routing rules:
   partition key cannot be extracted the event is dropped.
 * Everything else that matches nothing is ignored.
 
+The manager relies on time order and raises ``OutOfOrder`` when an
+event's time is below its predecessor's.
+
 Rows for windows whose trend count is zero are suppressed unless
 ``emit_empty`` is set; windows that never saw a matching event produce no
 row either way.
@@ -38,7 +42,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .engines import Engine, compile_query
-from .errors import MissingGroupAttribute
+from .errors import MissingGroupAttribute, OutOfOrder
 from .query import Query, Semantics
 
 
@@ -61,6 +65,27 @@ def windows_of(time_ms: int, spec: WindowSpec) -> range:
     return range(lo, hi + 1)
 
 
+def route(event, probe, partition_attrs, cont):
+    """Where ``event`` goes under the routing rules above.
+
+    ``probe`` is the query's ``RoleProbe``. Returns ``None`` when the event
+    is dropped, otherwise ``(roles, key)``: the variables it can play and
+    its partition key. Empty ``roles`` mark a contiguous-semantics gap
+    event, which reaches only the windows already open for ``key``.
+    """
+    roles = probe(event)
+    if roles or cont:
+        try:
+            return roles, tuple(map(event.attrs.__getitem__, partition_attrs))
+        except KeyError as exc:
+            if roles:
+                raise MissingGroupAttribute(
+                    f"event at {event.time}ms lacks partition "
+                    f"attribute {exc.args[0]!r}"
+                ) from None
+    return None
+
+
 @dataclass(frozen=True)
 class ResultRow:
     wid: int
@@ -80,39 +105,38 @@ class WindowManager:
         self.compiled = compile_query(query)
         self._cont = query.semantics is Semantics.CONT
         self._partition_attrs = query.partition_attrs
-        self._matchable = self.compiled.probe
+        self._probe = self.compiled.probe
         self._engines = {}  # key -> Engine over the key's open windows
         self._entries = {}  # key -> the engine's entries() after its last change
         self._keys_by_wid = {}  # open window id -> keys holding it
         self._first_wid = 0  # oldest open window id
         self._min_end = float("inf")
+        self._last_time = 0
         self.events_ingested = 0
         self.rows_emitted = 0
         self.current_entries = 0
         self.peak_entries = 0
 
-    def _key_of(self, event, required: bool):
-        try:
-            return tuple(map(event.attrs.__getitem__, self._partition_attrs))
-        except KeyError as exc:
-            if required:
-                raise MissingGroupAttribute(
-                    f"event at {event.time}ms lacks partition "
-                    f"attribute {exc.args[0]!r}"
-                ) from None
-            return None
-
     def ingest(self, event):
-        """Feed one event; returns rows for windows that just closed."""
+        """Feed one event; returns rows for windows that just closed.
+
+        Raises ``OutOfOrder`` when the event is older than the one before,
+        naming its position among the events fed so far.
+        """
         time = event.time
+        if time < self._last_time:
+            raise OutOfOrder(self.events_ingested + 1, self._last_time, time)
+        self._last_time = time
         rows = self.close_expired(time) if time >= self._min_end else []
         self.events_ingested += 1
-        roles = self._matchable(event)
+        routed = route(event, self._probe, self._partition_attrs, self._cont)
+        if routed is None:
+            return rows
+        roles, key = routed
+        engine = self._engines.get(key)
         if roles:
-            key = self._key_of(event, required=True)
             wids = windows_of(time, self.spec)
             width = len(wids)
-            engine = self._engines.get(key)
             if engine is None:
                 engine = self._engines[key] = Engine(self.query, self.compiled)
                 held = 0
@@ -122,14 +146,10 @@ class WindowManager:
             if width > held:
                 for wid in wids[held:]:
                     self._open(wid, key)
-        elif self._cont:
-            key = self._key_of(event, required=False)
-            engine = self._engines.get(key)
-            if engine is None:
-                return rows
-            width = 0
-        else:
+        elif engine is None:
             return rows
+        else:
+            width = 0
         engine.step_with_roles(event, roles, width)
         entries = engine.kernel.entries()
         self.current_entries += entries - self._entries.get(key, 0)

@@ -9,15 +9,14 @@ from trendagg.cells import (
     ACC_MIN,
     ACC_SUM,
     absorb_cells,
-    absorb_event,
     build_accumulators,
-    combine,
-    combine_all,
     combine_cells,
     event_updates,
     finalize,
     identity_cell,
+    identity_cells,
     merge_functions,
+    window_cell,
 )
 
 SPECS = (
@@ -29,6 +28,11 @@ SPECS = (
     AggSpec(AggKind.AVG, "A", "v"),
 )
 NAMES = tuple(str(spec) for spec in SPECS)
+
+
+def _vector(*cells):
+    """The cell vector holding ``cells``, one per window."""
+    return [list(values) for values in zip(*cells)]
 
 
 def test_accumulator_slots_are_shared():
@@ -57,37 +61,41 @@ def test_identity_cell_layout():
 
 def test_combine_adds_counts_and_merges_lattice():
     accs, _ = build_accumulators(SPECS)
-    a = [2, 3, 10, 1, 7]
-    b = [1, 1, 4, 2, 5]
-    assert combine(a, b, accs) == [3, 4, 14, 1, 7]
-    ident = identity_cell(accs)
-    assert combine(a, ident, accs) == a
-    assert combine(ident, a, accs) == a
-    assert combine_all([a, b, ident], accs) == [3, 4, 14, 1, 7]
+    merges = merge_functions(accs)
+    a = _vector([2, 3, 10, 1, 7])
+    b = _vector([1, 1, 4, 2, 5])
+    merged = combine_cells(a, b, merges)
+    assert window_cell(merged, 0) == [3, 4, 14, 1, 7]
+    ident = identity_cells(accs, 1)
+    assert combine_cells(a, ident, merges) == a
+    assert combine_cells(ident, a, merges) == a
+    assert combine_cells(merged, ident, merges) == merged
 
 
 def test_absorb_start_event():
     accs, _ = build_accumulators(SPECS)
-    cell = absorb_event(identity_cell(accs), "A", {"v": 6}, True, accs)
+    pred = identity_cells(accs, 1)
+    cell = window_cell(absorb_cells(pred, event_updates(accs, "A"), {"v": 6}, True), 0)
     # one new trend; its one A-event contributes v=6 everywhere
     assert cell == [1, 1, 6, 6, 6]
 
 
 def test_absorb_extends_predecessor_trends():
     accs, _ = build_accumulators(SPECS)
-    pred = [3, 2, 10, 4, 9]  # merged predecessor cell
-    cell = absorb_event(pred, "A", {"v": 6}, False, accs)
+    pred = _vector([3, 2, 10, 4, 9])  # merged predecessor cell
+    updates = event_updates(accs, "A")
+    cell = absorb_cells(pred, updates, {"v": 6}, False)
     # 3 trends extended: +3 A-occurrences, +6*3 to the sum, lattice with 6
-    assert cell == [3, 5, 28, 4, 9]
-    as_start = absorb_event(pred, "A", {"v": 6}, True, accs)
-    assert as_start == [4, 6, 34, 4, 9]
+    assert window_cell(cell, 0) == [3, 5, 28, 4, 9]
+    as_start = absorb_cells(pred, updates, {"v": 6}, True)
+    assert window_cell(as_start, 0) == [4, 6, 34, 4, 9]
 
 
 def test_absorb_other_variable_propagates_untouched():
     accs, _ = build_accumulators(SPECS)
-    pred = [3, 2, 10, 4, 9]
-    cell = absorb_event(pred, "B", {"v": 100}, False, accs)
-    assert cell == [3, 2, 10, 4, 9]
+    pred = _vector([3, 2, 10, 4, 9])
+    cell = absorb_cells(pred, event_updates(accs, "B"), {"v": 100}, False)
+    assert window_cell(cell, 0) == [3, 2, 10, 4, 9]
 
 
 def test_absorb_on_zero_trends_does_not_poison_min_max():
@@ -96,14 +104,15 @@ def test_absorb_on_zero_trends_does_not_poison_min_max():
     accs, _ = build_accumulators(
         (AggSpec(AggKind.MIN, "B", "v"), AggSpec(AggKind.SUM, "B", "v"))
     )
-    cell = absorb_event(identity_cell(accs), "B", {"v": -99}, False, accs)
-    assert cell == [0, None, 0]
+    pred = identity_cells(accs, 1)
+    cell = absorb_cells(pred, event_updates(accs, "B"), {"v": -99}, False)
+    assert window_cell(cell, 0) == [0, None, 0]
 
 
 def test_absorb_missing_attribute():
     accs, _ = build_accumulators((AggSpec(AggKind.SUM, "A", "v"),))
     with pytest.raises(MissingAttribute):
-        absorb_event(identity_cell(accs), "A", {}, True, accs)
+        absorb_cells(identity_cells(accs, 1), event_updates(accs, "A"), {}, True)
 
 
 def test_finalize_including_avg():
@@ -130,11 +139,13 @@ def test_finalize_including_avg():
 
 def test_counts_are_arbitrary_precision():
     accs, _ = build_accumulators((AggSpec(AggKind.COUNT_STAR),))
-    cell = identity_cell(accs)
+    merges = merge_functions(accs)
+    updates = event_updates(accs, "A")
+    cells = identity_cells(accs, 1)
     # 128 doublings of a start-variable cell: 2^128 dwarfs any fixed width
     for _ in range(128):
-        cell = combine(cell, absorb_event(cell, "A", {}, True, accs), accs)
-    assert cell[0] == 2**128 - 1
+        cells = combine_cells(cells, absorb_cells(cells, updates, {}, True), merges)
+    assert window_cell(cells, 0)[0] == 2**128 - 1
 
 
 _NUMBERS = st.one_of(
@@ -152,10 +163,6 @@ def _cells(draw):
         draw(st.one_of(st.none(), _NUMBERS)),
         draw(st.one_of(st.none(), _NUMBERS)),
     ]
-
-
-def _vector(*cells):
-    return [list(values) for values in zip(*cells)]
 
 
 @given(

@@ -159,17 +159,24 @@ class TestErrors:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
-    def test_missing_group_attribute_exits_2(self, workdir, capsys):
+    @pytest.mark.parametrize("command", ["run", "oracle"])
+    def test_missing_group_attribute_exits_2(self, workdir, capsys, command):
+        # The schema knows A.g, so only routing can find it missing.
+        (workdir / "grouped.csv").write_text(
+            "time,type,v,g\n1,A,5,\n2,A,1,1\n3,B,2,1\n"
+        )
         (workdir / "grouped.txt").write_text(
             "RETURN COUNT(*) PATTERN (SEQ(A+, B))+ SEMANTICS any "
-            "GROUP-BY missing WITHIN 100 s\n"
+            "GROUP-BY g WITHIN 100 s\n"
         )
         code = _run(
-            ["run", "--query", workdir / "grouped.txt",
-             "--input", workdir / "stream.csv"]
+            [command, "--query", workdir / "grouped.txt",
+             "--input", workdir / "grouped.csv"]
         )
         assert code == 2
-        assert "error:" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "error: event at 1000ms lacks partition attribute 'g'\n"
+        )
 
     @pytest.mark.parametrize(
         "case",
@@ -183,6 +190,9 @@ class TestErrors:
             "schema not an object",
             "input not UTF-8",
             "query not UTF-8",
+            "gen without passengers",
+            "gen without stations",
+            "gen with a negative duration",
         ],
     )
     def test_unusable_input_files_exit_2(self, workdir, capsys, case):
@@ -196,19 +206,26 @@ class TestErrors:
             "--input": workdir / "stream.csv",
             "--schema": workdir / "schema.json",
         }
-        flag, path = {
-            "missing input": ("--input", workdir / "absent.csv"),
-            "missing query": ("--query", workdir / "absent.txt"),
-            "missing schema": ("--schema", workdir / "absent.json"),
-            "directory as input": ("--input", workdir),
-            "schema not JSON": ("--schema", workdir / "notjson.json"),
-            "schema with an unknown kind": ("--schema", workdir / "double.json"),
-            "schema not an object": ("--schema", workdir / "list.json"),
-            "input not UTF-8": ("--input", workdir / "latin1.csv"),
-            "query not UTF-8": ("--query", workdir / "latin1.txt"),
+
+        def run(flag, path):
+            return ["run", *[a for item in {**files, flag: path}.items() for a in item]]
+
+        gen = ["gen", "--output", workdir / "gen.csv"]
+        argv = {
+            "missing input": run("--input", workdir / "absent.csv"),
+            "missing query": run("--query", workdir / "absent.txt"),
+            "missing schema": run("--schema", workdir / "absent.json"),
+            "directory as input": run("--input", workdir),
+            "schema not JSON": run("--schema", workdir / "notjson.json"),
+            "schema with an unknown kind": run("--schema", workdir / "double.json"),
+            "schema not an object": run("--schema", workdir / "list.json"),
+            "input not UTF-8": run("--input", workdir / "latin1.csv"),
+            "query not UTF-8": run("--query", workdir / "latin1.txt"),
+            "gen without passengers": [*gen, "--passengers", 0],
+            "gen without stations": [*gen, "--stations", 0],
+            "gen with a negative duration": [*gen, "--duration", -5],
         }[case]
-        files[flag] = path
-        code = _run(["run", *[a for item in files.items() for a in item]])
+        code = _run(argv)
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("error: ") and "Traceback" not in err

@@ -9,7 +9,6 @@ from trendagg import (
     MalformedRow,
     OutOfOrder,
     Schema,
-    StreamSource,
     TRANSPORT_SCHEMA,
     generate_transport_stream,
     infer_schema,
@@ -21,7 +20,7 @@ from trendagg.events import _coerce, _infer, _parse_time_ms
 
 def test_event_validation():
     ev = Event(1500, "A", {"v": 3})
-    assert ev.time == 1500 and ev.etype == "A" and ev.attr("v") == 3
+    assert ev.time == 1500 and ev.etype == "A" and ev.attrs["v"] == 3
     with pytest.raises(ValueError):
         Event(-1, "A")
     with pytest.raises(ValueError):
@@ -43,14 +42,6 @@ def test_schema_json_roundtrip(tmp_path):
     path = tmp_path / "schema.json"
     s.to_json(path)
     assert Schema.from_json(path).types == s.types
-
-
-def test_stream_source_order_check():
-    good = StreamSource([Event(1, "A"), Event(1, "A"), Event(2, "B")])
-    assert [e.time for e in good] == [1, 1, 2]
-    bad = StreamSource([Event(5, "A"), Event(3, "A")])
-    with pytest.raises(OutOfOrder):
-        list(bad)
 
 
 def _write(tmp_path, text):

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from trendagg import (
     Adjacent,
@@ -16,6 +18,7 @@ from trendagg import (
     parse_query,
 )
 from trendagg.query import (
+    RoleProbe,
     check_adjacent,
     matchable_variables,
     parse_duration_ms,
@@ -97,7 +100,8 @@ def test_predicate_forms():
         Adjacent("M", "rate", Op.LT, "M", "rate"),
         Equivalence("patient"),
     )
-    assert q.adjacent_predicates[0].is_self
+    adjacent = q.adjacent_predicates[0]
+    assert adjacent.prev_variable == adjacent.next_variable == "M"
     assert q.partition_attrs == ("patient",)
 
 
@@ -224,6 +228,51 @@ def test_matchable_multi_role_aliases():
     )
     assert matchable_variables(q, Event(0, "A", {"v": 20})) == ("X", "Y")
     assert matchable_variables(q, Event(0, "A", {"v": 5})) == ("X",)
+
+
+_PROBE_SCHEMA = Schema({t: {"v": "int", "name": "str"} for t in "ABC"})
+_PROBE_PATTERNS = {
+    "A+": ("A",),
+    "SEQ(A X+, A Y)": ("X", "Y"),
+    "SEQ(A X+, B, A Y+)": ("X", "B", "Y"),
+    "(SEQ(A X+, B Y))+": ("X", "Y"),
+}
+
+
+@st.composite
+def _local_predicate(draw, variables):
+    variable = draw(st.sampled_from(variables))
+    op = draw(st.sampled_from([op.value for op in Op]))
+    if draw(st.booleans()):
+        return f"{variable}.v {op} {draw(st.integers(0, 4))}"
+    return f"{variable}.name {op} '{draw(st.sampled_from('abc'))}'"
+
+
+@st.composite
+def _probe_cases(draw):
+    """A query with local predicates and an event, both drawn."""
+    pattern = draw(st.sampled_from(sorted(_PROBE_PATTERNS)))
+    locals_ = draw(st.lists(_local_predicate(_PROBE_PATTERNS[pattern]), max_size=5))
+    text = f"RETURN COUNT(*) PATTERN {pattern} SEMANTICS any"
+    if locals_:
+        text += " WHERE " + " AND ".join(locals_)
+    query = parse_query(text + " WITHIN 1 s", _PROBE_SCHEMA)
+    attrs = draw(
+        st.fixed_dictionaries(
+            {},
+            optional={
+                "v": st.one_of(st.none(), st.integers(0, 4)),
+                "name": st.one_of(st.none(), st.sampled_from("abc")),
+            },
+        )
+    )
+    return query, Event(0, draw(st.sampled_from("ABC")), attrs)
+
+
+@given(_probe_cases())
+def test_role_probe_agrees_with_matchable_variables(case):
+    query, event = case
+    assert RoleProbe(query)(event) == matchable_variables(query, event)
 
 
 def test_check_adjacent():

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from trendagg import Event, Schema, WindowManager, WindowSpec, windows_of
 from trendagg.cli import oracle_rows
-from trendagg.errors import MissingGroupAttribute
+from trendagg.errors import MissingGroupAttribute, OutOfOrder
 
 from conftest import NEXT_SAFE, make_query
 
@@ -108,6 +108,21 @@ class TestLifecycle:
             (0, 3), (1, 3), (2, 1), (3, 1),
         ]
         assert rows == list(oracle_rows(query, events))
+
+    def test_out_of_order_event_raises(self):
+        query = make_query(pattern="A+", within="10 s", slide="5 s",
+                           schema=GROUPED_SCHEMA)
+        ties = [_ev(1000, "A"), _ev(1000, "A"), _ev(2000, "B")]
+        assert [r.values for r in WindowManager(query).run(ties)] == [
+            r.values for r in oracle_rows(query, ties)
+        ]
+        # Unchecked, A@1 s after A@12 s made windows 1 and 2 each report a
+        # count of 3 for the one event they hold.
+        manager = WindowManager(query)
+        with pytest.raises(OutOfOrder) as err:
+            list(manager.run([_ev(12000, "A"), _ev(1000, "A")]))
+        assert err.value.row_number == 2
+        assert manager.events_ingested == 1
 
     def test_untouched_windows_never_emit(self):
         query = make_query(within="10 s", schema=GROUPED_SCHEMA)
