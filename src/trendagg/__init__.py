@@ -10,8 +10,7 @@ without materializing the (worst-case exponential) set of matched trends.
 A brute-force enumerating oracle ships alongside for verification.
 """
 
-from .bench import BenchResult, run_benchmark
-from .engines import Engine, build_engine, build_kernel_plan
+from .engines import Engine, build_engine
 from .errors import (
     DuplicateTypeInPattern,
     ExplosionGuard,
@@ -35,7 +34,6 @@ from .events import (
     read_csv_stream,
     write_csv_stream,
 )
-from .kernels import get_backend
 from .oracle import (
     Trend,
     aggregate_trends,
@@ -75,7 +73,6 @@ __all__ = [
     "Adjacent",
     "AggKind",
     "AggSpec",
-    "BenchResult",
     "DuplicateTypeInPattern",
     "Engine",
     "Equivalence",
@@ -109,7 +106,6 @@ __all__ = [
     "WindowSpec",
     "aggregate_trends",
     "build_engine",
-    "build_kernel_plan",
     "classify_and_plan",
     "compile_template",
     "enumerate_any",
@@ -117,13 +113,11 @@ __all__ = [
     "enumerate_next",
     "enumerate_trends",
     "generate_transport_stream",
-    "get_backend",
     "infer_schema",
     "load_query",
     "parse_pattern",
     "parse_query",
     "read_csv_stream",
-    "run_benchmark",
     "windows_of",
     "write_csv_stream",
 ]

@@ -4,7 +4,6 @@ Subcommands:
 
     run     evaluate a query over a CSV stream with the incremental engine
     oracle  same, but by explicit trend enumeration (slow; for checking)
-    bench   time the engine over a stream
     gen     write a synthetic public-transport stream
 
 ``run`` and ``oracle`` print the same CSV shape:
@@ -23,7 +22,6 @@ import csv
 import dataclasses
 import sys
 
-from . import bench as bench_mod
 from .errors import InputError, TrendAggError
 from .events import (
     TRANSPORT_SCHEMA,
@@ -90,7 +88,7 @@ def _load(args):
 def _open_out(path):
     if path in (None, "-"):
         return sys.stdout, False
-    return open(path, "w", newline=""), True
+    return open(path, "w", newline="", encoding="utf-8"), True
 
 
 def cmd_run(args) -> int:
@@ -102,7 +100,11 @@ def cmd_run(args) -> int:
     finally:
         if owned:
             fh.close()
-    print(f"{manager.events_ingested} events -> {n} rows", file=sys.stderr)
+    print(
+        f"{manager.events_ingested} events -> {n} rows, "
+        f"peak state {manager.peak_entries} entries",
+        file=sys.stderr,
+    )
     return 0
 
 
@@ -152,15 +154,6 @@ def cmd_oracle(args) -> int:
         if owned:
             fh.close()
     print(f"{len(events)} events -> {n} rows (oracle)", file=sys.stderr)
-    return 0
-
-
-def cmd_bench(args) -> int:
-    query, events = _load(args)
-    result = bench_mod.run_benchmark(
-        query, events, reps=args.reps, emit_empty=args.emit_empty
-    )
-    print(bench_mod.format_results([result]))
     return 0
 
 
@@ -216,11 +209,6 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"abort if a window exceeds this many trends (default {DEFAULT_CAP})",
     )
     p_oracle.set_defaults(func=cmd_oracle)
-
-    p_bench = sub.add_parser("bench", help="time the engine over a stream")
-    io_args(p_bench)
-    p_bench.add_argument("--reps", type=int, default=3, help="timed passes to average")
-    p_bench.set_defaults(func=cmd_bench)
 
     p_gen = sub.add_parser("gen", help="write a synthetic public-transport stream")
     p_gen.add_argument("--output", required=True, help="output stream CSV")

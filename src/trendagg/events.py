@@ -157,6 +157,9 @@ def read_csv_stream(path, schema: Optional[Schema] = None) -> list:
             if len(header) < 2 or [h.strip().lower() for h in header[:2]] != ["time", "type"]:
                 raise MalformedRow(1, "header must start with time,type")
             columns = [h.strip() for h in header[2:]]
+            for i, attr in enumerate(columns):
+                if attr in columns[:i]:
+                    raise MalformedRow(1, f"duplicate column {attr!r}")
             kv_mode = not columns
             for row_number, row in enumerate(reader, start=2):
                 if not row:
@@ -186,6 +189,8 @@ def read_csv_stream(path, schema: Optional[Schema] = None) -> list:
                         if "=" not in cell:
                             raise MalformedRow(row_number, f"expected key=value, got {cell!r}")
                         key, value = cell.split("=", 1)
+                        if key in attrs:
+                            raise MalformedRow(row_number, f"repeated attribute {key!r}")
                         attrs[key] = decode(etype, key, value, row_number)
                 else:
                     decoders = column_decoders.get(etype)
@@ -228,7 +233,7 @@ def _format_value(v) -> str:
     return str(v)
 
 
-def write_csv_stream(events: Iterable[Event], path, schema: Optional[Schema] = None):
+def write_csv_stream(events: Iterable[Event], path):
     """Write events as a typed-column CSV that read_csv_stream round-trips."""
     events = list(events)
     columns = sorted({a for ev in events for a in ev.attrs})

@@ -1,13 +1,15 @@
 """End-to-end command line behaviour (in-process, via main(argv))."""
 
+import argparse
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from trendagg.cli import main
+from trendagg.cli import build_parser, main
 from trendagg.events import write_csv_stream
 
 from conftest import ABC_SCHEMA, SHOWCASE
@@ -17,7 +19,7 @@ QUERY_TEXT = "RETURN COUNT(*) PATTERN (SEQ(A+, B))+ SEMANTICS any WITHIN 100 s\n
 
 @pytest.fixture
 def workdir(tmp_path):
-    write_csv_stream(SHOWCASE, tmp_path / "stream.csv", schema=ABC_SCHEMA)
+    write_csv_stream(SHOWCASE, tmp_path / "stream.csv")
     (tmp_path / "q.txt").write_text(QUERY_TEXT)
     ABC_SCHEMA.to_json(tmp_path / "schema.json")
     return tmp_path
@@ -40,7 +42,9 @@ class TestRun:
             lines = out.read_text().strip().splitlines()
             assert lines[0] == "wid,window_start_ms,window_end_ms,COUNT(*)"
             assert lines[1] == f"0,0,100000,{expected}"
-            assert f"8 events -> 1 rows" in capsys.readouterr().err
+            assert capsys.readouterr().err == (
+                "8 events -> 1 rows, peak state 3 entries\n"
+            )
 
     def test_stdout_default(self, workdir, capsys):
         code = _run(
@@ -65,7 +69,7 @@ class TestRun:
 
     def test_empty_input(self, workdir, capsys):
         empty = workdir / "empty.csv"
-        write_csv_stream([], empty, schema=ABC_SCHEMA)
+        write_csv_stream([], empty)
         code = _run(
             ["run", "--query", workdir / "q.txt", "--input", empty,
              "--schema", workdir / "schema.json"]
@@ -103,7 +107,7 @@ class TestOracle:
         events = [
             type(SHOWCASE[0])(1000 * (i + 1), "A", {"v": i}) for i in range(12)
         ]
-        write_csv_stream(events, workdir / "wide.csv", schema=ABC_SCHEMA)
+        write_csv_stream(events, workdir / "wide.csv")
         (workdir / "aplus.txt").write_text(
             "RETURN COUNT(*) PATTERN A+ SEMANTICS any WITHIN 100 s\n"
         )
@@ -138,15 +142,6 @@ class TestBenchAndGen:
         ) == 0
         rows = capsys.readouterr().out.strip().splitlines()
         assert len(rows) == 1 + 4  # header + one row per passenger
-
-    def test_bench_prints_table(self, workdir, capsys):
-        assert _run(
-            ["bench", "--query", workdir / "q.txt", "--input",
-             workdir / "stream.csv", "--reps", 1]
-        ) == 0
-        out = capsys.readouterr().out.strip().splitlines()
-        assert out[0].startswith("backend")
-        assert len(out) >= 2
 
 
 class TestErrors:
@@ -193,6 +188,8 @@ class TestErrors:
             "gen without passengers",
             "gen without stations",
             "gen with a negative duration",
+            "duplicate column",
+            "repeated key=value attribute",
         ],
     )
     def test_unusable_input_files_exit_2(self, workdir, capsys, case):
@@ -201,6 +198,8 @@ class TestErrors:
         (workdir / "list.json").write_text('["A"]')
         (workdir / "latin1.csv").write_bytes(b"time,type,v\n1,A,caf\xe9\n")
         (workdir / "latin1.txt").write_bytes(b"RETURN COUNT(*) -- caf\xe9\n")
+        (workdir / "dupcol.csv").write_text("time,type,v,v\n1,A,5,6\n")
+        (workdir / "dupkey.csv").write_text("time,type\n1,A,v=5\n2,B,v=3,v=4\n")
         files = {
             "--query": workdir / "q.txt",
             "--input": workdir / "stream.csv",
@@ -224,20 +223,73 @@ class TestErrors:
             "gen without passengers": [*gen, "--passengers", 0],
             "gen without stations": [*gen, "--stations", 0],
             "gen with a negative duration": [*gen, "--duration", -5],
+            "duplicate column": run("--input", workdir / "dupcol.csv"),
+            "repeated key=value attribute": run("--input", workdir / "dupkey.csv"),
         }[case]
         code = _run(argv)
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("error: ") and "Traceback" not in err
+        if case == "duplicate column":
+            assert err == "error: row 1: duplicate column 'v'\n"
+        if case == "repeated key=value attribute":
+            assert err == "error: row 3: repeated attribute 'v'\n"
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _module(args, **env):
+    """Run ``python -m trendagg`` from the checkout in a child process."""
+    env = {**os.environ, **env}
+    src = str(ROOT / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "trendagg", *map(str, args)],
+        capture_output=True, env=env, timeout=60,
+    )
 
 
 def test_module_entry_point():
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
-    done = subprocess.run(
-        [sys.executable, "-m", "trendagg", "--help"],
-        capture_output=True, text=True, env=env, timeout=60,
-    )
+    done = _module(["--help"])
     assert done.returncode == 0
-    assert done.stdout.startswith("usage: trendagg")
+    assert done.stdout.startswith(b"usage: trendagg")
+
+
+def test_retired_bench_subcommand_is_a_usage_error(workdir):
+    done = _module(
+        ["bench", "--query", workdir / "q.txt", "--input", workdir / "stream.csv"]
+    )
+    assert done.returncode == 2
+    assert b"invalid choice: 'bench'" in done.stderr
+    assert b"Traceback" not in done.stderr
+
+
+@pytest.mark.parametrize("command", ["run", "oracle"])
+def test_output_file_is_utf8_under_a_posix_locale(tmp_path, command):
+    (tmp_path / "s.csv").write_text(
+        "time,type,v,s\n1,A,5,\u20acuro\n2,B,3,\u20acuro\n", encoding="utf-8"
+    )
+    (tmp_path / "q.txt").write_text(
+        "RETURN s, COUNT(*) PATTERN SEQ(A, B) SEMANTICS any "
+        "GROUP-BY s WITHIN 100 s\n"
+    )
+    out = tmp_path / "out.csv"
+    done = _module(
+        [command, "--query", tmp_path / "q.txt", "--input", tmp_path / "s.csv",
+         "--output", out],
+        LC_ALL="POSIX", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0",
+    )
+    assert done.returncode == 0, done.stderr
+    assert out.read_text(encoding="utf-8").splitlines()[1] == "0,0,100000,\u20acuro,1"
+
+
+def test_readme_names_only_real_subcommands():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```sh\n(.*?)^```", readme, flags=re.M | re.S)
+    named = set(re.findall(r"\btrendagg (\w+)", "\n".join(blocks)))
+    sub = next(
+        action for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    assert named and named <= set(sub.choices)

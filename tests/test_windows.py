@@ -77,6 +77,9 @@ class TestLifecycle:
         rows = list(manager.run(events))
         assert rows == sorted(rows, key=lambda r: (r.wid, r.key))
         assert manager.rows_emitted == len(rows)
+        again = WindowManager(query)  # a second pass over the same events
+        assert list(again.run(events)) == rows
+        assert again.peak_entries == manager.peak_entries
 
     def test_entry_accounting_balances(self):
         query = make_query(within="5 s", slide="1 s", schema=GROUPED_SCHEMA)
