@@ -1,4 +1,10 @@
-"""Engine kernels, one class per aggregation granularity.
+"""Engine kernels: one for skip-till-any-match, one for the single-state
+semantics.
+
+``MixedKernel`` runs every skip-till-any-match plan. Type granularity is
+the mixed case in which no variable is event-grained: the kernel then
+keeps no events and holds one cell per variable. ``PatternKernel`` runs
+skip-till-next-match and contiguous plans.
 
 A kernel holds the state of one partition key over all of that key's open
 windows. Those windows are a contiguous run of window ids; the kernel knows
@@ -7,7 +13,7 @@ vectors with one value per open window (see ``cells``), so each event is
 applied once per key however many windows overlap. A new kernel has one
 window open; the single-partition engine never opens or closes another.
 
-All three share the step contract:
+Both share the step contract:
 
     step(time_ms, roles, attrs, width=1) -> list of (role, cells) | None
 
@@ -39,10 +45,8 @@ from operator import eq
 from .cells import (
     absorb_cells,
     combine_cells,
-    event_updates,
     identity_cell,
     identity_cells,
-    merge_functions,
     window_cell,
 )
 from .errors import MissingAttribute
@@ -81,64 +85,6 @@ def _add_into(pred, cells, merges, skip=0):
         values[: len(other)] = map(merge, values, other)
 
 
-class TypeKernel:
-    """One cell per pattern variable and window; state size fixed by the
-    pattern."""
-
-    def __init__(self, plan):
-        self.plan = plan
-        self.merges = merge_functions(plan.accs)
-        self.updates = {r: event_updates(plan.accs, r) for r in plan.roles}
-        self.width = 1
-        self.cells = {r: identity_cells(plan.accs, 1) for r in plan.roles}
-        self._shadow = {}
-        self._batch_time = -1
-        self.pred_accesses = 0
-
-    def step(self, time, roles, attrs, width=1):
-        if time != self._batch_time:
-            self._shadow.clear()
-            self._batch_time = time
-        if width > self.width:
-            extra = identity_cells(self.plan.accs, width - self.width)
-            self.cells = {r: _widen(c, extra) for r, c in self.cells.items()}
-            self.width = width
-        plan = self.plan
-        accs = plan.accs
-        merges = self.merges
-        out = []
-        for r in roles:
-            # Merging starts from the first predecessor rather than from the
-            # identity; 0 + x is x for every slot value, since sums start
-            # at integer 0 and so never hold -0.0.
-            pred = None
-            for p in plan.preds[r]:
-                prev = self._shadow.get(p)
-                if prev is None:
-                    prev = self.cells[p]
-                pred = prev if pred is None else combine_cells(pred, prev, merges)
-                self.pred_accesses += 1
-            if pred is None:
-                pred = identity_cells(accs, self.width)
-            cell = absorb_cells(pred, self.updates[r], attrs, r == plan.start)
-            if r not in self._shadow:
-                self._shadow[r] = self.cells[r]
-            self.cells[r] = combine_cells(self.cells[r], cell, merges)
-            out.append((r, cell))
-        return out
-
-    def drop_front(self):
-        self.width -= 1
-        self.cells = {r: _drop_oldest(c) for r, c in self.cells.items()}
-        self._shadow = {r: _drop_oldest(c) for r, c in self._shadow.items()}
-
-    def final_cell(self):
-        return window_cell(self.cells[self.plan.end], 0)
-
-    def entries(self):
-        return self.width * (len(self.cells) + len(self._shadow))
-
-
 class _Absent:
     """Column value of a kept event that lacks the attribute. Comparing it
     raises ``MissingAttribute``, so the event fails exactly when a check
@@ -160,7 +106,8 @@ class _Absent:
 class MixedKernel:
     """Cells per variable, except that events of variables constrained by
     an adjacency predicate are kept individually and rechecked against
-    every future successor.
+    every future successor. With no such variable, it keeps no events and
+    its state is one cell per variable and window: type granularity.
 
     A kept event is stored once, with one cell for each window that holds
     it: from the oldest window open when it arrived to the newest. Windows
@@ -180,23 +127,12 @@ class MixedKernel:
 
     def __init__(self, plan):
         self.plan = plan
-        self.merges = merge_functions(plan.accs)
-        self.updates = {r: event_updates(plan.accs, r) for r in plan.roles}
         self.width = 1
         self.base = 0  # number of the oldest open window
         self.type_cells = {
             r: identity_cells(plan.accs, 1)
             for r in plan.roles
             if r not in plan.event_grained
-        }
-        # Per variable: (kept predecessor variable, its adjacency checks).
-        self.sources = {
-            r: tuple(
-                (p, plan.theta.get((p, r), ()))
-                for p in plan.preds[r]
-                if p not in self.type_cells
-            )
-            for r in plan.roles
         }
         self.events = []  # (time, role, first window, cells) in arrival order
         self.roles = []  # role of each kept event
@@ -205,7 +141,11 @@ class MixedKernel:
             a: [] for checks in plan.theta.values() for a, _, _ in checks
         }
         self._absent = {a: _Absent(a) for a in self.columns}
-        self.final_acc = identity_cells(plan.accs, 1)
+        # The end variable's trends: in its type cells, or, when it is
+        # event-grained, merged here from its kept events.
+        self.final_acc = (
+            None if plan.end in self.type_cells else identity_cells(plan.accs, 1)
+        )
         self._held = 0  # (kept event, open window) pairs
         self._shadow = {}
         self._batch_time = -1
@@ -217,7 +157,7 @@ class MixedKernel:
         may directly precede an ``r``-event with ``attrs``; ascending."""
         n = self._watermark
         picked = []
-        for p, checks in self.sources[r]:
+        for p, checks in self.plan.kept_preds[r]:
             if self._one_role:
                 positions = range(n)
             else:
@@ -250,30 +190,40 @@ class MixedKernel:
         if width > self.width:
             extra = identity_cells(self.plan.accs, width - self.width)
             self.type_cells = {r: _widen(c, extra) for r, c in self.type_cells.items()}
-            self.final_acc = _widen(self.final_acc, extra)
+            if self.final_acc is not None:
+                self.final_acc = _widen(self.final_acc, extra)
             self.width = width
         plan = self.plan
         accs = plan.accs
-        merges = self.merges
+        merges = plan.merges
         base = self.base
         events = self.events
         out = []
         for r in roles:
-            pred = identity_cells(accs, self.width)
-            for p in plan.preds[r]:
-                if p in self.type_cells:
-                    prev = self._shadow.get(p)
-                    if prev is None:
-                        prev = self.type_cells[p]
-                    _add_into(pred, prev, merges)
-                    self.pred_accesses += 1
-            for _, _, first, stored_cells in map(
-                events.__getitem__, self._predecessors(r, attrs)
-            ):
-                # The stored event's windows from the oldest open one on are
-                # exactly the windows it shares with the new event.
-                _add_into(pred, stored_cells, merges, base - first)
-            cell = absorb_cells(pred, self.updates[r], attrs, r == plan.start)
+            # Merging starts from the first type-grained predecessor rather
+            # than from the identity; 0 + x is x for every slot value, since
+            # sums start at integer 0 and so never hold -0.0.
+            pred = None
+            for p in plan.type_preds[r]:
+                prev = self._shadow.get(p)
+                if prev is None:
+                    prev = self.type_cells[p]
+                pred = prev if pred is None else combine_cells(pred, prev, merges)
+                self.pred_accesses += 1
+            kept = self._predecessors(r, attrs) if plan.kept_preds[r] else ()
+            if kept:
+                # _add_into merges in place, and pred may be a variable's cells.
+                if pred is None:
+                    pred = identity_cells(accs, self.width)
+                else:
+                    pred = [values[:] for values in pred]
+                for _, _, first, stored_cells in map(events.__getitem__, kept):
+                    # The stored event's windows from the oldest open one on
+                    # are exactly the windows it shares with the new event.
+                    _add_into(pred, stored_cells, merges, base - first)
+            elif pred is None:
+                pred = identity_cells(accs, self.width)
+            cell = absorb_cells(pred, plan.updates[r], attrs, r == plan.start)
             if r in self.type_cells:
                 if r not in self._shadow:
                     self._shadow[r] = self.type_cells[r]
@@ -290,27 +240,29 @@ class MixedKernel:
         return out
 
     def drop_front(self):
-        events = self.events
-        self._held -= len(events)  # every kept event holds the oldest window
         self.width -= 1
         self.base += 1
-        gone = 0
-        for _, _, first, cells in events:
-            if first + len(cells[0]) > self.base:
-                break
-            gone += 1
-        if gone:
-            del events[:gone]
-            del self.roles[:gone]
-            for column in self.columns.values():
-                del column[:gone]
-            self._watermark = max(0, self._watermark - gone)
+        events = self.events
+        if events:
+            self._held -= len(events)  # every kept event holds the oldest window
+            gone = 0
+            for _, _, first, cells in events:
+                if first + len(cells[0]) > self.base:
+                    break
+                gone += 1
+            if gone:
+                del events[:gone]
+                del self.roles[:gone]
+                for column in self.columns.values():
+                    del column[:gone]
+                self._watermark = max(0, self._watermark - gone)
         self.type_cells = {r: _drop_oldest(c) for r, c in self.type_cells.items()}
         self._shadow = {r: _drop_oldest(c) for r, c in self._shadow.items()}
-        self.final_acc = _drop_oldest(self.final_acc)
+        if self.final_acc is not None:
+            self.final_acc = _drop_oldest(self.final_acc)
 
     def final_cell(self):
-        if self.plan.end in self.type_cells:
+        if self.final_acc is None:
             return window_cell(self.type_cells[self.plan.end], 0)
         return window_cell(self.final_acc, 0)
 
@@ -323,6 +275,11 @@ class MixedKernel:
 
     def entries(self):
         return self.width * (len(self.type_cells) + len(self._shadow)) + self._held
+
+
+# The benchmark's tracer (``e2ebench/tracing.py``) wraps kernel classes by
+# name and still names ``TypeKernel``; drop this alias once it no longer does.
+TypeKernel = MixedKernel
 
 
 class PatternKernel:
@@ -339,8 +296,6 @@ class PatternKernel:
 
     def __init__(self, plan):
         self.plan = plan
-        self.merges = merge_functions(plan.accs)
-        self.updates = {r: event_updates(plan.accs, r) for r in plan.roles}
         self.width = 1
         self.last = None  # (time, role, attrs)
         self.valid = [False]
@@ -373,12 +328,12 @@ class PatternKernel:
                     [value if keep else ident for value, keep in zip(values, extend)]
                     for values, ident in zip(self.last_cell, identity_cell(accs))
                 ]
-                cell = absorb_cells(pred, self.updates[r], attrs, is_start)
+                cell = absorb_cells(pred, plan.updates[r], attrs, is_start)
                 matched = [True] * self.width if is_start else extend
                 if r == plan.end:
                     self.final_acc = [
                         [merge(f, c) if hit else f for f, c, hit in zip(fs, cs, matched)]
-                        for fs, cs, merge in zip(self.final_acc, cell, self.merges)
+                        for fs, cs, merge in zip(self.final_acc, cell, plan.merges)
                     ]
                 self.last = (time, r, attrs)
                 self.last_cell = [

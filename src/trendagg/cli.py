@@ -85,21 +85,19 @@ def _load(args):
     return query, events
 
 
-def _open_out(path):
+def _write_out(rows, query: Query, path) -> int:
+    """Write evaluated rows to ``path``, or to stdout. Callers evaluate every
+    row first, so a user error mid-stream leaves no partial output."""
     if path in (None, "-"):
-        return sys.stdout, False
-    return open(path, "w", newline="", encoding="utf-8"), True
+        return write_rows(rows, query, sys.stdout)
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        return write_rows(rows, query, fh)
 
 
 def cmd_run(args) -> int:
     query, events = _load(args)
     manager = WindowManager(query, emit_empty=args.emit_empty)
-    fh, owned = _open_out(args.output)
-    try:
-        n = write_rows(manager.run(events), query, fh)
-    finally:
-        if owned:
-            fh.close()
+    n = _write_out(list(manager.run(events)), query, args.output)
     print(
         f"{manager.events_ingested} events -> {n} rows, "
         f"peak state {manager.peak_entries} entries",
@@ -143,16 +141,8 @@ def oracle_rows(query: Query, events, cap: int = DEFAULT_CAP, emit_empty: bool =
 
 def cmd_oracle(args) -> int:
     query, events = _load(args)
-    fh, owned = _open_out(args.output)
-    try:
-        n = write_rows(
-            oracle_rows(query, events, args.oracle_cap, args.emit_empty),
-            query,
-            fh,
-        )
-    finally:
-        if owned:
-            fh.close()
+    rows = list(oracle_rows(query, events, args.oracle_cap, args.emit_empty))
+    n = _write_out(rows, query, args.output)
     print(f"{len(events)} events -> {n} rows (oracle)", file=sys.stderr)
     return 0
 

@@ -11,8 +11,14 @@ from __future__ import annotations
 from collections import namedtuple
 from typing import NamedTuple
 
-from . import kernels
-from .cells import build_accumulators, finalize, window_cell
+from ._kernels_py import MixedKernel, PatternKernel
+from .cells import (
+    build_accumulators,
+    event_updates,
+    finalize,
+    merge_functions,
+    window_cell,
+)
 from .errors import UnsupportedQuery
 from .events import Event
 from .query import (
@@ -27,11 +33,16 @@ from .query import (
 
 KernelPlan = namedtuple(
     "KernelPlan",
-    "roles start end preds accs theta event_grained cont",
+    "roles start end preds accs theta event_grained cont merges updates "
+    "type_preds kept_preds",
 )
 
 
 def build_kernel_plan(query: Query, plan: GranularityPlan) -> KernelPlan:
+    """The tables every kernel of the query reads, built once per query
+    rather than once per partition key. ``type_preds`` and ``kept_preds``
+    split each variable's predecessors by granularity; ``kept_preds`` pairs
+    each event-grained one with its adjacency checks."""
     template = query.template
     roles = tuple(sorted(template.types))
     preds = {r: tuple(sorted(template.pred_types[r])) for r in roles}
@@ -41,16 +52,29 @@ def build_kernel_plan(query: Query, plan: GranularityPlan) -> KernelPlan:
             theta.setdefault((p.prev_variable, p.next_variable), []).append(
                 (p.prev_attr, p.op.apply, p.next_attr)
             )
+    theta = {k: tuple(v) for k, v in theta.items()}
     accs, _ = build_accumulators(query.aggregates)
+    event_grained = plan.event_grained
     return KernelPlan(
         roles=roles,
         start=template.start_type,
         end=template.end_type,
         preds=preds,
         accs=accs,
-        theta={k: tuple(v) for k, v in theta.items()},
-        event_grained=plan.event_grained,
+        theta=theta,
+        event_grained=event_grained,
         cont=query.semantics is Semantics.CONT,
+        merges=merge_functions(accs),
+        updates={r: event_updates(accs, r) for r in roles},
+        type_preds={
+            r: tuple(p for p in preds[r] if p not in event_grained) for r in roles
+        },
+        kept_preds={
+            r: tuple(
+                (p, theta.get((p, r), ())) for p in preds[r] if p in event_grained
+            )
+            for r in roles
+        },
     )
 
 
@@ -68,11 +92,8 @@ class CompiledQuery(NamedTuple):
 def compile_query(query: Query) -> CompiledQuery:
     """Plan a query once; every engine of a run shares the result."""
     plan = classify_and_plan(query)
-    module = kernels.get_backend()
-    if plan.mode is Granularity.TYPE:
-        kernel = module.TypeKernel
-    elif plan.mode is Granularity.MIXED:
-        kernel = module.MixedKernel
+    if plan.mode is not Granularity.PATTERN:
+        kernel = MixedKernel
     else:
         sources = list(query.aliases.values())
         if len(set(sources)) != len(sources):
@@ -80,7 +101,7 @@ def compile_query(query: Query) -> CompiledQuery:
                 "single-match-state semantics cannot run a pattern that "
                 "binds one stream type to several variables"
             )
-        kernel = module.PatternKernel
+        kernel = PatternKernel
     _, extractors = build_accumulators(query.aggregates)
     return CompiledQuery(
         plan=plan,
@@ -154,11 +175,9 @@ class Engine:
 
     def role_count(self, role):
         """Current per-variable trend count (type-grained cells only)."""
-        if self.mode is Granularity.TYPE:
-            return self.kernel.cells[role][0][0]
-        if self.mode is Granularity.MIXED:
-            return self.kernel.type_cells[role][0][0]
-        raise ValueError("pattern-grained state has no per-variable cells")
+        if self.mode is Granularity.PATTERN:
+            raise ValueError("pattern-grained state has no per-variable cells")
+        return self.kernel.type_cells[role][0][0]
 
     @property
     def last_count(self):

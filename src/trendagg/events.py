@@ -158,6 +158,8 @@ def read_csv_stream(path, schema: Optional[Schema] = None) -> list:
                 raise MalformedRow(1, "header must start with time,type")
             columns = [h.strip() for h in header[2:]]
             for i, attr in enumerate(columns):
+                if not attr:
+                    raise MalformedRow(1, f"column {i + 3} has no name")
                 if attr in columns[:i]:
                     raise MalformedRow(1, f"duplicate column {attr!r}")
             kv_mode = not columns
@@ -189,6 +191,8 @@ def read_csv_stream(path, schema: Optional[Schema] = None) -> list:
                         if "=" not in cell:
                             raise MalformedRow(row_number, f"expected key=value, got {cell!r}")
                         key, value = cell.split("=", 1)
+                        if not key:
+                            raise MalformedRow(row_number, f"no attribute name in {cell!r}")
                         if key in attrs:
                             raise MalformedRow(row_number, f"repeated attribute {key!r}")
                         attrs[key] = decode(etype, key, value, row_number)

@@ -1,8 +1,9 @@
-"""Kernel lookup.
+"""Kernel lookup for the benchmark.
 
 The engine kernels live in ``trendagg._kernels_py``, the one
-implementation. Engines and the benchmark find the kernel classes through
-``get_backend`` and name them with ``backend_name``.
+implementation, and the engines import them from there. Only the benchmark
+(``e2ebench/``) still finds them through ``get_backend`` and names them
+with ``backend_name``.
 """
 
 from __future__ import annotations

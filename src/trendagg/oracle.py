@@ -179,9 +179,8 @@ _ENUMERATORS = {
 }
 
 
-def enumerate_trends(events, query: Query, semantics=None, cap: int = DEFAULT_CAP) -> set:
-    semantics = semantics or query.semantics
-    return _ENUMERATORS[semantics](events, query, cap=cap)
+def enumerate_trends(events, query: Query, cap: int = DEFAULT_CAP) -> set:
+    return _ENUMERATORS[query.semantics](events, query, cap=cap)
 
 
 def aggregate_trends(trends, specs) -> dict:

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import strategies as st
 
-from trendagg import Event, Schema, kernels, parse_query
+from trendagg import Event, Schema, parse_query
 
 # A/B/C event types, one int attribute each. The showcase stream below is
 # the worked example every engine is traced against: with pattern
@@ -71,13 +71,6 @@ def make_query(
 @pytest.fixture
 def query_factory():
     return make_query
-
-
-@pytest.fixture(params=[kernels.backend_name(kernels.get_backend())])
-def backend(request):
-    """Name of the kernel implementation the engine tests run on; it is
-    part of their test ids."""
-    return request.param
 
 
 @st.composite

@@ -190,6 +190,8 @@ class TestErrors:
             "gen with a negative duration",
             "duplicate column",
             "repeated key=value attribute",
+            "column without a name",
+            "key=value attribute without a name",
         ],
     )
     def test_unusable_input_files_exit_2(self, workdir, capsys, case):
@@ -200,6 +202,8 @@ class TestErrors:
         (workdir / "latin1.txt").write_bytes(b"RETURN COUNT(*) -- caf\xe9\n")
         (workdir / "dupcol.csv").write_text("time,type,v,v\n1,A,5,6\n")
         (workdir / "dupkey.csv").write_text("time,type\n1,A,v=5\n2,B,v=3,v=4\n")
+        (workdir / "nameless.csv").write_text("time,type,,v\n1,A,3,5\n")
+        (workdir / "namelesskey.csv").write_text("time,type\n1,A,v=5\n2,B,=5\n")
         files = {
             "--query": workdir / "q.txt",
             "--input": workdir / "stream.csv",
@@ -225,6 +229,10 @@ class TestErrors:
             "gen with a negative duration": [*gen, "--duration", -5],
             "duplicate column": run("--input", workdir / "dupcol.csv"),
             "repeated key=value attribute": run("--input", workdir / "dupkey.csv"),
+            "column without a name": run("--input", workdir / "nameless.csv"),
+            "key=value attribute without a name": run(
+                "--input", workdir / "namelesskey.csv"
+            ),
         }[case]
         code = _run(argv)
         err = capsys.readouterr().err
@@ -234,6 +242,35 @@ class TestErrors:
             assert err == "error: row 1: duplicate column 'v'\n"
         if case == "repeated key=value attribute":
             assert err == "error: row 3: repeated attribute 'v'\n"
+        if case == "column without a name":
+            assert err == "error: row 1: column 3 has no name\n"
+        if case == "key=value attribute without a name":
+            assert err == "error: row 3: no attribute name in '=5'\n"
+
+    @pytest.mark.parametrize("command", ["run", "oracle"])
+    def test_user_error_writes_no_output_file(self, workdir, capsys, command):
+        # At 2 s the window [1 s, 2 s) closes with one row; the event at 3 s
+        # then lacks the partition attribute.
+        (workdir / "late.csv").write_text(
+            "time,type,v,g\n1,A,5,1\n2,A,3,1\n3,A,1,\n"
+        )
+        (workdir / "late.txt").write_text(
+            "RETURN COUNT(*) PATTERN A+ SEMANTICS any GROUP-BY g WITHIN 1 s\n"
+        )
+        kept = workdir / "kept.csv"
+        kept.write_text("earlier rows\n")
+        fresh = workdir / "fresh.csv"
+        for out in (kept, fresh):
+            code = _run(
+                [command, "--query", workdir / "late.txt",
+                 "--input", workdir / "late.csv", "--output", out]
+            )
+            assert code == 2
+            assert capsys.readouterr().err == (
+                "error: event at 3000ms lacks partition attribute 'g'\n"
+            )
+        assert kept.read_text() == "earlier rows\n"
+        assert not fresh.exists()
 
 
 ROOT = Path(__file__).resolve().parents[1]

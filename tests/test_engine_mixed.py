@@ -12,11 +12,13 @@ from trendagg import (
     WindowManager,
     build_engine,
 )
+from trendagg.cli import oracle_rows
 from trendagg.oracle import aggregate_trends, enumerate_trends
 
 from conftest import SHOWCASE, make_query, stream_strategy
 
 _VW_SCHEMA = Schema({"A": {"v": "int", "w": "int"}})
+_FLOAT_SCHEMA = Schema({"A": {"v": "float"}, "B": {"v": "float"}})
 
 
 def _mixed_query(**kw):
@@ -33,7 +35,7 @@ class TestShowcaseTrace:
     from 22 to 12, and the final count from 43 to 33.
     """
 
-    def test_per_event_cell_counts(self, backend):
+    def test_per_event_cell_counts(self):
         engine = build_engine(_mixed_query())
         assert engine.mode is Granularity.MIXED
         assert engine.plan.event_grained == frozenset({"B"})
@@ -43,7 +45,7 @@ class TestShowcaseTrace:
             counts.append(cells[0][1][0] if cells else None)
         assert counts == [1, 1, 3, 6, None, 10, 12, 22]
 
-    def test_running_state(self, backend):
+    def test_running_state(self):
         engine = build_engine(_mixed_query())
         a_counts, finals = [], []
         for e in SHOWCASE:
@@ -66,8 +68,55 @@ class TestShowcaseTrace:
         assert ends == [1, 10, 22]
 
 
+class TestMergedPredecessors:
+    """A variable with both a type-grained and a kept predecessor.
+
+    In SEQ(A+, B+) with A.v < B.v, A events are kept and B keeps a type
+    cell, so a B event merges the B cell with the kept A events it passes.
+    The values are multiples of 1/4, so float sums are exact in any order.
+    """
+
+    EVENTS = [
+        Event(1000, "A", {"v": 1.5}),
+        Event(2000, "B", {"v": 2.0}),
+        Event(3000, "A", {"v": 0.5}),
+        Event(4000, "B", {"v": 3.25}),
+        Event(5000, "B", {"v": 1.0}),
+        Event(6000, "A", {"v": 4.0}),
+        Event(7000, "B", {"v": 5.5}),
+        Event(7000, "B", {"v": 0.25}),
+        Event(8000, "A", {"v": 2.75}),
+        Event(9000, "B", {"v": 3.0}),
+    ]
+
+    @staticmethod
+    def _query(**kw):
+        return make_query(
+            pattern="SEQ(A+, B+)",
+            where="A.v < B.v",
+            returns="COUNT(*), SUM(B.v), MIN(A.v), MIN(B.v)",
+            schema=_FLOAT_SCHEMA,
+            **kw,
+        )
+
+    def test_one_window_matches_oracle(self):
+        query = self._query()
+        engine = build_engine(query).run(self.EVENTS)
+        assert engine.mode is Granularity.MIXED
+        assert engine.plan.event_grained == frozenset({"A"})
+        expected = aggregate_trends(enumerate_trends(self.EVENTS, query), query.aggregates)
+        assert expected["COUNT(*)"] > 0
+        assert engine.results() == expected
+
+    def test_sliding_windows_match_oracle(self):
+        query = self._query(within="4 s", slide="1 s")
+        rows = list(WindowManager(query).run(self.EVENTS))
+        assert len(rows) > 1
+        assert rows == list(oracle_rows(query, self.EVENTS))
+
+
 class TestSelfAdjacency:
-    def test_strictly_increasing_values(self, backend):
+    def test_strictly_increasing_values(self):
         # A+ where each step must strictly increase v: chains are the
         # increasing runs over adjacent picks.
         events = [
@@ -83,7 +132,7 @@ class TestSelfAdjacency:
         assert engine.final_count == 4
         assert len(enumerate_trends(events, query)) == 4
 
-    def test_tied_events_never_chain(self, backend):
+    def test_tied_events_never_chain(self):
         events = [Event(1000, "A", {"v": 1}), Event(1000, "A", {"v": 2})]
         query = make_query(pattern="A+", where="A.v < NEXT(A).v")
         engine = build_engine(query).run(events)
@@ -104,7 +153,7 @@ class TestStateFootprint:
         stored = len(engine.stored_events())
         return engine.peak_entries, stored
 
-    def test_entries_track_stored_events_only(self, backend):
+    def test_entries_track_stored_events_only(self):
         # Quadrupling the A traffic leaves the footprint unchanged; the
         # state grows with B (event-grained) events alone.
         peak_small, stored_small = self._run(100, 5)
@@ -114,7 +163,7 @@ class TestStateFootprint:
         # One A type cell, every B stored, plus one in-batch shadow copy.
         assert peak_small == 1 + stored_small + 1
 
-    def test_entries_grow_with_event_grained_count(self, backend):
+    def test_entries_grow_with_event_grained_count(self):
         peak_5, _ = self._run(100, 5)
         peak_10, _ = self._run(100, 10)
         assert peak_10 - peak_5 == 5
@@ -173,19 +222,19 @@ def test_every_operator_matches_oracle(data):
 class TestMissingPredicateAttribute:
     QUERY = dict(pattern="A+", where="A.v < NEXT(A).v", within="10 s", slide="5 s")
 
-    def test_kept_event_lacks_the_attribute(self, backend):
+    def test_kept_event_lacks_the_attribute(self):
         manager = WindowManager(make_query(**self.QUERY))
         manager.ingest(Event(1000, "A", {}))  # kept, nothing to compare yet
         with pytest.raises(MissingAttribute, match="attribute v"):
             manager.ingest(Event(2000, "A", {"v": 1}))
 
-    def test_new_event_lacks_the_attribute(self, backend):
+    def test_new_event_lacks_the_attribute(self):
         manager = WindowManager(make_query(**self.QUERY))
         manager.ingest(Event(1000, "A", {"v": 1}))
         with pytest.raises(MissingAttribute, match="attribute v"):
             manager.ingest(Event(2000, "A", {}))
 
-    def test_unchecked_events_may_lack_it(self, backend):
+    def test_unchecked_events_may_lack_it(self):
         # Tied events are never compared, and a kept event that an earlier
         # check rejects never meets the later one.
         engine = build_engine(make_query(pattern="A+", where="A.v < NEXT(A).v"))

@@ -29,7 +29,7 @@ class TestShowcaseTraces:
     final count survives), then restarts at a7.
     """
 
-    def test_next_trace(self, backend):
+    def test_next_trace(self):
         engine = build_engine(make_query(semantics="next"))
         assert engine.mode is Granularity.PATTERN
         counts, lasts, finals = _trace(engine, SHOWCASE)
@@ -37,7 +37,7 @@ class TestShowcaseTraces:
         assert lasts == [1, 1, 2, 3, 3, 3, 4, 4]
         assert finals == [0, 1, 1, 1, 1, 4, 4, 8]
 
-    def test_cont_trace(self, backend):
+    def test_cont_trace(self):
         engine = build_engine(make_query(semantics="cont"))
         counts, lasts, finals = _trace(engine, SHOWCASE)
         assert counts == [1, 1, 2, 3, None, None, 1, 1]
@@ -52,7 +52,7 @@ class TestShowcaseTraces:
 
 
 class TestKnownDivergence:
-    def test_single_state_undercounts_fixed_length_next(self, backend):
+    def test_single_state_undercounts_fixed_length_next(self):
         """With SEQ(A, B) the engine keeps only the newest open A.
 
         On a,a,b the second A evicts the first, finishing one trend; full
@@ -72,14 +72,14 @@ class TestKnownDivergence:
 
 
 class TestEdgeBehaviour:
-    def test_tied_starts_each_count(self, backend):
+    def test_tied_starts_each_count(self):
         events = [Event(1000, "A", {"v": 1}), Event(1000, "A", {"v": 2})]
         query = make_query(pattern="A+", semantics="next")
         engine = build_engine(query).run(events)
         assert engine.final_count == 2
         assert len(enumerate_trends(events, query)) == 2
 
-    def test_state_stays_constant(self, backend):
+    def test_state_stays_constant(self):
         query = make_query(semantics="next")
         engine = build_engine(query)
         assert engine.entries() == 2
@@ -87,7 +87,7 @@ class TestEdgeBehaviour:
         assert engine.entries() == 3
         assert engine.peak_entries == 3
 
-    def test_cont_reset_releases_entry(self, backend):
+    def test_cont_reset_releases_entry(self):
         query = make_query(semantics="cont")
         engine = build_engine(query)
         engine.step(Event(1000, "A", {"v": 1}))

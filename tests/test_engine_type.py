@@ -31,12 +31,12 @@ class TestShowcaseTrace:
     against the enumeration oracle below.
     """
 
-    def test_per_event_cell_counts(self, backend):
+    def test_per_event_cell_counts(self):
         engine = build_engine(make_query())
         assert engine.mode is Granularity.TYPE
         assert _counts(engine, SHOWCASE) == [1, 1, 3, 6, None, 10, 22, 32]
 
-    def test_variable_cell_progression(self, backend):
+    def test_variable_cell_progression(self):
         engine = build_engine(make_query())
         a_counts, b_counts = [], []
         for e in SHOWCASE:
@@ -71,7 +71,7 @@ class TestShowcaseTrace:
 
 
 class TestEqualTimestamps:
-    def test_tied_events_do_not_chain(self, backend):
+    def test_tied_events_do_not_chain(self):
         # Two A's at the same instant can't extend each other: each is a
         # fresh length-1 trend.
         events = [Event(1000, "A", {"v": 1}), Event(1000, "A", {"v": 2})]
@@ -79,7 +79,7 @@ class TestEqualTimestamps:
         assert _counts(engine, events) == [1, 1]
         assert engine.final_count == 2
 
-    def test_tied_batch_matches_oracle(self, backend):
+    def test_tied_batch_matches_oracle(self):
         events = [
             Event(1000, "A", {"v": 1}),
             Event(1000, "A", {"v": 2}),
@@ -93,7 +93,7 @@ class TestEqualTimestamps:
 
 
 class TestMultiRoleAliases:
-    def test_one_type_playing_two_variables(self, backend):
+    def test_one_type_playing_two_variables(self):
         # X+ then Y, both read from stream type A: an A event extends X
         # chains and simultaneously closes trends as Y.
         events = [Event(t, "A", {"v": t // 1000}) for t in (1000, 2000, 3000)]
@@ -104,7 +104,7 @@ class TestMultiRoleAliases:
         assert expected["COUNT(*)"] == 4
         assert engine.results() == expected
 
-    def test_same_instant_roles_do_not_feed_each_other(self, backend):
+    def test_same_instant_roles_do_not_feed_each_other(self):
         # A single event may play X and Y, but not both inside one trend.
         events = [Event(1000, "A", {"v": 1}), Event(2000, "A", {"v": 2})]
         query = make_query(pattern="SEQ(A X+, A Y)")
@@ -113,7 +113,7 @@ class TestMultiRoleAliases:
 
 
 class TestAggregates:
-    def test_min_ignores_unmatchable_event(self, backend):
+    def test_min_ignores_unmatchable_event(self):
         # The first B carries the smallest value but cannot match (no A
         # before it), so it must not leak into MIN/MAX.
         events = [
@@ -125,7 +125,7 @@ class TestAggregates:
         engine = build_engine(query).run(events)
         assert engine.results() == {"MIN(B.v)": 7, "MAX(B.v)": 7, "COUNT(*)": 1}
 
-    def test_all_aggregates_match_oracle(self, backend):
+    def test_all_aggregates_match_oracle(self):
         returns = "COUNT(*), COUNT(A), SUM(A.v), MIN(A.v), MAX(A.v), AVG(A.v), SUM(B.v)"
         query = make_query(returns=returns)
         engine = build_engine(query).run(SHOWCASE)
@@ -138,7 +138,7 @@ class TestAggregates:
             else:
                 assert got[name] == want
 
-    def test_empty_engine_results(self, backend):
+    def test_empty_engine_results(self):
         query = make_query(returns="COUNT(*), SUM(A.v), AVG(A.v), MIN(A.v)")
         engine = build_engine(query)
         assert engine.results() == {
@@ -150,7 +150,7 @@ class TestAggregates:
 
 
 class TestStateFootprint:
-    def test_entries_independent_of_stream_length(self, backend):
+    def test_entries_independent_of_stream_length(self):
         query = make_query(pattern="(SEQ(A+, B))+")
         rng = random.Random(5)
         peaks = []

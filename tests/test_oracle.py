@@ -210,8 +210,8 @@ def test_enumerate_trends_dispatch():
     assert enumerate_trends(events, query) == enumerate_any(events, query)
     next_q = q("SEQ(A, B)", "next")
     assert enumerate_trends(events, next_q) == enumerate_next(events, next_q)
-    assert enumerate_trends(events, query, semantics=next_q.semantics) == \
-        enumerate_next(events, next_q)
+    cont_q = q("SEQ(A, B)", "cont")
+    assert enumerate_trends(events, cont_q) == enumerate_cont(events, cont_q)
 
 
 def test_aggregate_trends_hand_computed():
