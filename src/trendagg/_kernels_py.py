@@ -1,10 +1,10 @@
-"""Engine kernels: one for skip-till-any-match, one for the single-state
-semantics.
+"""The engine kernel: one class for all three matching semantics.
 
-``MixedKernel`` runs every skip-till-any-match plan. Type granularity is
-the mixed case in which no variable is event-grained: the kernel then
-keeps no events and holds one cell per variable. ``PatternKernel`` runs
-skip-till-next-match and contiguous plans.
+``MixedKernel`` runs every plan. It keeps one cell per type-grained
+variable and, for each variable constrained by an adjacency predicate,
+every event individually; type granularity is the case in which no
+variable is event-grained, so the kernel keeps no events. The semantics
+differ only in which predecessors an event may read (see ``MixedKernel``).
 
 A kernel holds the state of one partition key over all of that key's open
 windows. Those windows are a contiguous run of window ids; the kernel knows
@@ -13,13 +13,13 @@ vectors with one value per open window (see ``cells``), so each event is
 applied once per key however many windows overlap. A new kernel has one
 window open; the single-partition engine never opens or closes another.
 
-Both share the step contract:
+The step contract:
 
-    step(time_ms, roles, attrs, width=1) -> list of (role, cells) | None
+    step(time_ms, roles, attrs, width=1) -> list of (role, cells)
 
 ``roles`` are the pattern variables the event may play, already filtered by
 local predicates; an empty tuple marks an event that cannot match (which
-only the contiguous-semantics kernel cares about). ``width`` is the number
+only contiguous semantics cares about). ``width`` is the number
 of windows the event falls into. Every window the kernel holds is one of
 them, oldest first, so the kernel opens ``width - self.width`` new windows
 at the back before it applies the event; a width not above the current one
@@ -45,27 +45,12 @@ from operator import eq
 from .cells import (
     absorb_cells,
     combine_cells,
-    identity_cell,
     identity_cells,
     window_cell,
 )
 from .errors import MissingAttribute
 
 BACKEND_NAME = "python"
-
-
-def _theta_ok(checks, prev_attrs, next_attrs):
-    for prev_attr, op, next_attr in checks:
-        try:
-            a = prev_attrs[prev_attr]
-            b = next_attrs[next_attr]
-        except KeyError as exc:
-            raise MissingAttribute(
-                f"adjacency predicate needs attribute {exc.args[0]}, absent on event"
-            ) from None
-        if not op(a, b):
-            return False
-    return True
 
 
 def _widen(cells, extra):
@@ -123,6 +108,26 @@ class MixedKernel:
     events' cells are then merged in arrival order, into every window the
     two events share, so float sums do not depend on how the predecessors
     were selected.
+
+    The predecessors an event may read - a type-grained variable's cells
+    or a kept event - depend on the semantics:
+
+    * skip-till-any-match: everything before the event's timestamp. A
+      variable's cells then hold all of its trends, and the end variable's
+      cells are the final ones.
+    * skip-till-next-match: an open chain must take the first event that
+      can extend it, so a predecessor leaves the readable state once an
+      event reads it. Chains whose tips play the same variable, or end at
+      the same kept event, continue alike, so one cell per tip is exact.
+    * contiguous: only the events at the key's immediately preceding
+      timestamp, unmatched ones included. When that timestamp held more
+      than one event, no trend can pass through it, so its events pass on
+      only the trends they start.
+
+    Under the last two, while a timestamp lasts, a type-grained variable's
+    shadow holds its readable cells and its own cells only what the
+    timestamp added; when the next timestamp begins the two are merged
+    (``next``) or the shadow is dropped (``cont``).
     """
 
     def __init__(self, plan):
@@ -141,13 +146,16 @@ class MixedKernel:
             a: [] for checks in plan.theta.values() for a, _, _ in checks
         }
         self._absent = {a: _Absent(a) for a in self.columns}
-        # The end variable's trends: in its type cells, or, when it is
-        # event-grained, merged here from its kept events.
+        # The end variable's trends: in its type cells under
+        # skip-till-any-match, otherwise merged here as they finish.
         self.final_acc = (
-            None if plan.end in self.type_cells else identity_cells(plan.accs, 1)
+            None
+            if plan.cumulative and plan.end in self.type_cells
+            else identity_cells(plan.accs, 1)
         )
         self._held = 0  # (kept event, open window) pairs
         self._shadow = {}
+        self._batch = []  # contiguous: (roles, attrs) of this timestamp's events
         self._batch_time = -1
         self._watermark = 0
         self.pred_accesses = 0
@@ -183,21 +191,28 @@ class MixedKernel:
         return sorted(chain.from_iterable(picked))
 
     def step(self, time, roles, attrs, width=1):
+        plan = self.plan
+        cumulative = plan.cumulative
         if time != self._batch_time:
+            if not cumulative:
+                self._end_timestamp()
             self._shadow.clear()
             self._batch_time = time
             self._watermark = len(self.events)
+        if not cumulative and plan.cont:
+            self._batch.append((roles, attrs))
         if width > self.width:
-            extra = identity_cells(self.plan.accs, width - self.width)
+            extra = identity_cells(plan.accs, width - self.width)
             self.type_cells = {r: _widen(c, extra) for r, c in self.type_cells.items()}
             if self.final_acc is not None:
                 self.final_acc = _widen(self.final_acc, extra)
             self.width = width
-        plan = self.plan
         accs = plan.accs
         merges = plan.merges
         base = self.base
         events = self.events
+        type_cells = self.type_cells
+        shadow = self._shadow
         out = []
         for r in roles:
             # Merging starts from the first type-grained predecessor rather
@@ -205,9 +220,9 @@ class MixedKernel:
             # sums start at integer 0 and so never hold -0.0.
             pred = None
             for p in plan.type_preds[r]:
-                prev = self._shadow.get(p)
+                prev = shadow.get(p)
                 if prev is None:
-                    prev = self.type_cells[p]
+                    prev = type_cells[p]
                 pred = prev if pred is None else combine_cells(pred, prev, merges)
                 self.pred_accesses += 1
             kept = self._predecessors(r, attrs) if plan.kept_preds[r] else ()
@@ -223,21 +238,88 @@ class MixedKernel:
                     _add_into(pred, stored_cells, merges, base - first)
             elif pred is None:
                 pred = identity_cells(accs, self.width)
+            if not cumulative and plan.consume:
+                self._consume(r, kept)
             cell = absorb_cells(pred, plan.updates[r], attrs, r == plan.start)
-            if r in self.type_cells:
-                if r not in self._shadow:
-                    self._shadow[r] = self.type_cells[r]
-                self.type_cells[r] = combine_cells(self.type_cells[r], cell, merges)
+            if r not in type_cells:
+                self._keep(time, r, cell, attrs)
+            elif r in shadow:
+                type_cells[r] = combine_cells(type_cells[r], cell, merges)
             else:
-                events.append((time, r, base, cell))
-                self.roles.append(r)
-                for a, column in self.columns.items():
-                    column.append(attrs.get(a, self._absent[a]))
-                self._held += self.width
-                if r == plan.end:
-                    self.final_acc = combine_cells(self.final_acc, cell, merges)
+                shadow[r] = type_cells[r]
+                type_cells[r] = (
+                    combine_cells(type_cells[r], cell, merges) if cumulative else cell
+                )
+            if r == plan.end and self.final_acc is not None:
+                self.final_acc = combine_cells(self.final_acc, cell, merges)
             out.append((r, cell))
         return out
+
+    def _keep(self, time, r, cell, attrs):
+        self.events.append((time, r, self.base, cell))
+        self.roles.append(r)
+        for a, column in self.columns.items():
+            column.append(attrs.get(a, self._absent[a]))
+        self._held += self.width
+
+    def _forget(self, positions):
+        """Drop the kept events at ``positions``, given in ascending order."""
+        for i in reversed(positions):
+            _, _, first, cells = self.events[i]
+            self._held -= first + len(cells[0]) - self.base
+            del self.events[i], self.roles[i]
+            for column in self.columns.values():
+                del column[i]
+
+    def _consume(self, r, kept):
+        """Skip-till-next-match: the chains an ``r``-event just read now
+        end at it, so their former tips become unreadable."""
+        for p in self.plan.type_preds[r]:
+            gone = identity_cells(self.plan.accs, self.width)
+            if p in self._shadow:
+                self._shadow[p] = gone
+            else:
+                self.type_cells[p] = gone
+        if kept:
+            self._forget(kept)
+            self._watermark -= len(kept)
+
+    def _end_timestamp(self):
+        """Skip-till-next-match and contiguous semantics, as a new timestamp
+        begins: leave readable what the timestamp just ended passes on."""
+        plan = self.plan
+        if plan.consume:
+            for r, readable in self._shadow.items():
+                self.type_cells[r] = combine_cells(
+                    readable, self.type_cells[r], plan.merges
+                )
+            return
+        # Contiguous: only the timestamp just ended stays readable, and only
+        # the trends its events start when it held more than one event.
+        width = self.width
+        if len(self._batch) > 1:
+            self._forget(range(len(self.events)))
+            for r in self.type_cells:
+                self.type_cells[r] = identity_cells(plan.accs, width)
+            start = plan.start
+            for roles, attrs in self._batch:
+                if start not in roles:
+                    continue
+                cell = absorb_cells(
+                    identity_cells(plan.accs, width), plan.updates[start], attrs, True
+                )
+                if start in self.type_cells:
+                    self.type_cells[start] = combine_cells(
+                        self.type_cells[start], cell, plan.merges
+                    )
+                else:
+                    self._keep(self._batch_time, start, cell, attrs)
+        else:
+            self._forget(range(self._watermark))
+            for r in self.type_cells:
+                if r not in self._shadow:
+                    self.type_cells[r] = identity_cells(plan.accs, width)
+        self._batch.clear()
 
     def drop_front(self):
         self.width -= 1
@@ -278,88 +360,5 @@ class MixedKernel:
 
 
 # The benchmark's tracer (``e2ebench/tracing.py``) wraps kernel classes by
-# name and still names ``TypeKernel``; drop this alias once it no longer does.
-TypeKernel = MixedKernel
-
-
-class PatternKernel:
-    """Only the last matched event and, per window, a last cell and a
-    running final cell.
-
-    Used for skip-till-next-match and contiguous runs. The last matched
-    event is shared by every window whose open trend ends at it; ``valid``
-    marks those windows. A window that never matched, or whose trend was
-    severed, has no open trend. An event that cannot match is ignored under
-    skip-till-next-match; under contiguous semantics it severs every open
-    trend (the final cells survive).
-    """
-
-    def __init__(self, plan):
-        self.plan = plan
-        self.width = 1
-        self.last = None  # (time, role, attrs)
-        self.valid = [False]
-        self.last_cell = identity_cells(plan.accs, 1)
-        self.final_acc = identity_cells(plan.accs, 1)
-        self.pred_accesses = 0
-
-    def step(self, time, roles, attrs, width=1):
-        if width > self.width:
-            extra = identity_cells(self.plan.accs, width - self.width)
-            self.valid = self.valid + [False] * (width - self.width)
-            self.last_cell = _widen(self.last_cell, extra)
-            self.final_acc = _widen(self.final_acc, extra)
-            self.width = width
-        plan = self.plan
-        accs = plan.accs
-        if roles:
-            r = roles[0]
-            is_start = r == plan.start
-            adjacent = False
-            if self.last is not None:
-                last_time, last_role, last_attrs = self.last
-                if last_role in plan.preds[r] and last_time < time:
-                    checks = plan.theta.get((last_role, r))
-                    self.pred_accesses += 1
-                    adjacent = checks is None or _theta_ok(checks, last_attrs, attrs)
-            extend = self.valid if adjacent else [False] * self.width
-            if is_start or any(extend):
-                pred = [
-                    [value if keep else ident for value, keep in zip(values, extend)]
-                    for values, ident in zip(self.last_cell, identity_cell(accs))
-                ]
-                cell = absorb_cells(pred, plan.updates[r], attrs, is_start)
-                matched = [True] * self.width if is_start else extend
-                if r == plan.end:
-                    self.final_acc = [
-                        [merge(f, c) if hit else f for f, c, hit in zip(fs, cs, matched)]
-                        for fs, cs, merge in zip(self.final_acc, cell, plan.merges)
-                    ]
-                self.last = (time, r, attrs)
-                self.last_cell = [
-                    [c if hit else old for c, old, hit in zip(cs, olds, matched)]
-                    for cs, olds in zip(cell, self.last_cell)
-                ]
-                self.valid = matched
-                return [(r, cell)]
-        # not matched in any window
-        if plan.cont:
-            self.last = None
-            self.valid = [False] * self.width
-            self.last_cell = identity_cells(accs, self.width)
-        return None
-
-    def drop_front(self):
-        self.width -= 1
-        self.valid = self.valid[1:]
-        self.last_cell = _drop_oldest(self.last_cell)
-        self.final_acc = _drop_oldest(self.final_acc)
-
-    def final_cell(self):
-        return window_cell(self.final_acc, 0)
-
-    def last_count(self):
-        return self.last_cell[0][0] if self.valid[0] else 0
-
-    def entries(self):
-        return 2 * self.width + sum(self.valid)
+# name and still names these two; drop the aliases once it no longer does.
+TypeKernel = PatternKernel = MixedKernel

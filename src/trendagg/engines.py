@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import namedtuple
 from typing import NamedTuple
 
-from ._kernels_py import MixedKernel, PatternKernel
+from ._kernels_py import MixedKernel
 from .cells import (
     build_accumulators,
     event_updates,
@@ -33,8 +33,8 @@ from .query import (
 
 KernelPlan = namedtuple(
     "KernelPlan",
-    "roles start end preds accs theta event_grained cont merges updates "
-    "type_preds kept_preds",
+    "roles start end preds accs theta event_grained cumulative consume cont "
+    "merges updates type_preds kept_preds",
 )
 
 
@@ -63,6 +63,8 @@ def build_kernel_plan(query: Query, plan: GranularityPlan) -> KernelPlan:
         accs=accs,
         theta=theta,
         event_grained=event_grained,
+        cumulative=query.semantics is Semantics.ANY,
+        consume=query.semantics is Semantics.NEXT,
         cont=query.semantics is Semantics.CONT,
         merges=merge_functions(accs),
         updates={r: event_updates(accs, r) for r in roles},
@@ -83,7 +85,6 @@ class CompiledQuery(NamedTuple):
 
     plan: GranularityPlan
     kplan: KernelPlan
-    kernel: type
     names: tuple  # each aggregate's RETURN-clause spelling
     extractors: tuple
     probe: RoleProbe
@@ -91,22 +92,17 @@ class CompiledQuery(NamedTuple):
 
 def compile_query(query: Query) -> CompiledQuery:
     """Plan a query once; every engine of a run shares the result."""
+    sources = list(query.aliases.values())
+    if query.semantics is Semantics.NEXT and len(set(sources)) != len(sources):
+        raise UnsupportedQuery(
+            "skip-till-next-match cannot run a pattern that binds one "
+            "stream type to several variables"
+        )
     plan = classify_and_plan(query)
-    if plan.mode is not Granularity.PATTERN:
-        kernel = MixedKernel
-    else:
-        sources = list(query.aliases.values())
-        if len(set(sources)) != len(sources):
-            raise UnsupportedQuery(
-                "single-match-state semantics cannot run a pattern that "
-                "binds one stream type to several variables"
-            )
-        kernel = PatternKernel
     _, extractors = build_accumulators(query.aggregates)
     return CompiledQuery(
         plan=plan,
         kplan=build_kernel_plan(query, plan),
-        kernel=kernel,
         names=aggregate_names(query),
         extractors=extractors,
         probe=RoleProbe(query),
@@ -125,7 +121,7 @@ class Engine:
         self.query = query
         self.compiled = compiled if compiled is not None else compile_query(query)
         self.plan = self.compiled.plan
-        self.kernel = self.compiled.kernel(self.compiled.kplan)
+        self.kernel = MixedKernel(self.compiled.kplan)
         self.peak_entries = self.kernel.entries()
 
     @property
@@ -134,18 +130,17 @@ class Engine:
 
     def step(self, event: Event):
         """Feed one event; returns the cells created for it in the oldest
-        open window (or None), and tracks ``peak_entries``."""
+        open window, one per variable it plays, and tracks
+        ``peak_entries``."""
         out = self.step_with_roles(event, self.compiled.probe(event))
         entries = self.kernel.entries()
         if entries > self.peak_entries:
             self.peak_entries = entries
-        if out is None:
-            return None
         return [(r, window_cell(cells, 0)) for r, cells in out]
 
     def step_with_roles(self, event: Event, roles, width: int = 1):
         """Feed one event that falls into ``width`` windows, the open ones
-        first; returns the cell vectors created for it (or None)."""
+        first; returns the cell vectors created for it."""
         return self.kernel.step(event.time, roles, event.attrs, width)
 
     def run(self, events):
@@ -156,12 +151,13 @@ class Engine:
     def entries(self) -> int:
         return self.kernel.entries()
 
-    def results(self) -> dict:
+    def results(self, cell=None) -> dict:
         """Aggregate values of the oldest open window, keyed by their
-        RETURN-clause spelling."""
-        return finalize(
-            self.kernel.final_cell(), self.compiled.names, self.compiled.extractors
-        )
+        RETURN-clause spelling; ``cell`` is that window's final cell, when
+        the caller has read it already."""
+        if cell is None:
+            cell = self.kernel.final_cell()
+        return finalize(cell, self.compiled.names, self.compiled.extractors)
 
     def drop_window(self):
         """Forget the oldest open window."""
@@ -175,16 +171,7 @@ class Engine:
 
     def role_count(self, role):
         """Current per-variable trend count (type-grained cells only)."""
-        if self.mode is Granularity.PATTERN:
-            raise ValueError("pattern-grained state has no per-variable cells")
         return self.kernel.type_cells[role][0][0]
-
-    @property
-    def last_count(self):
-        """Trend count of the last matched event (pattern-grained only)."""
-        if self.mode is not Granularity.PATTERN:
-            raise ValueError("only pattern-grained state tracks a last event")
-        return self.kernel.last_count()
 
     def stored_events(self):
         """(time, role, count) for retained events (mixed-grained only)."""

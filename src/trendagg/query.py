@@ -132,7 +132,6 @@ class AggSpec:
 
 
 class Granularity(enum.Enum):
-    PATTERN = "pattern"
     TYPE = "type"
     MIXED = "mixed"
 
@@ -465,17 +464,15 @@ def load_query(path, schema: Schema) -> Query:
 # Planning
 
 def classify_and_plan(query: Query) -> GranularityPlan:
-    """Choose the cheapest sound aggregation granularity.
+    """Choose the coarsest exact aggregation granularity.
 
-    Skip-till-next-match and contiguous runs track a single last matched
-    event, so one pattern-wide state suffices. Skip-till-any-match folds
-    whole variables into per-variable cells - unless an adjacency predicate
-    forces individual events of the predecessor variable to be kept, because
-    each future successor must be checked against each of them.
+    The rule is the same under all three semantics. Whole variables fold
+    into per-variable cells - unless an adjacency predicate forces
+    individual events of the predecessor variable to be kept, because each
+    future successor must be checked against each of them. The semantics
+    change only which of those cells and events an event may read.
     """
     variables = frozenset(query.template.types)
-    if query.semantics in (Semantics.NEXT, Semantics.CONT):
-        return GranularityPlan(Granularity.PATTERN, frozenset(), variables)
     adjacent = query.adjacent_predicates
     if not adjacent:
         return GranularityPlan(Granularity.TYPE, frozenset(), variables)

@@ -199,7 +199,8 @@ class WindowManager:
         )
         for key in sorted(keys):
             engine = self._engines[key]
-            if engine.final_count != 0 or self.emit_empty:
+            cell = engine.kernel.final_cell()
+            if cell[0] != 0 or self.emit_empty:
                 self.rows_emitted += 1
                 rows.append(
                     ResultRow(
@@ -207,14 +208,14 @@ class WindowManager:
                         window_start_ms=self.spec.start_of(wid),
                         window_end_ms=self.spec.end_of(wid),
                         key=key,
-                        values=engine.results(),
+                        values=engine.results(cell),
                     )
                 )
-            engine.drop_window()
-            entries = engine.kernel.entries()
-            self.current_entries += entries - self._entries[key]
-            if engine.kernel.width:
-                self._entries[key] = entries
-            else:
+            if engine.kernel.width == 1:  # the key's last window: drop it all
                 del self._engines[key]
-                del self._entries[key]
+                self.current_entries -= self._entries.pop(key)
+            else:
+                engine.drop_window()
+                entries = engine.kernel.entries()
+                self.current_entries += entries - self._entries[key]
+                self._entries[key] = entries

@@ -22,21 +22,6 @@ SHOWCASE = [
 ]
 
 
-# Pattern/predicate pairs where the greedy single chain provably finishes
-# the same trends as full multi-chain enumeration (conditions: every
-# variable with outgoing edges can precede the start variable's matches
-# only via stored state the engine keeps; no predicate gates edges into
-# the start variable; strictly increasing timestamps).
-NEXT_SAFE = [
-    ("A+", None),
-    ("SEQ(A+, B)", None),
-    ("SEQ(A+, B)", "A.v <= B.v"),
-    ("(SEQ(A+, B))+", None),
-    ("(SEQ(A+, B))+", "A.v <= B.v"),
-    ("(SEQ(A+, B+))+", None),
-]
-
-
 @pytest.fixture
 def abc_schema():
     return ABC_SCHEMA

@@ -42,6 +42,8 @@ class TestRun:
             lines = out.read_text().strip().splitlines()
             assert lines[0] == "wid,window_start_ms,window_end_ms,COUNT(*)"
             assert lines[1] == f"0,0,100000,{expected}"
+            # Type-grained under every semantics: a cell for A and for B,
+            # plus the shadow of the one variable updated per timestamp.
             assert capsys.readouterr().err == (
                 "8 events -> 1 rows, peak state 3 entries\n"
             )

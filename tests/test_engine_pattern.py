@@ -1,4 +1,4 @@
-"""Pattern-grained engine: single match state for next/contiguous runs."""
+"""Skip-till-next-match and contiguous semantics on the one kernel."""
 
 import pytest
 from hypothesis import given, settings
@@ -6,44 +6,43 @@ from hypothesis import strategies as st
 
 from trendagg import Event, Granularity, build_engine
 from trendagg.errors import UnsupportedQuery
-from trendagg.oracle import enumerate_trends
+from trendagg.oracle import aggregate_trends, enumerate_trends
 
-from conftest import NEXT_SAFE, SHOWCASE, make_query, stream_strategy
+from conftest import SHOWCASE, make_query, stream_strategy
 
 
 def _trace(engine, events):
-    counts, lasts, finals = [], [], []
+    counts, finals = [], []
     for e in events:
         cells = engine.step(e)
         counts.append(cells[0][1][0] if cells else None)
-        lasts.append(engine.last_count)
         finals.append(engine.final_count)
-    return counts, lasts, finals
+    return counts, finals
 
 
 class TestShowcaseTraces:
-    """Worked example under the two single-state semantics.
+    """Worked example under the two single-chain semantics.
 
-    Skip-till-next-match ignores the unmatched c5 and keeps extending one
-    chain; contiguous drops the open chain when c5 arrives (the committed
-    final count survives), then restarts at a7.
+    Skip-till-next-match ignores the unmatched c5, and each event moves
+    every chain it can extend onto itself. Contiguous lets an event read
+    only the timestamp just before it: c5 severs every open chain (the
+    committed final count survives), so b6 extends nothing and a7 starts
+    afresh.
     """
 
     def test_next_trace(self):
         engine = build_engine(make_query(semantics="next"))
-        assert engine.mode is Granularity.PATTERN
-        counts, lasts, finals = _trace(engine, SHOWCASE)
+        assert engine.mode is Granularity.TYPE
+        counts, finals = _trace(engine, SHOWCASE)
         assert counts == [1, 1, 2, 3, None, 3, 4, 4]
-        assert lasts == [1, 1, 2, 3, 3, 3, 4, 4]
         assert finals == [0, 1, 1, 1, 1, 4, 4, 8]
 
     def test_cont_trace(self):
         engine = build_engine(make_query(semantics="cont"))
-        counts, lasts, finals = _trace(engine, SHOWCASE)
-        assert counts == [1, 1, 2, 3, None, None, 1, 1]
-        # c5 resets the open chain to zero; b6 cannot restart (B is not
-        # the starting variable), a7 begins a fresh chain.
-        assert lasts == [1, 1, 2, 3, 0, 0, 1, 1]
+        counts, finals = _trace(engine, SHOWCASE)
+        # b6 reads only c5's timestamp, which holds no trend; B is not the
+        # start variable, so b6 ends none. a7 starts a fresh chain.
+        assert counts == [1, 1, 2, 3, None, 0, 1, 1]
         assert finals == [0, 1, 1, 1, 1, 1, 1, 2]
 
     def test_oracle_agrees(self):
@@ -51,24 +50,45 @@ class TestShowcaseTraces:
         assert len(enumerate_trends(SHOWCASE, make_query(semantics="cont"))) == 2
 
 
-class TestKnownDivergence:
-    def test_single_state_undercounts_fixed_length_next(self):
-        """With SEQ(A, B) the engine keeps only the newest open A.
+def _events(spec):
+    return [Event(seconds * 1000, etype, {"v": v}) for seconds, etype, v in spec]
 
-        On a,a,b the second A evicts the first, finishing one trend; full
-        multi-chain enumeration finds two. Both behaviours are intended:
-        the engine trades completeness on patterns like this for constant
-        state, and the enumerator documents the gap.
-        """
-        events = [
-            Event(1000, "A", {"v": 1}),
-            Event(2000, "A", {"v": 2}),
-            Event(3000, "B", {"v": 3}),
-        ]
-        query = make_query(pattern="SEQ(A, B)", semantics="next")
-        engine = build_engine(query).run(events)
-        assert engine.final_count == 1
-        assert len(enumerate_trends(events, query)) == 2
+
+# (pattern, semantics, where, events as (seconds, type, v), oracle's count):
+# streams on which an engine that keeps a single open chain, or that cannot
+# take a read predecessor back out of a variable's cells, miscounts.
+_FORMER_DIVERGENCES = {
+    "next-a1-a2-b3": (
+        "SEQ(A, B)", "next", None, [(1, "A", 0), (2, "A", 0), (3, "B", 0)], 2,
+    ),
+    "cont-b1-a2-a3x3": (
+        "A+", "cont", None,
+        [(1, "B", 0), (2, "A", 0), (3, "A", 0), (3, "A", 0), (3, "A", 0)], 7,
+    ),
+    # b3 reads a1's chain but not a3's, which shares b3's timestamp; the
+    # a3 chain must survive for b5.
+    "next-a1-a3-b3-b5": (
+        "SEQ(A, B)", "next", None,
+        [(1, "A", 0), (3, "A", 0), (3, "B", 0), (5, "B", 0)], 2,
+    ),
+    "cont-a1-a2x2-a3": (
+        "A+", "cont", None, [(1, "A", 0), (2, "A", 0), (2, "A", 0), (3, "A", 0)], 8,
+    ),
+    "next-decreasing-v": (
+        "A+", "next", "A.v < NEXT(A).v",
+        [(1, "A", 3), (2, "A", 1), (3, "A", 2), (4, "A", 4)], 8,
+    ),
+}
+
+
+class TestFormerDivergences:
+    @pytest.mark.parametrize("case", sorted(_FORMER_DIVERGENCES))
+    def test_count_matches_oracle(self, case):
+        pattern, semantics, where, spec, count = _FORMER_DIVERGENCES[case]
+        query = make_query(pattern=pattern, semantics=semantics, where=where)
+        events = _events(spec)
+        assert len(enumerate_trends(events, query)) == count
+        assert build_engine(query).run(events).final_count == count
 
 
 class TestEdgeBehaviour:
@@ -80,58 +100,92 @@ class TestEdgeBehaviour:
         assert len(enumerate_trends(events, query)) == 2
 
     def test_state_stays_constant(self):
-        query = make_query(semantics="next")
-        engine = build_engine(query)
-        assert engine.entries() == 2
-        engine.run(SHOWCASE)
-        assert engine.entries() == 3
-        assert engine.peak_entries == 3
+        # Without adjacency predicates the state is type-grained: its peak
+        # does not grow with the stream.
+        for semantics in ("next", "cont"):
+            peaks = []
+            for n in (400, 4000):
+                events = [
+                    Event(1000 * (i + 1), SHOWCASE[i % 8].etype, SHOWCASE[i % 8].attrs)
+                    for i in range(n)
+                ]
+                engine = build_engine(make_query(semantics=semantics)).run(events)
+                peaks.append(engine.peak_entries)
+            assert peaks[0] == peaks[1], semantics
 
     def test_cont_reset_releases_entry(self):
         query = make_query(semantics="cont")
         engine = build_engine(query)
+        idle = engine.entries()
         engine.step(Event(1000, "A", {"v": 1}))
-        assert engine.entries() == 3
+        assert engine.entries() > idle
         engine.step(Event(2000, "C", {"v": 0}))
-        assert engine.entries() == 2
+        assert engine.entries() == idle
+        assert engine.step(Event(3000, "B", {"v": 0}))[0][1][0] == 0
 
-    @pytest.mark.parametrize("semantics", ["next", "cont"])
+    @pytest.mark.parametrize("semantics", ["next"])
     def test_aliases_rejected(self, semantics):
         query = make_query(pattern="SEQ(A X+, A Y)", semantics=semantics)
         with pytest.raises(UnsupportedQuery):
             build_engine(query)
 
 
-@settings(max_examples=120, deadline=None)
-@given(data=st.data())
-def test_random_next_matches_oracle(data):
-    pattern, where = data.draw(st.sampled_from(NEXT_SAFE))
-    if data.draw(st.booleans()):
-        where = f"{where} AND A.v > 0" if where else "A.v > 0"
-    query = make_query(pattern=pattern, semantics="next", where=where)
-    events = data.draw(stream_strategy(ties=False))
-    engine = build_engine(query).run(events)
-    assert engine.final_count == len(enumerate_trends(events, query))
+def _assert_matches_oracle(query, events):
+    expected = aggregate_trends(enumerate_trends(events, query), query.aggregates)
+    assert build_engine(query).run(events).results() == expected, events
 
 
-_CONT_CASES = [
+# Every pattern the single-chain semantics are tested on, with and
+# without adjacency predicates.
+_CASES = [
     ("A+", None),
     ("A+", "A.v < NEXT(A).v"),
     ("SEQ(A, B)", None),
+    ("SEQ(A, B)", "A.v <= B.v"),
+    ("SEQ(A+, B)", None),
     ("SEQ(A+, B)", "A.v <= B.v"),
     ("(SEQ(A+, B))+", None),
+    ("(SEQ(A+, B))+", "A.v <= B.v"),
     ("(SEQ(A+, B))+", "B.v < A.v"),
+    ("(SEQ(A+, B+))+", None),
     ("SEQ(A+, B, C+)", None),
+    ("SEQ(A+, B, C+)", "A.v < NEXT(A).v"),
 ]
 
 
 @settings(max_examples=120, deadline=None)
 @given(data=st.data())
-def test_random_cont_matches_oracle(data):
-    pattern, where = data.draw(st.sampled_from(_CONT_CASES))
+def test_random_next_matches_oracle(data):
+    pattern, where = data.draw(st.sampled_from(_CASES))
     if data.draw(st.booleans()):
         where = f"{where} AND A.v > 0" if where else "A.v > 0"
-    query = make_query(pattern=pattern, semantics="cont", where=where)
-    events = data.draw(stream_strategy(ties=False))
-    engine = build_engine(query).run(events)
-    assert engine.final_count == len(enumerate_trends(events, query))
+    query = make_query(
+        pattern=pattern, semantics="next", where=where,
+        returns="COUNT(*), SUM(A.v), MIN(A.v)",
+    )
+    _assert_matches_oracle(query, data.draw(stream_strategy()))
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_random_cont_matches_oracle(data):
+    pattern, where = data.draw(st.sampled_from(_CASES))
+    if data.draw(st.booleans()):
+        where = f"{where} AND A.v > 0" if where else "A.v > 0"
+    query = make_query(
+        pattern=pattern, semantics="cont", where=where,
+        returns="COUNT(*), SUM(A.v), MIN(A.v)",
+    )
+    _assert_matches_oracle(query, data.draw(stream_strategy()))
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_aliased_cont_matches_oracle(data):
+    pattern = data.draw(st.sampled_from(("SEQ(A X+, A Y)", "SEQ(A X, A Y+, B)")))
+    where = data.draw(st.sampled_from((None, "X.v < Y.v", "X.v < NEXT(X).v")))
+    query = make_query(
+        pattern=pattern, semantics="cont", where=where,
+        returns="COUNT(*), SUM(X.v), MAX(Y.v)",
+    )
+    _assert_matches_oracle(query, data.draw(stream_strategy(types="AAB")))

@@ -15,12 +15,16 @@ def plan_for(semantics, where=None, pattern="(SEQ(A+, B))+"):
     return classify_and_plan(parse_query(text, SCHEMA))
 
 
-def test_next_and_cont_always_pattern_grained():
+def test_next_and_cont_follow_the_any_rule():
+    # The semantics change which cells and events an event may read, not
+    # which ones are kept.
     for semantics in ("next", "cont"):
         for where in (None, "A.v > 1", "[v]", "A.v < B.v", "A.v < NEXT(A).v"):
-            plan = plan_for(semantics, where)
-            assert plan.mode is Granularity.PATTERN
-            assert plan.event_grained == frozenset()
+            assert plan_for(semantics, where) == plan_for("any", where)
+    assert plan_for("next").mode is Granularity.TYPE
+    plan = plan_for("cont", "A.v < NEXT(A).v")
+    assert plan.mode is Granularity.MIXED
+    assert plan.event_grained == frozenset({"A"})
 
 
 def test_any_without_adjacency_is_type_grained():

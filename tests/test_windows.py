@@ -10,7 +10,7 @@ from trendagg import Event, Schema, WindowManager, WindowSpec, windows_of
 from trendagg.cli import oracle_rows
 from trendagg.errors import MissingGroupAttribute, OutOfOrder
 
-from conftest import NEXT_SAFE, make_query
+from conftest import make_query
 
 GROUPED_SCHEMA = Schema(
     {t: {"v": "int", "g": "int"} for t in ("A", "B", "C")}
@@ -219,24 +219,28 @@ class TestOracleEquivalence:
                 assert g_row.values == w_row.values
 
 
-# (semantics, pattern, where, returns, ties). The next and cont kernels
-# are checked without timestamp ties, as in their single-window tests.
+# (semantics, pattern, where, returns); every stream may hold timestamp ties.
 _WINDOWED_FAMILIES = [
-    ("any", "A+", None, "COUNT(*), SUM(A.v), MIN(A.v), AVG(A.v)", True),
-    ("any", "(SEQ(A+, B))+", None, "COUNT(*), COUNT(A), MAX(B.v)", True),
-    ("any", "SEQ(A+, B, C+)", "A.v > 0", "COUNT(*), SUM(C.v), MIN(B.v)", True),
-    ("any", "SEQ(A X+, A Y)", None, "COUNT(*), SUM(X.v), AVG(Y.v)", True),
-    ("any", "A+", "A.v < NEXT(A).v", "COUNT(*), SUM(A.v), MAX(A.v)", True),
-    ("any", "(SEQ(A+, B))+", "B.v < A.v", "COUNT(*), SUM(B.v), MIN(A.v)", True),
-    ("any", "A+", "A.v < NEXT(A).v AND A.g <= NEXT(A).g", "COUNT(*), SUM(A.v)", True),
-    ("any", "SEQ(A+, B+)", "A.v < B.v AND B.v < NEXT(B).v", "COUNT(*), SUM(B.v), MIN(A.v)", True),
-    ("cont", "(SEQ(A+, B))+", None, "COUNT(*), SUM(A.v)", False),
-    ("cont", "A+", "A.v < NEXT(A).v AND A.v > 0", "COUNT(*), MAX(A.v)", False),
-    ("cont", "SEQ(A+, B, C+)", None, "COUNT(*), AVG(A.v)", False),
-    *(
-        ("next", pattern, where, "COUNT(*), SUM(A.v), MIN(A.v)", False)
-        for pattern, where in NEXT_SAFE
-    ),
+    ("any", "A+", None, "COUNT(*), SUM(A.v), MIN(A.v), AVG(A.v)"),
+    ("any", "(SEQ(A+, B))+", None, "COUNT(*), COUNT(A), MAX(B.v)"),
+    ("any", "SEQ(A+, B, C+)", "A.v > 0", "COUNT(*), SUM(C.v), MIN(B.v)"),
+    ("any", "SEQ(A X+, A Y)", None, "COUNT(*), SUM(X.v), AVG(Y.v)"),
+    ("any", "A+", "A.v < NEXT(A).v", "COUNT(*), SUM(A.v), MAX(A.v)"),
+    ("any", "(SEQ(A+, B))+", "B.v < A.v", "COUNT(*), SUM(B.v), MIN(A.v)"),
+    ("any", "A+", "A.v < NEXT(A).v AND A.g <= NEXT(A).g", "COUNT(*), SUM(A.v)"),
+    ("any", "SEQ(A+, B+)", "A.v < B.v AND B.v < NEXT(B).v", "COUNT(*), SUM(B.v), MIN(A.v)"),
+    ("cont", "(SEQ(A+, B))+", None, "COUNT(*), SUM(A.v)"),
+    ("cont", "A+", "A.v < NEXT(A).v AND A.v > 0", "COUNT(*), MAX(A.v)"),
+    ("cont", "SEQ(A+, B, C+)", None, "COUNT(*), AVG(A.v)"),
+    ("cont", "SEQ(A X+, A Y)", None, "COUNT(*), SUM(X.v), AVG(Y.v)"),
+    ("next", "A+", None, "COUNT(*), SUM(A.v), MIN(A.v)"),
+    ("next", "SEQ(A, B)", None, "COUNT(*), SUM(A.v), MIN(A.v)"),
+    ("next", "SEQ(A+, B)", "A.v <= B.v", "COUNT(*), SUM(A.v), MIN(A.v)"),
+    ("next", "(SEQ(A+, B))+", None, "COUNT(*), SUM(A.v), MIN(A.v)"),
+    ("next", "(SEQ(A+, B))+", "B.v < A.v", "COUNT(*), SUM(A.v), MIN(A.v)"),
+    ("next", "(SEQ(A+, B+))+", None, "COUNT(*), SUM(A.v), MIN(A.v)"),
+    ("next", "A+", "A.v < NEXT(A).v", "COUNT(*), SUM(A.v), MIN(A.v)"),
+    ("next", "SEQ(A+, B, C+)", None, "COUNT(*), SUM(A.v), MIN(A.v)"),
 ]
 
 
@@ -254,9 +258,7 @@ def _window_shapes(draw):
 @settings(max_examples=500, deadline=None)
 @given(data=st.data())
 def test_windowed_rows_match_oracle(data):
-    semantics, pattern, where, returns, ties = data.draw(
-        st.sampled_from(_WINDOWED_FAMILIES)
-    )
+    semantics, pattern, where, returns = data.draw(st.sampled_from(_WINDOWED_FAMILIES))
     grouping = data.draw(st.sampled_from((None, "GROUP-BY", "[g]")))
     if grouping == "[g]":
         where = f"{where} AND [g]" if where else "[g]"
@@ -273,13 +275,17 @@ def test_windowed_rows_match_oracle(data):
     )
     events, t = [], 0
     for _ in range(data.draw(st.integers(0, 14))):
-        t += data.draw(st.sampled_from((0, 500, 1000, 1500) if ties else (500, 1000, 1500)))
+        t += data.draw(st.sampled_from((0, 500, 1000, 1500)))
+        etype = data.draw(st.sampled_from("AABBC"))
+        # Where C plays no variable, some C events lack the key: under cont
+        # such a gap event is dropped, since it belongs to no partition.
+        keyless = etype == "C" and "C" not in pattern and data.draw(st.booleans())
         events.append(
             _ev(
                 t,
-                data.draw(st.sampled_from("AABBC")),
+                etype,
                 v=data.draw(st.integers(0, 4)),
-                g=data.draw(st.sampled_from((1, 2))),
+                g=None if keyless else data.draw(st.sampled_from((1, 2))),
             )
         )
     emit_empty = data.draw(st.booleans())
