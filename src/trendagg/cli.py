@@ -32,7 +32,14 @@ from .events import (
     write_csv_stream,
 )
 from .oracle import DEFAULT_CAP, aggregate_trends, enumerate_trends
-from .query import Query, RoleProbe, Semantics, aggregate_names, load_query
+from .query import (
+    Query,
+    RoleProbe,
+    Semantics,
+    aggregate_names,
+    check_supported,
+    load_query,
+)
 from .windows import ResultRow, WindowManager, WindowSpec, route, windows_of
 
 
@@ -77,7 +84,8 @@ def write_rows(rows, query: Query, fh) -> int:
 def _load(args):
     schema = Schema.from_json(args.schema) if args.schema else None
     events = read_csv_stream(args.input, schema=schema)
-    if schema is None:
+    if schema is None:  # inferring kinds walks the stream once before the run
+        events = list(events)
         schema = infer_schema(events)
     query = load_query(args.query, schema)
     if getattr(args, "semantics", None):
@@ -112,6 +120,7 @@ def oracle_rows(query: Query, events, cap: int = DEFAULT_CAP, emit_empty: bool =
     Events are routed as by ``WindowManager``: a matchable event opens the
     slots of all its windows, a gap event joins only slots already open.
     """
+    check_supported(query)
     spec = WindowSpec(query.within_ms, query.slide_ms)
     probe = RoleProbe(query)
     attrs = query.partition_attrs
@@ -141,9 +150,16 @@ def oracle_rows(query: Query, events, cap: int = DEFAULT_CAP, emit_empty: bool =
 
 def cmd_oracle(args) -> int:
     query, events = _load(args)
-    rows = list(oracle_rows(query, events, args.oracle_cap, args.emit_empty))
+    read = 0
+
+    def counted():
+        nonlocal read
+        for read, event in enumerate(events, 1):
+            yield event
+
+    rows = list(oracle_rows(query, counted(), args.oracle_cap, args.emit_empty))
     n = _write_out(rows, query, args.output)
-    print(f"{len(events)} events -> {n} rows (oracle)", file=sys.stderr)
+    print(f"{read} events -> {n} rows (oracle)", file=sys.stderr)
     return 0
 
 

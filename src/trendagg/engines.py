@@ -19,7 +19,6 @@ from .cells import (
     merge_functions,
     window_cell,
 )
-from .errors import UnsupportedQuery
 from .events import Event
 from .query import (
     Granularity,
@@ -28,6 +27,7 @@ from .query import (
     RoleProbe,
     Semantics,
     aggregate_names,
+    check_supported,
     classify_and_plan,
 )
 
@@ -92,12 +92,7 @@ class CompiledQuery(NamedTuple):
 
 def compile_query(query: Query) -> CompiledQuery:
     """Plan a query once; every engine of a run shares the result."""
-    sources = list(query.aliases.values())
-    if query.semantics is Semantics.NEXT and len(set(sources)) != len(sources):
-        raise UnsupportedQuery(
-            "skip-till-next-match cannot run a pattern that binds one "
-            "stream type to several variables"
-        )
+    check_supported(query)
     plan = classify_and_plan(query)
     _, extractors = build_accumulators(query.aggregates)
     return CompiledQuery(

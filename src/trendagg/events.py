@@ -9,11 +9,12 @@ from __future__ import annotations
 
 import csv
 import functools
+import itertools
 import json
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 from .errors import InputError, MalformedRow, OutOfOrder
 
@@ -31,6 +32,22 @@ class Event:
             raise ValueError(f"negative event time {self.time}")
         if not self.etype:
             raise ValueError("empty event type")
+
+
+_new_object = object.__new__
+_set_time = Event.time.__set__
+_set_etype = Event.etype.__set__
+_set_attrs = Event.attrs.__set__
+
+
+def _trusted_event(time, etype, attrs) -> Event:
+    """An ``Event`` whose time and type the caller has already checked: set
+    through the slot descriptors, without ``__post_init__``'s re-check."""
+    event = _new_object(Event)
+    _set_time(event, time)
+    _set_etype(event, etype)
+    _set_attrs(event, attrs)
+    return event
 
 
 class Schema:
@@ -78,9 +95,11 @@ class Schema:
 
 
 def _parse_time_ms(cell, row_number):
-    # Fast path for plain ``digits[.digits]``; everything else, and every
-    # error, goes through Fraction.
+    # Fast paths for plain ``digits.ddd`` and ``digits[.digits]``; everything
+    # else, and every error, goes through Fraction.
     whole, dot, frac = cell.partition(".")
+    if len(frac) == 3 and whole.isdigit() and frac.isdigit() and cell.isascii():
+        return int(whole + frac)
     if whole.isdigit() and cell.isascii() and (frac.isdigit() or not dot):
         frac = frac.rstrip("0")
         if len(frac) <= 3:
@@ -125,8 +144,13 @@ def _infer(cell):
 _DECODERS = {"int": int, "float": float, "str": str, None: _infer}
 
 
-def read_csv_stream(path, schema: Optional[Schema] = None) -> list:
-    """Read an event stream from a CSV file.
+# Events parsed per block. ``read_csv_stream`` parses the first block before
+# it returns, and each later one when iteration reaches it.
+BLOCK_ROWS = 4096
+
+
+def read_csv_stream(path, schema: Optional[Schema] = None) -> Iterator[Event]:
+    """Read an event stream from a CSV file, one block of rows at a time.
 
     Two layouts are accepted, chosen by the header:
       * ``time,type`` - every following cell in a row is a ``key=value`` pair;
@@ -135,7 +159,17 @@ def read_csv_stream(path, schema: Optional[Schema] = None) -> list:
     Value kinds come from ``schema`` when it covers the event type, otherwise
     they are inferred (int, then float, then string). Rows must be in
     non-decreasing time order.
+
+    Returns an iterator. The first ``BLOCK_ROWS`` rows are parsed before the
+    call returns, so a malformed or backwards row among them raises here
+    with its row number; a later one raises when iteration reaches it.
     """
+    blocks = _read_blocks(path, schema)
+    return itertools.chain(next(blocks, ()), itertools.chain.from_iterable(blocks))
+
+
+def _read_blocks(path, schema):
+    """Lists of at most ``BLOCK_ROWS`` events, in file order."""
 
     @functools.cache
     def kind_of(etype, attr):
@@ -145,14 +179,15 @@ def read_csv_stream(path, schema: Optional[Schema] = None) -> list:
         kind = kind_of(etype, attr)
         return _coerce(cell, kind, row_number, attr) if kind else _infer(cell)
 
-    def rows():
-        last_ms = -1
-        column_decoders = {}  # event type -> (attr, converter) per column
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            try:
-                header = next(reader)
-            except StopIteration:
+    last_ms = -1
+    column_decoders = {}  # event type -> (attr, converter) per column
+    block = []
+    append = block.append
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader, None)
+            if header is None:
                 return
             if len(header) < 2 or [h.strip().lower() for h in header[:2]] != ["time", "type"]:
                 raise MalformedRow(1, "header must start with time,type")
@@ -215,14 +250,17 @@ def read_csv_stream(path, schema: Optional[Schema] = None) -> list:
                             cell = cell.strip()
                             if cell:
                                 attrs[attr] = decode(etype, attr, cell, row_number)
-                yield Event(time=time_ms, etype=etype, attrs=attrs)
-
-    # Materialize eagerly so malformed rows and ordering problems surface
-    # with their row number at read time rather than mid-pipeline.
-    try:
-        return list(rows())
-    except UnicodeDecodeError as exc:
-        raise InputError(f"input {path}: not UTF-8 text ({exc.reason})") from None
+                append(_trusted_event(time_ms, etype, attrs))
+                if len(block) == BLOCK_ROWS:
+                    yield block
+                    block = []
+                    append = block.append
+        except csv.Error as exc:  # e.g. a field over the csv module's size limit
+            raise MalformedRow(reader.line_num, str(exc)) from None
+        except UnicodeDecodeError as exc:
+            raise InputError(f"input {path}: not UTF-8 text ({exc.reason})") from None
+    if block:
+        yield block
 
 
 def _format_seconds(ms: int) -> str:

@@ -30,6 +30,7 @@ from .errors import (
     QuerySyntaxError,
     UnknownAttribute,
     UnknownType,
+    UnsupportedQuery,
 )
 from .events import Event, Schema
 from .pattern import Pattern, PatternTemplate, alias_map, compile_template, parse_pattern
@@ -462,6 +463,18 @@ def load_query(path, schema: Schema) -> Query:
 
 # --------------------------------------------------------------------------
 # Planning
+
+def check_supported(query: Query) -> None:
+    """Raise ``UnsupportedQuery`` for a query that ``run`` and ``oracle``
+    both refuse, whatever the stream: under skip-till-next-match, a pattern
+    that binds one stream type to several variables."""
+    sources = list(query.aliases.values())
+    if query.semantics is Semantics.NEXT and len(set(sources)) != len(sources):
+        raise UnsupportedQuery(
+            "skip-till-next-match cannot run a pattern that binds one "
+            "stream type to several variables"
+        )
+
 
 def classify_and_plan(query: Query) -> GranularityPlan:
     """Choose the coarsest exact aggregation granularity.

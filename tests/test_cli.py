@@ -194,6 +194,7 @@ class TestErrors:
             "repeated key=value attribute",
             "column without a name",
             "key=value attribute without a name",
+            "field over the csv size limit",
         ],
     )
     def test_unusable_input_files_exit_2(self, workdir, capsys, case):
@@ -206,6 +207,7 @@ class TestErrors:
         (workdir / "dupkey.csv").write_text("time,type\n1,A,v=5\n2,B,v=3,v=4\n")
         (workdir / "nameless.csv").write_text("time,type,,v\n1,A,3,5\n")
         (workdir / "namelesskey.csv").write_text("time,type\n1,A,v=5\n2,B,=5\n")
+        (workdir / "hugecell.csv").write_text("time,type,v\n1,A,5\n2,A," + "9" * 200_000 + "\n")
         files = {
             "--query": workdir / "q.txt",
             "--input": workdir / "stream.csv",
@@ -235,6 +237,7 @@ class TestErrors:
             "key=value attribute without a name": run(
                 "--input", workdir / "namelesskey.csv"
             ),
+            "field over the csv size limit": run("--input", workdir / "hugecell.csv"),
         }[case]
         code = _run(argv)
         err = capsys.readouterr().err
@@ -248,6 +251,8 @@ class TestErrors:
             assert err == "error: row 1: column 3 has no name\n"
         if case == "key=value attribute without a name":
             assert err == "error: row 3: no attribute name in '=5'\n"
+        if case == "field over the csv size limit":
+            assert err == "error: row 3: field larger than field limit (131072)\n"
 
     @pytest.mark.parametrize("command", ["run", "oracle"])
     def test_user_error_writes_no_output_file(self, workdir, capsys, command):
@@ -273,6 +278,46 @@ class TestErrors:
             )
         assert kept.read_text() == "earlier rows\n"
         assert not fresh.exists()
+
+    def test_malformed_row_after_the_first_block_writes_no_output_file(
+        self, workdir, capsys
+    ):
+        # Row 5,002 is parsed only after the run has ingested the first
+        # block; the error still exits 2 before any row is written.
+        lines = ["time,type,v"] + [f"{n},A,{n}" for n in range(2, 6001)]
+        lines[5001] = "5002,A,notint"
+        (workdir / "long.csv").write_text("\n".join(lines) + "\n")
+        out = workdir / "out.csv"
+        code = _run(
+            ["run", "--query", workdir / "q.txt", "--input", workdir / "long.csv",
+             "--schema", workdir / "schema.json", "--output", out]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: row 5002: value 'notint' for v is not a valid int\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("emit_empty", [[], ["--emit-empty"]])
+    @pytest.mark.parametrize("command", ["run", "oracle"])
+    def test_aliased_next_pattern_exits_2(self, workdir, capsys, command, emit_empty):
+        # The stream holds no A event, so no event plays two variables; both
+        # subcommands still refuse the pattern itself.
+        (workdir / "noa.csv").write_text("time,type,v\n1,B,5\n2,C,3\n")
+        (workdir / "alias.txt").write_text(
+            "RETURN COUNT(*) PATTERN SEQ(A X+, A Y) SEMANTICS next WITHIN 100 s\n"
+        )
+        code = _run(
+            [command, "--query", workdir / "alias.txt", "--input", workdir / "noa.csv",
+             "--schema", workdir / "schema.json", *emit_empty]
+        )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == (
+            "error: skip-till-next-match cannot run a pattern that binds one "
+            "stream type to several variables\n"
+        )
 
 
 ROOT = Path(__file__).resolve().parents[1]

@@ -1,11 +1,14 @@
+import dataclasses
+import tracemalloc
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from trendagg import (
     Event,
+    InputError,
     MalformedRow,
     OutOfOrder,
     Schema,
@@ -15,7 +18,7 @@ from trendagg import (
     read_csv_stream,
     write_csv_stream,
 )
-from trendagg.events import _coerce, _infer, _parse_time_ms
+from trendagg.events import BLOCK_ROWS, _coerce, _infer, _parse_time_ms
 
 
 def test_event_validation():
@@ -108,6 +111,90 @@ def test_read_rejects_out_of_order(tmp_path):
     assert err.value.row_number == 3
 
 
+def test_read_rejects_a_field_over_the_csv_size_limit(tmp_path):
+    path = _write(tmp_path, "time,type,v\n1,A,3\n2,A," + "x" * 200_000 + "\n")
+    with pytest.raises(MalformedRow, match=r"^row 3: field larger than field limit"):
+        read_csv_stream(path)
+
+
+def _long_stream(tmp_path, rows, name="long.csv", bad=None):
+    """A ``time,type,v`` file of ``rows`` rows, header included, one event
+    per second; ``bad`` maps a row number to the text of that row."""
+    bad = bad or {}
+    lines = ["time,type,v"] + [
+        bad.get(n, f"{n}.250,A,{n}") for n in range(2, rows + 1)
+    ]
+    path = tmp_path / name
+    path.write_bytes("\n".join(lines).encode("utf-8", "surrogateescape") + b"\n")
+    return path
+
+
+_V_INT = Schema({"A": {"v": "int"}})
+
+
+class TestLazyRead:
+    """Rows after the first ``BLOCK_ROWS`` are parsed when iteration reaches
+    them, so their errors raise from the iterator, not from the call."""
+
+    def test_a_malformed_cell_after_the_first_block_raises_on_iteration(self, tmp_path):
+        assert BLOCK_ROWS < 5001
+        path = _long_stream(tmp_path, 6000, bad={5002: "5002,A,notint"})
+        events = read_csv_stream(path, schema=_V_INT)
+        with pytest.raises(MalformedRow) as err:
+            for _ in events:
+                pass
+        assert str(err.value) == "row 5002: value 'notint' for v is not a valid int"
+        assert err.value.row_number == 5002
+
+    def test_a_backwards_row_after_the_first_block_raises_on_iteration(self, tmp_path):
+        path = _long_stream(tmp_path, 6000, bad={5500: "1,A,0"})
+        events = read_csv_stream(path)
+        with pytest.raises(OutOfOrder) as err:
+            list(events)
+        assert str(err.value) == "row 5500: time went backwards (1000 ms after 5499250 ms)"
+        assert err.value.row_number == 5500
+
+    def test_bad_utf8_after_the_first_block_raises_on_iteration(self, tmp_path):
+        path = _long_stream(tmp_path, 6000, bad={5900: "5900,A,caf\udce9"})
+        events = read_csv_stream(path)
+        with pytest.raises(InputError, match="not UTF-8 text"):
+            list(events)
+
+    def test_the_blocks_join_into_one_stream(self, tmp_path):
+        rows = 2 * BLOCK_ROWS + 3
+        events = list(read_csv_stream(_long_stream(tmp_path, rows)))
+        assert [e.time for e in events] == [n * 1000 + 250 for n in range(2, rows + 1)]
+        assert [e.attrs for e in events] == [{"v": n} for n in range(2, rows + 1)]
+
+    def test_read_memory_does_not_grow_with_the_stream(self, tmp_path):
+        # The consumer keeps no event, so the peak is a block or two
+        # whatever the stream's length; an eager read holds every event.
+        peaks = {}
+        for blocks in (2, 8):
+            path = _long_stream(tmp_path, blocks * BLOCK_ROWS + 1, f"{blocks}.csv")
+            tracemalloc.start()
+            try:
+                for _ in read_csv_stream(path):
+                    pass
+                peaks[blocks] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[8] < 1.5 * peaks[2], peaks
+
+
+def test_read_events_are_ordinary_events(tmp_path):
+    path = _write(tmp_path, "time,type,v,name\n0,A,1,x\n1.5,B,,y\n")
+    got = list(read_csv_stream(path))
+    want = [Event(0, "A", {"v": 1, "name": "x"}), Event(1500, "B", {"name": "y"})]
+    assert got == want
+    assert [type(e) for e in got] == [Event, Event]
+    assert [repr(e) for e in got] == [repr(e) for e in want]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        got[0].time = 5
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        got[0].etype = "B"
+
+
 def test_csv_roundtrip(tmp_path):
     events = [
         Event(0, "A", {"v": 1, "w": 2.5}),
@@ -166,21 +253,24 @@ def _fraction_time_ms(cell):
     return int(ms)
 
 
-_DIGITS = st.text(
-    # Arabic-Indic, Devanagari and fullwidth decimal digits, and a
-    # superscript two, which is a digit to str.isdigit but not to Fraction.
-    alphabet=st.sampled_from("0123456789" * 4 + "\u0663\u0967\uff12\u00b2"),
-    min_size=0,
-    max_size=7,
-)
+# Arabic-Indic, Devanagari and fullwidth decimal digits, and a superscript
+# two, which is a digit to str.isdigit but not to Fraction.
+_DIGIT = st.sampled_from("0123456789" * 4 + "\u0663\u0967\uff12\u00b2")
+_DIGITS = st.text(alphabet=_DIGIT, min_size=0, max_size=7)
 
 
 @st.composite
 def _time_cells(draw):
     whole = draw(_DIGITS)
-    kind = draw(st.sampled_from(("int", "decimal", "decimal", "ratio", "garbage")))
+    kind = draw(
+        st.sampled_from(
+            ("int", "decimal", "decimal", "millis", "millis", "ratio", "garbage")
+        )
+    )
     if kind == "decimal":
         cell = f"{whole}.{draw(_DIGITS)}{'0' * draw(st.integers(0, 3))}"
+    elif kind == "millis":  # exactly three fraction digits; `.123` when `whole` is empty
+        cell = f"{whole}.{draw(st.text(alphabet=_DIGIT, min_size=3, max_size=3))}"
     elif kind == "ratio":
         cell = f"{whole}/{draw(_DIGITS)}"
     elif kind == "garbage":
@@ -198,6 +288,15 @@ def _time_cells(draw):
 
 @settings(max_examples=400, deadline=None)
 @given(cell=_time_cells())
+# Each guard of the three-digit fast path, pinned: a missing whole part, a
+# sign, padding, non-ASCII digits, and a fraction that is not all digits.
+@example(cell=".123")
+@example(cell="-1.234")
+@example(cell="+1.234")
+@example(cell=" 1.234")
+@example(cell="\u0661.234")
+@example(cell="\u00b2.234")
+@example(cell="1.2e3")
 def test_time_parsing_agrees_with_fractions(cell):
     want = _fraction_time_ms(cell)
     try:
@@ -215,6 +314,10 @@ def test_time_parsing_examples():
     assert _parse_time_ms("3.007", 2) == 3007
     assert _parse_time_ms("1.5e3", 2) == 1_500_000
     assert _parse_time_ms("7/8", 2) == 875
+    assert _parse_time_ms(".123", 2) == 123
+    assert _parse_time_ms("0.000", 2) == 0
+    assert _parse_time_ms("007.010", 2) == 7010
+    assert _parse_time_ms("\u0661.234", 2) == 1234  # an Arabic-Indic one
     with pytest.raises(MalformedRow, match="not a whole millisecond"):
         _parse_time_ms("1.0005", 2)
     with pytest.raises(MalformedRow, match="negative time"):
