@@ -12,6 +12,7 @@ A brute-force enumerating oracle ships alongside for verification.
 
 from .engines import Engine, build_engine
 from .errors import (
+    AggregateOverflow,
     DuplicateTypeInPattern,
     ExplosionGuard,
     InputError,
@@ -72,6 +73,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Adjacent",
     "AggKind",
+    "AggregateOverflow",
     "AggSpec",
     "DuplicateTypeInPattern",
     "Engine",

@@ -8,10 +8,11 @@ differ only in which predecessors an event may read (see ``MixedKernel``).
 
 A kernel holds the state of one partition key over all of that key's open
 windows. Those windows are a contiguous run of window ids; the kernel knows
-them by position only, slot 0 being the oldest. Cells are kept as cell
-vectors with one value per open window (see ``cells``), so each event is
-applied once per key however many windows overlap. A new kernel has one
-window open; the single-partition engine never opens or closes another.
+them by position only, position 0 being the oldest. Cells are kept as flat
+cell vectors holding one cell per open window, oldest first (see
+``cells``), so each event is applied once per key however many windows
+overlap. A new kernel has one window open; the single-partition engine
+never opens or closes another.
 
 The step contract:
 
@@ -25,8 +26,9 @@ them, oldest first, so the kernel opens ``width - self.width`` new windows
 at the back before it applies the event; a width not above the current one
 opens none. Windows open only at the first event of a timestamp, since
 events with equal timestamps fall into the same windows. ``final_cell``
-reads the oldest window and ``drop_front`` forgets it. Events must arrive in
-non-decreasing time order.
+reads the oldest window and ``drop_front`` forgets it, cutting the first
+``k`` values off every vector. Events must arrive in non-decreasing time
+order.
 
 Events with equal timestamps can never sit next to each other inside a
 trend, so all events sharing a timestamp are evaluated against the state as
@@ -34,40 +36,18 @@ it stood before the first of them ("shadow" copies keep the pre-batch cells
 of every variable already updated in the current batch).
 
 ``entries()`` counts one entry per cell held per open window, as if every
-window kept its own state.
+window kept its own state: a vector of ``n`` values holds ``n // k`` cells.
 """
 
 from __future__ import annotations
 
 from itertools import chain, compress, repeat
-from operator import eq
+from operator import add, eq
 
-from .cells import (
-    absorb_cells,
-    combine_cells,
-    identity_cells,
-    window_cell,
-)
+from .cells import absorb_cells, combine_cells
 from .errors import MissingAttribute
 
 BACKEND_NAME = "python"
-
-
-def _widen(cells, extra):
-    return [values + more for values, more in zip(cells, extra)]
-
-
-def _drop_oldest(cells):
-    return [values[1:] for values in cells]
-
-
-def _add_into(pred, cells, merges, skip=0):
-    """Merge ``cells``, from their window ``skip`` on, into the leading
-    windows of ``pred``, in place."""
-    for values, other, merge in zip(pred, cells, merges):
-        if skip:
-            other = other[skip:]
-        values[: len(other)] = map(merge, values, other)
 
 
 class _Absent:
@@ -94,10 +74,10 @@ class MixedKernel:
     every future successor. With no such variable, it keeps no events and
     its state is one cell per variable and window: type granularity.
 
-    A kept event is stored once, with one cell for each window that holds
-    it: from the oldest window open when it arrived to the newest. Windows
-    are numbered from the kernel's creation on, so that a kept event's
-    first window stays valid as older windows close.
+    A kept event is stored once, with a cell vector over the windows that
+    hold it: from the oldest window open when it arrived to the newest.
+    Windows are numbered from the kernel's creation on, so that a kept
+    event's first window stays valid as older windows close.
 
     Beside the kept events, the kernel keeps their variables and the
     left-hand operand of every adjacency check in columns, in arrival
@@ -107,7 +87,9 @@ class MixedKernel:
     event meets a check only if it passed the earlier ones. The selected
     events' cells are then merged in arrival order, into every window the
     two events share, so float sums do not depend on how the predecessors
-    were selected.
+    were selected. Under an additive plan each merge is one ``map(add, ...)``
+    over the shared windows, with no call; otherwise ``combine_cells`` merges
+    slot by slot over strided slices.
 
     The predecessors an event may read - a type-grained variable's cells
     or a kept event - depend on the semantics:
@@ -135,23 +117,19 @@ class MixedKernel:
         self.width = 1
         self.base = 0  # number of the oldest open window
         self.type_cells = {
-            r: identity_cells(plan.accs, 1)
-            for r in plan.roles
-            if r not in plan.event_grained
+            r: plan.identity.copy() for r in plan.roles if r not in plan.event_grained
         }
         self.events = []  # (time, role, first window, cells) in arrival order
         self.roles = []  # role of each kept event
         self._one_role = len(plan.roles) - len(self.type_cells) == 1
-        self.columns = {
-            a: [] for checks in plan.theta.values() for a, _, _ in checks
-        }
+        self.columns = {a: [] for checks in plan.theta.values() for a, _, _ in checks}
         self._absent = {a: _Absent(a) for a in self.columns}
         # The end variable's trends: in its type cells under
         # skip-till-any-match, otherwise merged here as they finish.
         self.final_acc = (
             None
             if plan.cumulative and plan.end in self.type_cells
-            else identity_cells(plan.accs, 1)
+            else plan.identity.copy()
         )
         self._held = 0  # (kept event, open window) pairs
         self._shadow = {}
@@ -202,13 +180,14 @@ class MixedKernel:
         if not cumulative and plan.cont:
             self._batch.append((roles, attrs))
         if width > self.width:
-            extra = identity_cells(plan.accs, width - self.width)
-            self.type_cells = {r: _widen(c, extra) for r, c in self.type_cells.items()}
+            extra = plan.identity * (width - self.width)
+            self.type_cells = {r: c + extra for r, c in self.type_cells.items()}
             if self.final_acc is not None:
-                self.final_acc = _widen(self.final_acc, extra)
+                self.final_acc += extra
             self.width = width
-        accs = plan.accs
         merges = plan.merges
+        additive = plan.additive
+        k = plan.k
         base = self.base
         events = self.events
         type_cells = self.type_cells
@@ -223,35 +202,42 @@ class MixedKernel:
                 prev = shadow.get(p)
                 if prev is None:
                     prev = type_cells[p]
-                pred = prev if pred is None else combine_cells(pred, prev, merges)
+                if pred is not None:
+                    prev = combine_cells(pred, prev, merges, additive)
+                pred = prev
                 self.pred_accesses += 1
             kept = self._predecessors(r, attrs) if plan.kept_preds[r] else ()
             if kept:
-                # _add_into merges in place, and pred may be a variable's cells.
-                if pred is None:
-                    pred = identity_cells(accs, self.width)
+                # Merged in place below, and pred may be a variable's cells.
+                pred = plan.identity * self.width if pred is None else pred.copy()
+                # A stored event's windows from the oldest open one on are
+                # exactly the windows it shares with the new event.
+                if additive:
+                    for _, _, first, stored in map(events.__getitem__, kept):
+                        c = stored[(base - first) * k :]
+                        pred[: len(c)] = map(add, pred, c)
                 else:
-                    pred = [values[:] for values in pred]
-                for _, _, first, stored_cells in map(events.__getitem__, kept):
-                    # The stored event's windows from the oldest open one on
-                    # are exactly the windows it shares with the new event.
-                    _add_into(pred, stored_cells, merges, base - first)
+                    for _, _, first, stored in map(events.__getitem__, kept):
+                        c = stored[(base - first) * k :]
+                        pred[: len(c)] = combine_cells(pred[: len(c)], c, merges, False)
             elif pred is None:
-                pred = identity_cells(accs, self.width)
+                pred = plan.identity * self.width
             if not cumulative and plan.consume:
                 self._consume(r, kept)
-            cell = absorb_cells(pred, plan.updates[r], attrs, r == plan.start)
+            cell = absorb_cells(pred, plan.updates[r], attrs, r == plan.start, k)
             if r not in type_cells:
                 self._keep(time, r, cell, attrs)
             elif r in shadow:
-                type_cells[r] = combine_cells(type_cells[r], cell, merges)
+                type_cells[r] = combine_cells(type_cells[r], cell, merges, additive)
             else:
                 shadow[r] = type_cells[r]
                 type_cells[r] = (
-                    combine_cells(type_cells[r], cell, merges) if cumulative else cell
+                    combine_cells(type_cells[r], cell, merges, additive)
+                    if cumulative
+                    else cell
                 )
             if r == plan.end and self.final_acc is not None:
-                self.final_acc = combine_cells(self.final_acc, cell, merges)
+                self.final_acc = combine_cells(self.final_acc, cell, merges, additive)
             out.append((r, cell))
         return out
 
@@ -266,7 +252,7 @@ class MixedKernel:
         """Drop the kept events at ``positions``, given in ascending order."""
         for i in reversed(positions):
             _, _, first, cells = self.events[i]
-            self._held -= first + len(cells[0]) - self.base
+            self._held -= first + len(cells) // self.plan.k - self.base
             del self.events[i], self.roles[i]
             for column in self.columns.values():
                 del column[i]
@@ -275,7 +261,7 @@ class MixedKernel:
         """Skip-till-next-match: the chains an ``r``-event just read now
         end at it, so their former tips become unreadable."""
         for p in self.plan.type_preds[r]:
-            gone = identity_cells(self.plan.accs, self.width)
+            gone = self.plan.identity * self.width
             if p in self._shadow:
                 self._shadow[p] = gone
             else:
@@ -291,7 +277,7 @@ class MixedKernel:
         if plan.consume:
             for r, readable in self._shadow.items():
                 self.type_cells[r] = combine_cells(
-                    readable, self.type_cells[r], plan.merges
+                    readable, self.type_cells[r], plan.merges, plan.additive
                 )
             return
         # Contiguous: only the timestamp just ended stays readable, and only
@@ -300,17 +286,17 @@ class MixedKernel:
         if len(self._batch) > 1:
             self._forget(range(len(self.events)))
             for r in self.type_cells:
-                self.type_cells[r] = identity_cells(plan.accs, width)
+                self.type_cells[r] = plan.identity * width
             start = plan.start
             for roles, attrs in self._batch:
                 if start not in roles:
                     continue
                 cell = absorb_cells(
-                    identity_cells(plan.accs, width), plan.updates[start], attrs, True
+                    plan.identity * width, plan.updates[start], attrs, True, plan.k
                 )
                 if start in self.type_cells:
                     self.type_cells[start] = combine_cells(
-                        self.type_cells[start], cell, plan.merges
+                        self.type_cells[start], cell, plan.merges, plan.additive
                     )
                 else:
                     self._keep(self._batch_time, start, cell, attrs)
@@ -318,10 +304,11 @@ class MixedKernel:
             self._forget(range(self._watermark))
             for r in self.type_cells:
                 if r not in self._shadow:
-                    self.type_cells[r] = identity_cells(plan.accs, width)
+                    self.type_cells[r] = plan.identity * width
         self._batch.clear()
 
     def drop_front(self):
+        k = self.plan.k
         self.width -= 1
         self.base += 1
         events = self.events
@@ -329,7 +316,7 @@ class MixedKernel:
             self._held -= len(events)  # every kept event holds the oldest window
             gone = 0
             for _, _, first, cells in events:
-                if first + len(cells[0]) > self.base:
+                if first + len(cells) // k > self.base:
                     break
                 gone += 1
             if gone:
@@ -338,22 +325,20 @@ class MixedKernel:
                 for column in self.columns.values():
                     del column[:gone]
                 self._watermark = max(0, self._watermark - gone)
-        self.type_cells = {r: _drop_oldest(c) for r, c in self.type_cells.items()}
-        self._shadow = {r: _drop_oldest(c) for r, c in self._shadow.items()}
+        self.type_cells = {r: c[k:] for r, c in self.type_cells.items()}
+        self._shadow = {r: c[k:] for r, c in self._shadow.items()}
         if self.final_acc is not None:
-            self.final_acc = _drop_oldest(self.final_acc)
+            self.final_acc = self.final_acc[k:]
 
     def final_cell(self):
         if self.final_acc is None:
-            return window_cell(self.type_cells[self.plan.end], 0)
-        return window_cell(self.final_acc, 0)
+            return self.type_cells[self.plan.end][: self.plan.k]
+        return self.final_acc[: self.plan.k]
 
     def stored(self):
         """(time, role, cell) of every kept event, in the oldest window."""
-        return [
-            (t, r, window_cell(cells, self.base - first))
-            for (t, r, first, cells) in self.events
-        ]
+        k = self.plan.k
+        return [(t, r, c[(self.base - f) * k :][:k]) for t, r, f, c in self.events]
 
     def entries(self):
         return self.width * (len(self.type_cells) + len(self._shadow)) + self._held

@@ -5,17 +5,21 @@ trends end at the carrier of this cell), the remaining slots hold one
 accumulator per requested aggregate. One cell carries every aggregate of a
 query at once, so engines touch their predecessors a single time per event.
 
-Kernels keep one cell per open window of a partition key, stored by slot:
-a cell vector is a list holding, per slot, a list with one value per
-window (oldest window first). Merges and event updates then run over all
-windows of a slot at once. ``window_cell`` reads one window's plain cell
-out of a vector.
+Kernels keep one cell per open window of a partition key in one flat
+list, window-major and oldest window first: with ``k`` slots per cell,
+slot ``s`` of window ``j`` sits at ``j * k + s``. The identity vector of
+``w`` windows is then ``identity_cell(accs) * w``, widening is list
+concatenation, dropping the oldest window is ``cells[k:]`` and reading one
+window is a slice. When every slot merges with ``add`` (COUNT, SUM and
+AVG only) the plan is additive, and two vectors merge with one
+``map(add, ...)`` over the whole list; otherwise each slot merges over a
+strided slice.
 
 A vector of width 1 - every vector of a tumbling query, and of a sliding
 query whose key holds one open window - takes a scalar branch in
 ``combine_cells`` and ``absorb_cells``: the same arithmetic on each slot's
-single value, without building a list per slot window by window. Both
-functions read the width from the vector itself.
+single value, without a slice per slot. Both functions read the width from
+the vector's length.
 
 Counts are plain Python integers and therefore unbounded - under
 skip-till-any-match they grow exponentially with window size and would
@@ -41,7 +45,7 @@ from __future__ import annotations
 
 from operator import add
 
-from .errors import MissingAttribute
+from .errors import AggregateOverflow, MissingAttribute
 from .query import AggKind
 
 # Accumulator codes
@@ -75,19 +79,17 @@ def build_accumulators(specs):
             extractors.append(("star", 0, 0))
         elif spec.kind is AggKind.COUNT:
             extractors.append(("acc", slot(ACC_COUNT, spec.variable), 0))
-        elif spec.kind is AggKind.SUM:
-            extractors.append(("acc", slot(ACC_SUM, spec.variable, spec.attr), 0))
-        elif spec.kind is AggKind.MIN:
-            extractors.append(("acc", slot(ACC_MIN, spec.variable, spec.attr), 0))
-        elif spec.kind is AggKind.MAX:
-            extractors.append(("acc", slot(ACC_MAX, spec.variable, spec.attr), 0))
         elif spec.kind is AggKind.AVG:
             s = slot(ACC_SUM, spec.variable, spec.attr)
             c = slot(ACC_COUNT, spec.variable)
             extractors.append(("avg", s, c))
-        else:  # pragma: no cover
-            raise AssertionError(spec.kind)
+        else:
+            code = _CODES[spec.kind]
+            extractors.append(("acc", slot(code, spec.variable, spec.attr), 0))
     return tuple(accs), tuple(extractors)
+
+
+_CODES = {AggKind.SUM: ACC_SUM, AggKind.MIN: ACC_MIN, AggKind.MAX: ACC_MAX}
 
 
 def merge_functions(accs):
@@ -97,37 +99,33 @@ def merge_functions(accs):
 
 
 def _merge_min(x, y):
-    if x is None:
-        return y
-    if y is None:
-        return x
-    return x if x <= y else y
+    return x if y is None or x is not None and x <= y else y
 
 
 def _merge_max(x, y):
-    if x is None:
-        return y
-    if y is None:
-        return x
-    return x if x >= y else y
+    return x if y is None or x is not None and x >= y else y
 
 
 _MERGE = {ACC_COUNT: add, ACC_SUM: add, ACC_MIN: _merge_min, ACC_MAX: _merge_max}
 
 
-def identity_cells(accs, width):
-    """Identity cells of ``width`` windows, one fresh list per slot."""
-    cells = [[0] * width]
-    for code, _, _ in accs:
-        cells.append([0] * width if code in (ACC_COUNT, ACC_SUM) else [None] * width)
+def identity_cell(accs):
+    """The cell of no trends: zero counts and sums, no min or max yet."""
+    return [0, *(0 if code in (ACC_COUNT, ACC_SUM) else None for code, _, _ in accs)]
+
+
+def combine_cells(a, b, merges, additive):
+    """Window-by-window merge of two cell vectors of equal width;
+    ``additive`` says that every one of ``merges`` is ``add``."""
+    if additive:
+        return list(map(add, a, b))
+    k = len(merges)
+    if len(a) == k:
+        return [m(x, y) for m, x, y in zip(merges, a, b)]
+    cells = a.copy()
+    for s, m in enumerate(merges):
+        cells[s::k] = map(m, a[s::k], b[s::k])
     return cells
-
-
-def combine_cells(a, b, merges):
-    """Window-by-window merge of two cell vectors of equal width."""
-    if len(a[0]) == 1:
-        return [[m(x[0], y[0])] for m, x, y in zip(merges, a, b)]
-    return list(map(list, map(map, merges, a, b)))
 
 
 def event_updates(accs, variable):
@@ -140,60 +138,68 @@ def event_updates(accs, variable):
     )
 
 
-def absorb_cells(pred, updates, attrs, is_start):
+def absorb_cells(pred, updates, attrs, is_start, k):
     """Cells of a fresh event, window by window, given the merged cells of
-    its predecessors in each window and the event's ``event_updates``.
+    its predecessors in each window, the event's ``event_updates`` and the
+    number ``k`` of slots per cell.
 
     The event extends every partial trend counted in ``pred`` and, when it
-    is of the start variable, opens one more. Slots the event does not
-    change are shared with ``pred``.
+    is of the start variable, opens one more. Raises ``AggregateOverflow``
+    when a float sum meets a trend count too large for a float.
     """
-    if len(pred[0]) == 1:
+    if len(pred) == k:
         return _absorb_one(pred, updates, attrs, is_start)
-    counts = [c + 1 for c in pred[0]] if is_start else pred[0]
+    counts = pred[::k]
     cells = pred.copy()
-    cells[0] = counts
-    for i, code, target, attr in updates:
-        prev = pred[i]
-        if code == ACC_COUNT:
-            cells[i] = [p + c for p, c in zip(prev, counts)]
-            continue
-        value = _value(attrs, target, attr)
-        # On zero trends the event contributes nothing; min/max must not
-        # pick up its value.
-        if code == ACC_SUM:
-            cells[i] = [p + value * c for p, c in zip(prev, counts)]
-        elif code == ACC_MIN:
-            cells[i] = [
-                p if c == 0 or p is not None and p <= value else value
-                for p, c in zip(prev, counts)
-            ]
-        else:
-            cells[i] = [
-                p if c == 0 or p is not None and p >= value else value
-                for p, c in zip(prev, counts)
-            ]
+    if is_start:
+        counts = [c + 1 for c in counts]
+        cells[::k] = counts
+    try:
+        for i, code, target, attr in updates:
+            prev = pred[i::k]
+            if code == ACC_COUNT:
+                cells[i::k] = map(add, prev, counts)
+                continue
+            value = _value(attrs, target, attr)
+            # On zero trends the event contributes nothing; min/max must not
+            # pick up its value.
+            if code == ACC_SUM:
+                cells[i::k] = [p + value * c for p, c in zip(prev, counts)]
+            elif code == ACC_MIN:
+                cells[i::k] = [
+                    p if c == 0 or p is not None and p <= value else value
+                    for p, c in zip(prev, counts)
+                ]
+            else:
+                cells[i::k] = [
+                    p if c == 0 or p is not None and p >= value else value
+                    for p, c in zip(prev, counts)
+                ]
+    except OverflowError as exc:
+        raise AggregateOverflow(f"the sum of {target}.{attr}", exc) from None
     return cells
 
 
 def _absorb_one(pred, updates, attrs, is_start):
     """``absorb_cells`` on a vector of one window."""
-    count = pred[0][0] + 1 if is_start else pred[0][0]
+    count = pred[0] + 1 if is_start else pred[0]
     cells = pred.copy()
-    if is_start:
-        cells[0] = [count]
-    for i, code, target, attr in updates:
-        p = pred[i][0]
-        if code == ACC_COUNT:
-            cells[i] = [p + count]
-            continue
-        value = _value(attrs, target, attr)
-        if code == ACC_SUM:
-            cells[i] = [p + value * count]
-        elif code == ACC_MIN:
-            cells[i] = [p if count == 0 or p is not None and p <= value else value]
-        else:
-            cells[i] = [p if count == 0 or p is not None and p >= value else value]
+    cells[0] = count
+    try:
+        for i, code, target, attr in updates:
+            p = pred[i]
+            if code == ACC_COUNT:
+                cells[i] = p + count
+                continue
+            value = _value(attrs, target, attr)
+            if code == ACC_SUM:
+                cells[i] = p + value * count
+            elif code == ACC_MIN:
+                cells[i] = p if count == 0 or p is not None and p <= value else value
+            else:
+                cells[i] = p if count == 0 or p is not None and p >= value else value
+    except OverflowError as exc:
+        raise AggregateOverflow(f"the sum of {target}.{attr}", exc) from None
     return cells
 
 
@@ -206,26 +212,20 @@ def _value(attrs, target, attr):
         ) from None
 
 
-def window_cell(cells, slot):
-    """The plain cell of one window out of a cell vector."""
-    return [values[slot] for values in cells]
-
-
-def identity_cell(accs):
-    return window_cell(identity_cells(accs, 1), 0)
-
-
 def finalize(cell, names, extractors):
     """Read the requested aggregate values out of a final cell, keyed by
     ``names`` (the aggregates' RETURN-clause spellings, in order)."""
     out = {}
-    for name, (how, a, b) in zip(names, extractors):
-        if how == "star":
-            value = cell[0]
-        elif how == "acc":
-            value = cell[a]
-        else:  # avg
-            total, n = cell[a], cell[b]
-            value = None if n == 0 else total / n
-        out[name] = value
+    try:
+        for name, (how, a, b) in zip(names, extractors):
+            if how == "star":
+                value = cell[0]
+            elif how == "acc":
+                value = cell[a]
+            else:  # avg
+                total, n = cell[a], cell[b]
+                value = None if n == 0 else total / n
+            out[name] = value
+    except OverflowError as exc:
+        raise AggregateOverflow(name, exc) from None
     return out

@@ -9,6 +9,7 @@ read-out of a window's aggregates and the accessors the tests read.
 from __future__ import annotations
 
 from collections import namedtuple
+from operator import add
 from typing import NamedTuple
 
 from ._kernels_py import MixedKernel
@@ -16,8 +17,8 @@ from .cells import (
     build_accumulators,
     event_updates,
     finalize,
+    identity_cell,
     merge_functions,
-    window_cell,
 )
 from .events import Event
 from .query import (
@@ -33,8 +34,8 @@ from .query import (
 
 KernelPlan = namedtuple(
     "KernelPlan",
-    "roles start end preds accs theta event_grained cumulative consume cont "
-    "merges updates type_preds kept_preds",
+    "roles start end theta event_grained cumulative consume cont "
+    "merges additive k identity updates type_preds kept_preds",
 )
 
 
@@ -42,7 +43,8 @@ def build_kernel_plan(query: Query, plan: GranularityPlan) -> KernelPlan:
     """The tables every kernel of the query reads, built once per query
     rather than once per partition key. ``type_preds`` and ``kept_preds``
     split each variable's predecessors by granularity; ``kept_preds`` pairs
-    each event-grained one with its adjacency checks."""
+    each event-grained one with its adjacency checks. A cell has ``k`` slots;
+    ``additive`` says that every one of them merges with ``add``."""
     template = query.template
     roles = tuple(sorted(template.types))
     preds = {r: tuple(sorted(template.pred_types[r])) for r in roles}
@@ -54,19 +56,21 @@ def build_kernel_plan(query: Query, plan: GranularityPlan) -> KernelPlan:
             )
     theta = {k: tuple(v) for k, v in theta.items()}
     accs, _ = build_accumulators(query.aggregates)
+    merges = merge_functions(accs)
     event_grained = plan.event_grained
     return KernelPlan(
         roles=roles,
         start=template.start_type,
         end=template.end_type,
-        preds=preds,
-        accs=accs,
         theta=theta,
         event_grained=event_grained,
         cumulative=query.semantics is Semantics.ANY,
         consume=query.semantics is Semantics.NEXT,
         cont=query.semantics is Semantics.CONT,
-        merges=merge_functions(accs),
+        merges=merges,
+        additive=all(m is add for m in merges),
+        k=len(merges),
+        identity=identity_cell(accs),
         updates={r: event_updates(accs, r) for r in roles},
         type_preds={
             r: tuple(p for p in preds[r] if p not in event_grained) for r in roles
@@ -131,7 +135,7 @@ class Engine:
         entries = self.kernel.entries()
         if entries > self.peak_entries:
             self.peak_entries = entries
-        return [(r, window_cell(cells, 0)) for r, cells in out]
+        return [(r, cells[: self.compiled.kplan.k]) for r, cells in out]
 
     def step_with_roles(self, event: Event, roles, width: int = 1):
         """Feed one event that falls into ``width`` windows, the open ones
@@ -166,12 +170,10 @@ class Engine:
 
     def role_count(self, role):
         """Current per-variable trend count (type-grained cells only)."""
-        return self.kernel.type_cells[role][0][0]
+        return self.kernel.type_cells[role][0]
 
     def stored_events(self):
         """(time, role, count) for retained events (mixed-grained only)."""
-        if self.mode is not Granularity.MIXED:
-            return []
         return [(t, r, cell[0]) for (t, r, cell) in self.kernel.stored()]
 
 

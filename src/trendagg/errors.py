@@ -63,3 +63,10 @@ class ExplosionGuard(TrendAggError):
     def __init__(self, cap):
         super().__init__(f"trend enumeration exceeded cap of {cap}")
         self.cap = cap
+
+
+class AggregateOverflow(TrendAggError):
+    """A float aggregate leaves the float range, e.g. through a trend count."""
+
+    def __init__(self, aggregate, reason):
+        super().__init__(f"{aggregate} exceeds the float range: {reason}")

@@ -180,6 +180,7 @@ def _read_blocks(path, schema):
         return _coerce(cell, kind, row_number, attr) if kind else _infer(cell)
 
     last_ms = -1
+    row_number = 0  # records read; a csv.Error is in the next one
     column_decoders = {}  # event type -> (attr, converter) per column
     block = []
     append = block.append
@@ -187,6 +188,7 @@ def _read_blocks(path, schema):
         reader = csv.reader(fh)
         try:
             header = next(reader, None)
+            row_number = 1
             if header is None:
                 return
             if len(header) < 2 or [h.strip().lower() for h in header[:2]] != ["time", "type"]:
@@ -256,7 +258,7 @@ def _read_blocks(path, schema):
                     block = []
                     append = block.append
         except csv.Error as exc:  # e.g. a field over the csv module's size limit
-            raise MalformedRow(reader.line_num, str(exc)) from None
+            raise MalformedRow(row_number + 1, str(exc)) from None
         except UnicodeDecodeError as exc:
             raise InputError(f"input {path}: not UTF-8 text ({exc.reason})") from None
     if block:

@@ -320,6 +320,33 @@ class TestErrors:
         )
 
 
+    @pytest.mark.parametrize(
+        "returns, values, message",
+        [
+            # 1,100 A events under skip-till-any-match: about 2^1100 trends,
+            # a count no float can hold, weights every float value.
+            ("SUM(A.v)", ["0.5"] * 1100, "the sum of A.v exceeds the float range"),
+            ("AVG(A.v)", ["0.5"] * 1100, "the sum of A.v exceeds the float range"),
+            # An exact integer sum whose mean is beyond the float range.
+            ("AVG(A.v)", ["1" + "0" * 400] * 3, "AVG(A.v) exceeds the float range"),
+        ],
+    )
+    def test_float_overflow_exits_2(self, workdir, capsys, returns, values, message):
+        (workdir / "big.csv").write_text(
+            "time,type,v\n" + "".join(f"{t},A,{v}\n" for t, v in enumerate(values, 1))
+        )
+        (workdir / "big.txt").write_text(
+            f"RETURN {returns} PATTERN A+ SEMANTICS any WITHIN 10000 s\n"
+        )
+        code = _run(
+            ["run", "--query", workdir / "big.txt", "--input", workdir / "big.csv"]
+        )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {message}: ")
+
+
 ROOT = Path(__file__).resolve().parents[1]
 
 

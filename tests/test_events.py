@@ -117,6 +117,17 @@ def test_read_rejects_a_field_over_the_csv_size_limit(tmp_path):
         read_csv_stream(path)
 
 
+def test_read_numbers_records_not_lines_after_a_multi_line_cell(tmp_path):
+    # Record 2's quoted cell spans two lines, so record 5 starts on line 6;
+    # a csv.Error and a backwards time in record 5 both name row 5.
+    head = 'time,type,note\n1,A,"two\nlines"\n2,A,x\n3,A,y\n'
+    oversized = _write(tmp_path, head + "4,A," + "x" * 200_000 + "\n")
+    with pytest.raises(MalformedRow, match=r"^row 5: field larger than field limit"):
+        read_csv_stream(oversized)
+    with pytest.raises(OutOfOrder, match=r"^row 5: time went backwards"):
+        read_csv_stream(_write(tmp_path, head + "1,A,z\n"))
+
+
 def _long_stream(tmp_path, rows, name="long.csv", bad=None):
     """A ``time,type,v`` file of ``rows`` rows, header included, one event
     per second; ``bad`` maps a row number to the text of that row."""

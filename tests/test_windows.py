@@ -233,6 +233,7 @@ _WINDOWED_FAMILIES = [
     ("cont", "A+", "A.v < NEXT(A).v AND A.v > 0", "COUNT(*), MAX(A.v)"),
     ("cont", "SEQ(A+, B, C+)", None, "COUNT(*), AVG(A.v)"),
     ("cont", "SEQ(A X+, A Y)", None, "COUNT(*), SUM(X.v), AVG(Y.v)"),
+    ("cont", "A+", "A.v < NEXT(A).v", "COUNT(*), SUM(A.v), AVG(A.v)"),
     ("next", "A+", None, "COUNT(*), SUM(A.v), MIN(A.v)"),
     ("next", "SEQ(A, B)", None, "COUNT(*), SUM(A.v), MIN(A.v)"),
     ("next", "SEQ(A+, B)", "A.v <= B.v", "COUNT(*), SUM(A.v), MIN(A.v)"),
@@ -240,6 +241,8 @@ _WINDOWED_FAMILIES = [
     ("next", "(SEQ(A+, B))+", "B.v < A.v", "COUNT(*), SUM(A.v), MIN(A.v)"),
     ("next", "(SEQ(A+, B+))+", None, "COUNT(*), SUM(A.v), MIN(A.v)"),
     ("next", "A+", "A.v < NEXT(A).v", "COUNT(*), SUM(A.v), MIN(A.v)"),
+    ("next", "A+", "A.v < NEXT(A).v", "COUNT(*), SUM(A.v), AVG(A.v)"),
+    ("next", "(SEQ(A+, B))+", "B.v < A.v", "COUNT(*), COUNT(A), SUM(B.v)"),
     ("next", "SEQ(A+, B, C+)", None, "COUNT(*), SUM(A.v), MIN(A.v)"),
 ]
 
