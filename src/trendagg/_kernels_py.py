@@ -26,9 +26,12 @@ them, oldest first, so the kernel opens ``width - self.width`` new windows
 at the back before it applies the event; a width not above the current one
 opens none. Windows open only at the first event of a timestamp, since
 events with equal timestamps fall into the same windows. ``final_cell``
-reads the oldest window and ``drop_front`` forgets it, cutting the first
-``k`` values off every vector. Events must arrive in non-decreasing time
-order.
+reads the oldest window and ``drop_front`` closes it. Closing is
+bookkeeping only: the closed windows stay at the front of the vectors,
+and the kept events that hold no open window stay at the front of the
+kept events, until the next ``step`` trims them off in one pass. A kernel
+whose last window closes is discarded rather than trimmed. Events must
+arrive in non-decreasing time order.
 
 Events with equal timestamps can never sit next to each other inside a
 trend, so all events sharing a timestamp are evaluated against the state as
@@ -36,12 +39,13 @@ it stood before the first of them ("shadow" copies keep the pre-batch cells
 of every variable already updated in the current batch).
 
 ``entries()`` counts one entry per cell held per open window, as if every
-window kept its own state: a vector of ``n`` values holds ``n // k`` cells.
+window kept its own state; closed windows not yet trimmed count for
+nothing.
 """
 
 from __future__ import annotations
 
-from itertools import chain, compress, repeat
+from itertools import chain, compress, islice, repeat
 from operator import add, eq
 
 from .cells import absorb_cells, combine_cells
@@ -132,6 +136,8 @@ class MixedKernel:
             else plan.identity.copy()
         )
         self._held = 0  # (kept event, open window) pairs
+        self._stale = 0  # closed windows still at the front of the vectors
+        self._dead = 0  # leading kept events that hold no open window
         self._shadow = {}
         self._batch = []  # contiguous: (roles, attrs) of this timestamp's events
         self._batch_time = -1
@@ -169,6 +175,8 @@ class MixedKernel:
         return sorted(chain.from_iterable(picked))
 
     def step(self, time, roles, attrs, width=1):
+        if self._stale:
+            self._trim()
         plan = self.plan
         cumulative = plan.cumulative
         if time != self._batch_time:
@@ -308,37 +316,57 @@ class MixedKernel:
         self._batch.clear()
 
     def drop_front(self):
-        k = self.plan.k
+        """Close the oldest open window; ``_trim`` cuts it off later."""
         self.width -= 1
         self.base += 1
+        self._stale += 1
         events = self.events
-        if events:
-            self._held -= len(events)  # every kept event holds the oldest window
-            gone = 0
-            for _, _, first, cells in events:
-                if first + len(cells) // k > self.base:
-                    break
-                gone += 1
-            if gone:
-                del events[:gone]
-                del self.roles[:gone]
-                for column in self.columns.values():
-                    del column[:gone]
-                self._watermark = max(0, self._watermark - gone)
-        self.type_cells = {r: c[k:] for r, c in self.type_cells.items()}
-        self._shadow = {r: c[k:] for r, c in self._shadow.items()}
-        if self.final_acc is not None:
-            self.final_acc = self.final_acc[k:]
+        dead = self._dead
+        # Every live kept event holds the window just closed. Their last
+        # windows never decrease in arrival order, so the dead ones lead.
+        self._held -= len(events) - dead
+        k = self.plan.k
+        base = self.base
+        for _, _, first, cells in islice(events, dead, None):
+            if first + len(cells) // k > base:
+                break
+            dead += 1
+        self._dead = dead
+
+    def _trim(self):
+        """Cut the windows closed since the last step off the vectors, and
+        the kept events that hold none of the open ones."""
+        cut = self._stale * self.plan.k
+        self._stale = 0
+        if self.type_cells:
+            self.type_cells = {r: c[cut:] for r, c in self.type_cells.items()}
+        if self._shadow:
+            self._shadow = {r: c[cut:] for r, c in self._shadow.items()}
+        if self.final_acc is not None:  # never handed out: cut in place
+            del self.final_acc[:cut]
+        dead = self._dead
+        if dead:
+            self._dead = 0
+            del self.events[:dead], self.roles[:dead]
+            for column in self.columns.values():
+                del column[:dead]
+            self._watermark = max(0, self._watermark - dead)
 
     def final_cell(self):
-        if self.final_acc is None:
-            return self.type_cells[self.plan.end][: self.plan.k]
-        return self.final_acc[: self.plan.k]
+        k = self.plan.k
+        at = self._stale * k
+        acc = self.final_acc
+        if acc is None:
+            acc = self.type_cells[self.plan.end]
+        return acc[at : at + k]
 
     def stored(self):
         """(time, role, cell) of every kept event, in the oldest window."""
         k = self.plan.k
-        return [(t, r, c[(self.base - f) * k :][:k]) for t, r, f, c in self.events]
+        return [
+            (t, r, c[(self.base - f) * k :][:k])
+            for t, r, f, c in islice(self.events, self._dead, None)
+        ]
 
     def entries(self):
         return self.width * (len(self.type_cells) + len(self._shadow)) + self._held

@@ -158,10 +158,6 @@ class Engine:
             cell = self.kernel.final_cell()
         return finalize(cell, self.compiled.names, self.compiled.extractors)
 
-    def drop_window(self):
-        """Forget the oldest open window."""
-        self.kernel.drop_front()
-
     # ---- trace accessors, of the oldest open window (used by tests) ----
 
     @property
@@ -170,7 +166,8 @@ class Engine:
 
     def role_count(self, role):
         """Current per-variable trend count (type-grained cells only)."""
-        return self.kernel.type_cells[role][0]
+        kernel = self.kernel
+        return kernel.type_cells[role][kernel._stale * kernel.plan.k]
 
     def stored_events(self):
         """(time, role, count) for retained events (mixed-grained only)."""

@@ -6,9 +6,9 @@ arithmetically from the event time: window ``w`` covers
 ``[w * slide, w * slide + within)`` milliseconds, so an event at time
 ``t`` falls into a contiguous run of ids. Windows close as soon as an
 event at or past their end boundary arrives (the stream is time-ordered),
-or when the stream ends. Closing a window reads each key's aggregates for
-it and drops that window from the key's state; a key with no open window
-left loses its engine.
+or when the stream ends. Closing a window only reads each key's aggregates
+for it: a key's state is trimmed of its closed windows at the key's next
+step, and a key with no open window left loses its engine.
 
 Since windows close before a later event is routed, the windows a key
 holds are always the oldest of the windows the key's next event falls
@@ -86,13 +86,33 @@ def route(event, probe, partition_attrs, cont):
     return None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ResultRow:
     wid: int
     window_start_ms: int
     window_end_ms: int
     key: tuple
     values: dict = field(compare=False)
+
+
+_new_object = object.__new__
+_set_wid = ResultRow.wid.__set__
+_set_start = ResultRow.window_start_ms.__set__
+_set_end = ResultRow.window_end_ms.__set__
+_set_key = ResultRow.key.__set__
+_set_values = ResultRow.values.__set__
+
+
+def _trusted_row(wid, start, end, key, values) -> ResultRow:
+    """A ``ResultRow`` set through the slot descriptors, skipping the
+    frozen ``__init__``'s ``object.__setattr__`` per field."""
+    row = _new_object(ResultRow)
+    _set_wid(row, wid)
+    _set_start(row, start)
+    _set_end(row, end)
+    _set_key(row, key)
+    _set_values(row, values)
+    return row
 
 
 class WindowManager:
@@ -197,25 +217,21 @@ class WindowManager:
         self._min_end = (
             self.spec.end_of(wid + 1) if self._keys_by_wid else float("inf")
         )
+        start = self.spec.start_of(wid)
+        end = self.spec.end_of(wid)
+        emitted = len(rows)
         for key in sorted(keys):
             engine = self._engines[key]
-            cell = engine.kernel.final_cell()
+            kernel = engine.kernel
+            cell = kernel.final_cell()
             if cell[0] != 0 or self.emit_empty:
-                self.rows_emitted += 1
-                rows.append(
-                    ResultRow(
-                        wid=wid,
-                        window_start_ms=self.spec.start_of(wid),
-                        window_end_ms=self.spec.end_of(wid),
-                        key=key,
-                        values=engine.results(cell),
-                    )
-                )
-            if engine.kernel.width == 1:  # the key's last window: drop it all
+                rows.append(_trusted_row(wid, start, end, key, engine.results(cell)))
+            if kernel.width == 1:  # the key's last window: drop it all
                 del self._engines[key]
                 self.current_entries -= self._entries.pop(key)
             else:
-                engine.drop_window()
-                entries = engine.kernel.entries()
+                kernel.drop_front()
+                entries = kernel.entries()
                 self.current_entries += entries - self._entries[key]
                 self._entries[key] = entries
+        self.rows_emitted += len(rows) - emitted

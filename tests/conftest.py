@@ -53,6 +53,11 @@ def make_query(
     return parse_query(text, schema)
 
 
+def row_tuples(rows):
+    """(wid, key, values) of each row; ``ResultRow`` equality skips values."""
+    return [(r.wid, r.key, r.values) for r in rows]
+
+
 @pytest.fixture
 def query_factory():
     return make_query

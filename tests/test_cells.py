@@ -248,12 +248,12 @@ def test_stored_predecessor_merges_match_one_window_kernels(data):
         for i, event in enumerate(stream):
             while engine.kernel.base * slide + length <= i:  # oldest window ended
                 finals.append(engine.kernel.final_cell())
-                engine.drop_window()
+                engine.kernel.drop_front()
             width = i // slide - engine.kernel.base + 1
             engine.step_with_roles(event, compiled.probe(event), width)
         while engine.kernel.width:
             finals.append(engine.kernel.final_cell())
-            engine.drop_window()
+            engine.kernel.drop_front()
         assert finals == [Engine(query).run(w).kernel.final_cell() for w in windows]
 
 

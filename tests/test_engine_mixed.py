@@ -15,7 +15,7 @@ from trendagg import (
 from trendagg.cli import oracle_rows
 from trendagg.oracle import aggregate_trends, enumerate_trends
 
-from conftest import SHOWCASE, make_query, stream_strategy
+from conftest import SHOWCASE, make_query, row_tuples, stream_strategy
 
 _VW_SCHEMA = Schema({"A": {"v": "int", "w": "int"}})
 _FLOAT_SCHEMA = Schema({"A": {"v": "float"}, "B": {"v": "float"}})
@@ -112,7 +112,7 @@ class TestMergedPredecessors:
         query = self._query(within="4 s", slide="1 s")
         rows = list(WindowManager(query).run(self.EVENTS))
         assert len(rows) > 1
-        assert rows == list(oracle_rows(query, self.EVENTS))
+        assert row_tuples(rows) == row_tuples(oracle_rows(query, self.EVENTS))
 
 
 class TestSelfAdjacency:

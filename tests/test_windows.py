@@ -1,16 +1,18 @@
 """Sliding-window routing, partitioning and lifecycle."""
 
+import dataclasses
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trendagg import Event, Schema, WindowManager, WindowSpec, windows_of
+from trendagg import Event, ResultRow, Schema, WindowManager, WindowSpec, windows_of
 from trendagg.cli import oracle_rows
 from trendagg.errors import MissingGroupAttribute, OutOfOrder
+from trendagg.windows import route
 
-from conftest import make_query
+from conftest import make_query, row_tuples
 
 GROUPED_SCHEMA = Schema(
     {t: {"v": "int", "g": "int"} for t in ("A", "B", "C")}
@@ -78,7 +80,7 @@ class TestLifecycle:
         assert rows == sorted(rows, key=lambda r: (r.wid, r.key))
         assert manager.rows_emitted == len(rows)
         again = WindowManager(query)  # a second pass over the same events
-        assert list(again.run(events)) == rows
+        assert row_tuples(again.run(events)) == row_tuples(rows)
         assert again.peak_entries == manager.peak_entries
 
     def test_entry_accounting_balances(self):
@@ -110,7 +112,57 @@ class TestLifecycle:
         assert [(r.wid, r.values["COUNT(*)"]) for r in rows] == [
             (0, 3), (1, 3), (2, 1), (3, 1),
         ]
-        assert rows == list(oracle_rows(query, events))
+        assert row_tuples(rows) == row_tuples(oracle_rows(query, events))
+
+    def test_idle_key_is_trimmed_at_its_next_step(self):
+        # Key 1 holds windows 0-2 when windows 0 and 1 close; the close only
+        # reads them, and key 1's next event cuts both off its state, with
+        # the kept event of 0 ms, which held window 0 only.
+        query = make_query(pattern="A+", where="A.v < NEXT(A).v",
+                           group_by="g", within="3 s", slide="1 s",
+                           schema=GROUPED_SCHEMA)
+        events = [_ev(0, "A", v=0, g=1), _ev(2000, "A", v=1, g=1),
+                  _ev(4000, "A", v=1, g=2), _ev(4500, "A", v=2, g=1)]
+        manager = WindowManager(query)
+        manager.ingest(events[0])
+        manager.ingest(events[1])
+        rows = manager.ingest(events[2])
+        assert [(r.wid, r.key) for r in rows] == [(0, (1,)), (1, (1,))]
+        kernel = manager._engines[(1,)].kernel
+        assert (kernel.base, kernel.width, kernel._stale, kernel._dead) == (2, 1, 2, 1)
+        assert [(t, cell[0]) for t, _, cell in kernel.stored()] == [(2000, 1)]
+        assert kernel.entries() == 1  # the kept event of 2 s, in window 2
+        assert len(kernel.final_acc) == 3 * kernel.plan.k
+        rows += manager.ingest(events[3])
+        assert (kernel._stale, kernel._dead) == (0, 0)
+        assert [t for t, _, _ in kernel.stored()] == [2000, 4500]
+        assert len(kernel.final_acc) == kernel.width * kernel.plan.k
+        rows += manager.finish()
+        assert row_tuples(rows) == row_tuples(oracle_rows(query, events))
+
+    def test_rows_are_frozen_dataclasses(self):
+        query = make_query(pattern="A+", group_by="g", returns="COUNT(*), SUM(A.v)",
+                           within="2 s", slide="1 s", schema=GROUPED_SCHEMA)
+        events = [_ev(500 * i, "A", v=i, g=i % 2) for i in range(1, 8)]
+        rows = list(WindowManager(query).run(events))
+        built = [
+            ResultRow(
+                wid=r.wid,
+                window_start_ms=query.slide_ms * r.wid,
+                window_end_ms=query.slide_ms * r.wid + query.within_ms,
+                key=r.key,
+                values=dict(r.values),
+            )
+            for r in rows
+        ]
+        assert rows == built
+        assert [repr(r) for r in rows] == [repr(r) for r in built]
+        assert [hash(r) for r in rows] == [hash(r) for r in built]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            rows[0].wid = 9
+        moved = dataclasses.replace(rows[0], wid=9)
+        assert (moved.wid, moved.key, moved.values) == (9, rows[0].key, rows[0].values)
+        assert rows[0].wid == built[0].wid
 
     def test_out_of_order_event_raises(self):
         query = make_query(pattern="A+", within="10 s", slide="5 s",
@@ -294,6 +346,65 @@ def test_windowed_rows_match_oracle(data):
     emit_empty = data.draw(st.booleans())
     got = list(WindowManager(query, emit_empty=emit_empty).run(events))
     want = list(oracle_rows(query, events, emit_empty=emit_empty))
-    assert [(r.wid, r.key, r.values) for r in got] == [
-        (r.wid, r.key, r.values) for r in want
-    ]
+    assert row_tuples(got) == row_tuples(want)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_closed_windows_are_trimmed_at_the_next_step(data):
+    """Keys left idle across several closes keep their closed windows until
+    their next step; the entry count stays logical all along."""
+    semantics, pattern, where, returns = data.draw(st.sampled_from(_WINDOWED_FAMILIES))
+    slide = data.draw(st.sampled_from((1000, 1500)))
+    within = slide * data.draw(st.integers(2, 5)) + data.draw(st.sampled_from((0, 500)))
+    query = make_query(
+        pattern=pattern,
+        semantics=semantics,
+        where=where,
+        returns=returns,
+        group_by="g",
+        within=f"{within} ms",
+        slide=f"{slide} ms",
+        schema=GROUPED_SCHEMA,
+    )
+    events, t = [], 0
+    for _ in range(data.draw(st.integers(1, 24))):
+        t += data.draw(st.sampled_from((0, 500, 1000, 2500)))
+        events.append(
+            _ev(
+                t,
+                data.draw(st.sampled_from("AABBC")),
+                v=data.draw(st.integers(0, 4)),
+                g=data.draw(st.sampled_from((1, 1, 2, 3, 4))),
+            )
+        )
+    emit_empty = data.draw(st.booleans())
+    manager = WindowManager(query, emit_empty=emit_empty)
+    k = manager.compiled.kplan.k
+    got = []
+    for event in events:
+        got += manager.ingest(event)
+        engines = manager._engines
+        assert manager.current_entries == sum(
+            e.kernel.entries() for e in engines.values()
+        )
+        routed = route(event, manager._probe, manager._partition_attrs, manager._cont)
+        if routed is None or routed[1] not in engines:
+            continue
+        kernel = engines[routed[1]].kernel  # it just stepped: nothing stale
+        vectors = list(kernel.type_cells.values())
+        if kernel.final_acc is not None:
+            vectors.append(kernel.final_acc)
+        assert [len(v) for v in vectors] == [kernel.width * k] * len(vectors)
+        held = [f + len(c) // k - kernel.base for _, _, f, c in kernel.events]
+        assert all(n > 0 for n in held)  # no kept event outlived its windows
+        assert kernel.roles == [r for _, r, _, _ in kernel.events]
+        assert {len(c) for c in kernel.columns.values()} <= {len(kernel.events)}
+        held = sum(held)
+        assert kernel.entries() == (
+            kernel.width * (len(kernel.type_cells) + len(kernel._shadow)) + held
+        )
+    got += manager.finish()
+    assert manager.current_entries == 0
+    want = oracle_rows(query, events, emit_empty=emit_empty)
+    assert row_tuples(got) == row_tuples(want)
