@@ -115,8 +115,13 @@ def identity_cell(accs):
 
 
 def combine_cells(a, b, merges, additive):
-    """Window-by-window merge of two cell vectors of equal width;
-    ``additive`` says that every one of ``merges`` is ``add``."""
+    """Window-by-window merge of two cell vectors that start at the same
+    window; ``additive`` says that every one of ``merges`` is ``add``. One
+    vector may end before the other: past its end it holds the identity,
+    so there the other's cells are taken as they are."""
+    if len(a) != len(b):
+        n = min(len(a), len(b))
+        return combine_cells(a[:n], b[:n], merges, additive) + (a[n:] or b[n:])
     if additive:
         return list(map(add, a, b))
     k = len(merges)

@@ -20,7 +20,11 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import os
+import shutil
 import sys
+import tempfile
+from contextlib import ExitStack, contextmanager
 
 from .errors import InputError, TrendAggError
 from .events import (
@@ -81,16 +85,38 @@ def write_rows(rows, query: Query, fh) -> int:
     return n
 
 
+@contextmanager
 def _load(args):
-    schema = Schema.from_json(args.schema) if args.schema else None
-    events = read_csv_stream(args.input, schema=schema)
-    if schema is None:  # inferring kinds walks the stream once before the run
-        events = list(events)
-        schema = infer_schema(events)
-    query = load_query(args.query, schema)
-    if getattr(args, "semantics", None):
-        query = dataclasses.replace(query, semantics=Semantics(args.semantics))
-    return query, events
+    """The query and its event stream, for the length of the block.
+
+    Without ``--schema`` the input is read twice: once to infer each
+    column's kind, then to decode every cell by its column's kind, as a
+    declared schema would. An input that is not a regular file, such as a
+    pipe, cannot be read twice; it is first copied to a temporary file.
+    """
+    with ExitStack() as stack:
+        path = args.input
+        if args.schema:
+            schema = Schema.from_json(args.schema)
+        else:
+            if not os.path.isfile(path):
+                path = stack.enter_context(_spooled(path))
+            schema = infer_schema(read_csv_stream(path))
+        events = read_csv_stream(path, schema=schema)
+        query = load_query(args.query, schema)
+        if getattr(args, "semantics", None):
+            query = dataclasses.replace(query, semantics=Semantics(args.semantics))
+        yield query, events
+
+
+@contextmanager
+def _spooled(path):
+    """A temporary copy of the file at ``path``, removed on exit."""
+    with tempfile.TemporaryDirectory(prefix="trendagg-") as tmp:
+        copy = os.path.join(tmp, "input.csv")
+        with open(path, "rb") as source, open(copy, "wb") as target:
+            shutil.copyfileobj(source, target)
+        yield copy
 
 
 def _write_out(rows, query: Query, path) -> int:
@@ -103,9 +129,10 @@ def _write_out(rows, query: Query, path) -> int:
 
 
 def cmd_run(args) -> int:
-    query, events = _load(args)
-    manager = WindowManager(query, emit_empty=args.emit_empty)
-    n = _write_out(list(manager.run(events)), query, args.output)
+    with _load(args) as (query, events):
+        manager = WindowManager(query, emit_empty=args.emit_empty)
+        rows = list(manager.run(events))
+    n = _write_out(rows, query, args.output)
     print(
         f"{manager.events_ingested} events -> {n} rows, "
         f"peak state {manager.peak_entries} entries",
@@ -149,15 +176,15 @@ def oracle_rows(query: Query, events, cap: int = DEFAULT_CAP, emit_empty: bool =
 
 
 def cmd_oracle(args) -> int:
-    query, events = _load(args)
     read = 0
 
-    def counted():
+    def counted(events):
         nonlocal read
         for read, event in enumerate(events, 1):
             yield event
 
-    rows = list(oracle_rows(query, counted(), args.oracle_cap, args.emit_empty))
+    with _load(args) as (query, events):
+        rows = list(oracle_rows(query, counted(events), args.oracle_cap, args.emit_empty))
     n = _write_out(rows, query, args.output)
     print(f"{read} events -> {n} rows (oracle)", file=sys.stderr)
     return 0

@@ -130,7 +130,8 @@ class Engine:
     def step(self, event: Event):
         """Feed one event; returns the cells created for it in the oldest
         open window, one per variable it plays, and tracks
-        ``peak_entries``."""
+        ``peak_entries``. An event with a later time first ends the
+        previous timestamp (the kernel does so as it steps)."""
         out = self.step_with_roles(event, self.compiled.probe(event))
         entries = self.kernel.entries()
         if entries > self.peak_entries:
@@ -165,9 +166,12 @@ class Engine:
         return self.kernel.final_cell()[0]
 
     def role_count(self, role):
-        """Current per-variable trend count (type-grained cells only)."""
+        """Current per-variable trend count (type-grained cells only); a
+        variable without cells has none."""
         kernel = self.kernel
-        return kernel.type_cells[role][kernel._stale * kernel.plan.k]
+        at = kernel._stale * kernel.plan.k
+        cells = kernel.type_cells.get(role, ())
+        return cells[at] if len(cells) > at else 0
 
     def stored_events(self):
         """(time, role, count) for retained events (mixed-grained only)."""

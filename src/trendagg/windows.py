@@ -8,7 +8,9 @@ arithmetically from the event time: window ``w`` covers
 event at or past their end boundary arrives (the stream is time-ordered),
 or when the stream ends. Closing a window only reads each key's aggregates
 for it: a key's state is trimmed of its closed windows at the key's next
-step, and a key with no open window left loses its engine.
+step, and a key with no open window left loses its engine. Before that,
+as soon as an event with a later time arrives, every key that stepped at
+the previous time ends that timestamp, which frees its tie state.
 
 Since windows close before a later event is routed, the windows a key
 holds are always the oldest of the windows the key's next event falls
@@ -127,7 +129,7 @@ class WindowManager:
         self._partition_attrs = query.partition_attrs
         self._probe = self.compiled.probe
         self._engines = {}  # key -> Engine over the key's open windows
-        self._entries = {}  # key -> the engine's entries() after its last change
+        self._stepped = []  # kernels that stepped at the last timestamp
         self._keys_by_wid = {}  # open window id -> keys holding it
         self._first_wid = 0  # oldest open window id
         self._min_end = float("inf")
@@ -144,9 +146,12 @@ class WindowManager:
         naming its position among the events fed so far.
         """
         time = event.time
-        if time < self._last_time:
-            raise OutOfOrder(self.events_ingested + 1, self._last_time, time)
-        self._last_time = time
+        if time != self._last_time:
+            if time < self._last_time:
+                raise OutOfOrder(self.events_ingested + 1, self._last_time, time)
+            self._last_time = time
+            if self._stepped:  # before any window closes
+                self._end_timestamp()
         rows = self.close_expired(time) if time >= self._min_end else []
         self.events_ingested += 1
         routed = route(event, self._probe, self._partition_attrs, self._cont)
@@ -170,13 +175,24 @@ class WindowManager:
             return rows
         else:
             width = 0
+        kernel = engine.kernel
+        if kernel.time is None:  # its first step at this time
+            self._stepped.append(kernel)
+        before = kernel.entry_count
         engine.step_with_roles(event, roles, width)
-        entries = engine.kernel.entries()
-        self.current_entries += entries - self._entries.get(key, 0)
-        self._entries[key] = entries
+        self.current_entries += kernel.entry_count - before
         if self.current_entries > self.peak_entries:
             self.peak_entries = self.current_entries
         return rows
+
+    def _end_timestamp(self):
+        """End the last timestamp in every kernel that stepped at it: the
+        stream has moved past it, or ended."""
+        freed = 0
+        for kernel in self._stepped:
+            freed += kernel.end_timestamp()
+        self.current_entries -= freed
+        self._stepped.clear()
 
     def _open(self, wid, key):
         keys = self._keys_by_wid.get(wid)
@@ -195,6 +211,8 @@ class WindowManager:
 
     def close_expired(self, now_ms: int):
         """Emit and drop every window that ended at or before ``now_ms``."""
+        if now_ms > self._last_time and self._stepped:  # the stream is past it
+            self._end_timestamp()
         rows = []
         while now_ms >= self._min_end:
             self._close_oldest(rows)
@@ -202,6 +220,7 @@ class WindowManager:
 
     def finish(self):
         """Emit everything still open, in (window id, key) order."""
+        self._end_timestamp()
         rows = []
         while self._keys_by_wid:
             self._close_oldest(rows)
@@ -220,6 +239,7 @@ class WindowManager:
         start = self.spec.start_of(wid)
         end = self.spec.end_of(wid)
         emitted = len(rows)
+        freed = 0
         for key in sorted(keys):
             engine = self._engines[key]
             kernel = engine.kernel
@@ -228,10 +248,8 @@ class WindowManager:
                 rows.append(_trusted_row(wid, start, end, key, engine.results(cell)))
             if kernel.width == 1:  # the key's last window: drop it all
                 del self._engines[key]
-                self.current_entries -= self._entries.pop(key)
+                freed += kernel.entry_count
             else:
-                kernel.drop_front()
-                entries = kernel.entries()
-                self.current_entries += entries - self._entries[key]
-                self._entries[key] = entries
+                freed += kernel.drop_front()
+        self.current_entries -= freed
         self.rows_emitted += len(rows) - emitted

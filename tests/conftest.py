@@ -1,7 +1,8 @@
 import pytest
 from hypothesis import strategies as st
 
-from trendagg import Event, Schema, parse_query
+from trendagg import Event, Granularity, GranularityPlan, Schema, WindowManager, parse_query
+from trendagg.engines import build_kernel_plan
 
 # A/B/C event types, one int attribute each. The showcase stream below is
 # the worked example every engine is traced against: with pattern
@@ -56,6 +57,21 @@ def make_query(
 def row_tuples(rows):
     """(wid, key, values) of each row; ``ResultRow`` equality skips values."""
     return [(r.wid, r.key, r.values) for r in rows]
+
+
+def fine_manager(query, emit_empty=False):
+    """A ``WindowManager`` on the finest plan, in which every variable is
+    event-grained and each event is kept individually. It is exact like
+    the coarse plan and polynomial, so it is a second reference where the
+    enumerating oracle cannot follow."""
+    manager = WindowManager(query, emit_empty=emit_empty)
+    fine = GranularityPlan(
+        Granularity.MIXED, frozenset(query.template.types), frozenset()
+    )
+    manager.compiled = manager.compiled._replace(
+        plan=fine, kplan=build_kernel_plan(query, fine)
+    )
+    return manager
 
 
 @pytest.fixture

@@ -5,6 +5,8 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
+import threading
 from pathlib import Path
 
 import pytest
@@ -31,7 +33,14 @@ def _run(args):
 
 class TestRun:
     def test_showcase_counts(self, workdir, capsys):
-        for semantics, expected in (("any", 43), ("next", 8), ("cont", 2)):
+        # Type-grained under every semantics, one cell per variable with
+        # readable trends. any: cells for A and B, plus A's shadow while a3's
+        # timestamp lasts. next: an event consumes the cell it reads, so one
+        # cell is held at a time. cont: the cell the last timestamp passed on
+        # and the current timestamp's.
+        for semantics, expected, peak in (
+            ("any", 43, 3), ("next", 8, 1), ("cont", 2, 2)
+        ):
             out = workdir / f"out_{semantics}.csv"
             code = _run(
                 ["run", "--query", workdir / "q.txt", "--input",
@@ -42,10 +51,8 @@ class TestRun:
             lines = out.read_text().strip().splitlines()
             assert lines[0] == "wid,window_start_ms,window_end_ms,COUNT(*)"
             assert lines[1] == f"0,0,100000,{expected}"
-            # Type-grained under every semantics: a cell for A and for B,
-            # plus the shadow of the one variable updated per timestamp.
             assert capsys.readouterr().err == (
-                "8 events -> 1 rows, peak state 3 entries\n"
+                f"8 events -> 1 rows, peak state {peak} entries\n"
             )
 
     def test_stdout_default(self, workdir, capsys):
@@ -91,6 +98,78 @@ class TestRun:
             blobs.append(out.read_bytes())
         assert blobs[0] == blobs[1]
 
+
+class TestInferredSchema:
+    """Without ``--schema``, every cell is decoded by its column's inferred
+    kind: the output is that of a run given the inferred schema."""
+
+    @pytest.mark.parametrize(
+        "cells, query, kind, out, err",
+        [
+            # A str column with one numeric cell: compared as strings.
+            (["abc", "5"], "RETURN COUNT(*) PATTERN A+ SEMANTICS any "
+             "WHERE A.v < NEXT(A).v WITHIN 100 s", "str",
+             ["wid,window_start_ms,window_end_ms,COUNT(*)", "0,0,100000,2"],
+             "2 events -> 1 rows, peak state 2 entries\n"),
+            # An int cell in a float column sums as a float.
+            (["1", "2.5"], "RETURN SUM(A.v) PATTERN A+ SEMANTICS any WITHIN 1 s",
+             "float", ["wid,window_start_ms,window_end_ms,SUM(A.v)",
+                       "1,1000,2000,1.0", "2,2000,3000,2.5"],
+             "2 events -> 2 rows, peak state 1 entries\n"),
+            # 1,100 rising ints, then two floats: about 2^1100 trends weight
+            # every value, and a float sum of them overflows.
+            ([*map(str, range(1, 1101)), "-1.5", "10000000"],
+             "RETURN COUNT(*), SUM(A.v) PATTERN A+ SEMANTICS any "
+             "WHERE A.v < NEXT(A).v WITHIN 10000 s", "float", [],
+             "error: the sum of A.v exceeds the float range: "
+             "int too large to convert to float\n"),
+        ],
+        ids=["str-column", "int-in-float-column", "float-sum-overflow"],
+    )
+    def test_cells_decode_by_the_inferred_kind(
+        self, workdir, capsys, cells, query, kind, out, err
+    ):
+        (workdir / "in.csv").write_text(
+            "time,type,v\n" + "".join(f"{t},A,{v}\n" for t, v in enumerate(cells, 1))
+        )
+        (workdir / "in.txt").write_text(query + "\n")
+        (workdir / "in.json").write_text(f'{{"A": {{"v": "{kind}"}}}}')
+        for schema in ([], ["--schema", workdir / "in.json"]):
+            code = _run(
+                ["run", "--query", workdir / "in.txt", "--input", workdir / "in.csv",
+                 *schema]
+            )
+            captured = capsys.readouterr()
+            assert (code, captured.err) == (2 if err.startswith("error") else 0, err)
+            assert captured.out.splitlines() == out
+
+    def test_a_pipe_is_read_through_a_temporary_copy(
+        self, workdir, capsys, monkeypatch
+    ):
+        spool = workdir / "spool"
+        spool.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(spool))
+        fifo = workdir / "stream.fifo"
+        os.mkfifo(fifo)
+        data = (workdir / "stream.csv").read_bytes()
+
+        def feed():
+            with open(fifo, "wb") as fh:
+                fh.write(data)
+
+        writer = threading.Thread(target=feed)
+        writer.start()
+        try:
+            code = _run(["run", "--query", workdir / "q.txt", "--input", fifo])
+        finally:
+            writer.join(timeout=10)
+        piped = capsys.readouterr()
+        assert code == 0
+        assert list(spool.iterdir()) == []  # the copy is gone
+        assert _run(
+            ["run", "--query", workdir / "q.txt", "--input", workdir / "stream.csv"]
+        ) == 0
+        assert capsys.readouterr() == piped
 
 class TestOracle:
     def test_agrees_with_run(self, workdir, capsys):
@@ -359,6 +438,22 @@ def _module(args, **env):
         [sys.executable, "-m", "trendagg", *map(str, args)],
         capture_output=True, env=env, timeout=60,
     )
+
+
+@pytest.mark.parametrize("command", ["run", "oracle"])
+def test_a_float_sum_past_the_float_range_reads_inf(workdir, capsys, command):
+    (workdir / "big.csv").write_text("time,type,v\n1,A,1e308\n2,A,1e308\n")
+    (workdir / "big.txt").write_text(
+        "RETURN COUNT(*), SUM(A.v), AVG(A.v) PATTERN A+ SEMANTICS any WITHIN 100 s\n"
+    )
+    code = _run(
+        [command, "--query", workdir / "big.txt", "--input", workdir / "big.csv"]
+    )
+    assert code == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "wid,window_start_ms,window_end_ms,COUNT(*),SUM(A.v),AVG(A.v)",
+        "0,0,100000,3,inf,inf",
+    ]
 
 
 def test_module_entry_point():

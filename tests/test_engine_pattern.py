@@ -120,6 +120,7 @@ class TestEdgeBehaviour:
         engine.step(Event(1000, "A", {"v": 1}))
         assert engine.entries() > idle
         engine.step(Event(2000, "C", {"v": 0}))
+        engine.kernel.end_timestamp()  # the stream moves past the gap
         assert engine.entries() == idle
         assert engine.step(Event(3000, "B", {"v": 0}))[0][1][0] == 0
 

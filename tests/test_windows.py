@@ -1,6 +1,7 @@
 """Sliding-window routing, partitioning and lifecycle."""
 
 import dataclasses
+import math
 import random
 
 import pytest
@@ -12,10 +13,13 @@ from trendagg.cli import oracle_rows
 from trendagg.errors import MissingGroupAttribute, OutOfOrder
 from trendagg.windows import route
 
-from conftest import make_query, row_tuples
+from conftest import fine_manager, make_query, row_tuples
 
 GROUPED_SCHEMA = Schema(
     {t: {"v": "int", "g": "int"} for t in ("A", "B", "C")}
+)
+FLOAT_SCHEMA = Schema(
+    {t: {"v": "float", "g": "int"} for t in ("A", "B", "C")}
 )
 
 
@@ -139,6 +143,17 @@ class TestLifecycle:
         assert len(kernel.final_acc) == kernel.width * kernel.plan.k
         rows += manager.finish()
         assert row_tuples(rows) == row_tuples(oracle_rows(query, events))
+
+    def test_closing_ahead_of_the_stream_ends_the_timestamp(self):
+        # A key dropped by an explicit close while its timestamp lasted must
+        # not have its tie state freed a second time later.
+        manager = WindowManager(make_query(pattern="A+", within="10 s"))
+        manager.ingest(_ev(1000, "A"))
+        manager.ingest(_ev(2000, "A"))
+        assert [r.values for r in manager.close_expired(20000)] == [{"COUNT(*)": 3}]
+        assert manager.current_entries == 0
+        manager.ingest(_ev(20000, "A"))
+        assert manager.current_entries == 1  # the cell of 20 s
 
     def test_rows_are_frozen_dataclasses(self):
         query = make_query(pattern="A+", group_by="g", returns="COUNT(*), SUM(A.v)",
@@ -349,11 +364,102 @@ def test_windowed_rows_match_oracle(data):
     assert row_tuples(got) == row_tuples(want)
 
 
+def _values_agree(got, want):
+    """Counts and MIN/MAX exactly, float sums and averages within rel 1e-9."""
+    if isinstance(got, float) or isinstance(want, float):
+        return math.isclose(got, want, rel_tol=1e-9)
+    return got == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_windowed_rows_match_the_fine_plan(data):
+    """The coarse plan against the finest one, which keeps every event
+    individually: the same rows, with floats within rel 1e-9 since the two
+    plans merge in different orders, and never more state. Windows hold up
+    to hundreds of events, far past what the enumerating oracle can
+    follow."""
+    semantics, pattern, where, returns = data.draw(st.sampled_from(_WINDOWED_FAMILIES))
+    grouped = data.draw(st.booleans())
+    slide = data.draw(st.sampled_from((2000, 5000)))
+    within = slide * data.draw(st.integers(1, 4)) + data.draw(st.sampled_from((0, 500)))
+    query = make_query(
+        pattern=pattern,
+        semantics=semantics,
+        where=where,
+        returns=returns,
+        group_by="g" if grouped else None,
+        within=f"{within} ms",
+        slide=f"{slide} ms",
+        schema=FLOAT_SCHEMA,
+    )
+    n = data.draw(st.integers(0, 400))
+    steps = data.draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from((0, 10, 50)),  # 0: a tie
+                st.sampled_from("AABBC"),
+                st.sampled_from((0.0, 0.5, 1.25, 2.0, 3.75)),
+                st.sampled_from((1, 2)),
+            ),
+            min_size=n,
+            max_size=n,
+        )
+    )
+    events, t = [], 0
+    for gap, etype, v, g in steps:
+        t += gap
+        events.append(_ev(t, etype, v=v, g=g))
+    emit_empty = data.draw(st.booleans())
+    coarse = WindowManager(query, emit_empty=emit_empty)
+    fine = fine_manager(query, emit_empty=emit_empty)
+    got = list(coarse.run(events))
+    want = list(fine.run(events))
+    assert [(r.wid, r.key) for r in got] == [(r.wid, r.key) for r in want]
+    for g, w in zip(got, want):
+        assert g.values.keys() == w.values.keys()
+        assert all(_values_agree(g.values[a], w.values[a]) for a in g.values), (g, w)
+    assert coarse.peak_entries <= fine.peak_entries
+
+
+def test_the_fine_plan_follows_past_the_oracle():
+    # 400 A events over 40 s finish 2^400 - 1 trends of A+ in window 0 and
+    # 2^200 - 1 in window 1, which holds the last 200: far past
+    # enumeration, and exact in both plans.
+    query = make_query(
+        pattern="A+", returns="COUNT(*), SUM(A.v), MAX(A.v)",
+        within="60 s", slide="20 s", schema=FLOAT_SCHEMA,
+    )
+    events = [_ev(100 * i, "A", v=(i % 7) / 4) for i in range(400)]
+    coarse = WindowManager(query)
+    got = list(coarse.run(events))
+    fine = fine_manager(query)
+    want = list(fine.run(events))
+    assert [r.values["COUNT(*)"] for r in got] == [2**400 - 1, 2**200 - 1]
+    assert [(r.wid, r.key) for r in got] == [(r.wid, r.key) for r in want]
+    for g, w in zip(got, want):
+        assert all(_values_agree(g.values[a], w.values[a]) for a in g.values)
+    assert coarse.peak_entries < fine.peak_entries
+
+
+def _recount(kernel):
+    """A kernel's entries counted from its state: each type cell and shadow
+    once per open window it reaches, each kept event once per open window
+    that holds it."""
+    k = kernel.plan.k
+    vectors = [*kernel.type_cells.values(), *kernel._shadow.values()]
+    cells = sum(max(0, len(v) // k - kernel._stale) for v in vectors)
+    held = sum(max(0, f + len(c) // k - kernel.base) for _, _, f, c in kernel.events)
+    return cells + held
+
+
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_closed_windows_are_trimmed_at_the_next_step(data):
     """Keys left idle across several closes keep their closed windows until
-    their next step; the entry count stays logical all along."""
+    their next step; the entry count stays logical all along, each kernel
+    keeps its own count current, and only the kernels that stepped at the
+    current timestamp hold a shadow."""
     semantics, pattern, where, returns = data.draw(st.sampled_from(_WINDOWED_FAMILIES))
     slide = data.draw(st.sampled_from((1000, 1500)))
     within = slide * data.draw(st.integers(2, 5)) + data.draw(st.sampled_from((0, 500)))
@@ -384,26 +490,29 @@ def test_closed_windows_are_trimmed_at_the_next_step(data):
     got = []
     for event in events:
         got += manager.ingest(event)
-        engines = manager._engines
-        assert manager.current_entries == sum(
-            e.kernel.entries() for e in engines.values()
-        )
+        kernels = [e.kernel for e in manager._engines.values()]
+        counts = [_recount(kernel) for kernel in kernels]
+        assert [kernel.entry_count for kernel in kernels] == counts
+        assert manager.current_entries == sum(counts)
+        for kernel in kernels:
+            assert kernel.time in (None, event.time)
+            if kernel.time is None:  # its timestamp ended as the stream moved on
+                assert not kernel._shadow
         routed = route(event, manager._probe, manager._partition_attrs, manager._cont)
-        if routed is None or routed[1] not in engines:
+        if routed is None or routed[1] not in manager._engines:
             continue
-        kernel = engines[routed[1]].kernel  # it just stepped: nothing stale
-        vectors = list(kernel.type_cells.values())
+        kernel = manager._engines[routed[1]].kernel  # it just stepped: nothing stale
+        assert kernel._stale == 0
+        # A type cell or shadow reaches from the oldest open window to at
+        # most the newest; past its end it reads as the identity.
+        assert all(0 < len(v) <= kernel.width * k for v in kernel.type_cells.values())
+        assert all(len(v) <= kernel.width * k for v in kernel._shadow.values())
         if kernel.final_acc is not None:
-            vectors.append(kernel.final_acc)
-        assert [len(v) for v in vectors] == [kernel.width * k] * len(vectors)
+            assert len(kernel.final_acc) == kernel.width * k
         held = [f + len(c) // k - kernel.base for _, _, f, c in kernel.events]
         assert all(n > 0 for n in held)  # no kept event outlived its windows
         assert kernel.roles == [r for _, r, _, _ in kernel.events]
         assert {len(c) for c in kernel.columns.values()} <= {len(kernel.events)}
-        held = sum(held)
-        assert kernel.entries() == (
-            kernel.width * (len(kernel.type_cells) + len(kernel._shadow)) + held
-        )
     got += manager.finish()
     assert manager.current_entries == 0
     want = oracle_rows(query, events, emit_empty=emit_empty)
