@@ -26,13 +26,13 @@ them, oldest first, so the kernel opens ``width - self.width`` new windows
 at the back before it applies the event; a width not above the current one
 opens none. Windows open only at the first event of a timestamp, since
 events with equal timestamps fall into the same windows. ``final_cell``
-reads the oldest window and ``drop_front`` closes it; a caller ends the
-current timestamp before it closes a window. Closing is
-bookkeeping only: the closed windows stay at the front of the vectors,
-and the kept events that hold no open window stay at the front of the
-kept events, until the next ``step`` trims them off in one pass. A kernel
-whose last window closes is discarded rather than trimmed. Events must
-arrive in non-decreasing time order.
+reads the oldest window and ``drop_front`` closes it; closing a window
+ends the current timestamp. Otherwise closing is bookkeeping only: the
+closed windows stay at the front of the vectors, and the kept events that
+hold no open window stay at the front of the kept events, until the next
+``step`` trims them off in one pass. A kernel whose last window closes is
+discarded rather than trimmed. Events must arrive in non-decreasing time
+order.
 
 Events with equal timestamps can never sit next to each other inside a
 trend, so all events sharing a timestamp are evaluated against the state as
@@ -40,8 +40,8 @@ it stood before the first of them ("shadow" copies keep the pre-batch cells
 of every variable already updated in the current batch). A shadow lives
 only while its timestamp lasts: ``end_timestamp()`` ends the timestamp,
 and the caller calls it as soon as the stream moves past that timestamp.
-A kernel that steps at a later time without it ends the timestamp itself
-first.
+A kernel that steps at a later time, or closes a window, without it ends
+the timestamp itself first.
 
 A type-grained variable with no readable trends holds no cell: a new
 kernel holds none, and a variable whose trends are consumed or cut off
@@ -51,15 +51,17 @@ updated in. An absent cell, and the windows past the end of a vector,
 read as the identity cell, and merging the identity changes nothing:
 counts add 0, sums never hold -0.0, and MIN and MAX skip ``None``.
 
-``entries()`` counts one entry per held cell vector (type cells and
+``entry_count`` counts one entry per held cell vector (type cells and
 shadows) per open window it reaches, and one per kept event per open
 window that holds it, as if every window kept its own state; closed
-windows not yet trimmed count for nothing. The count is kept in ``entry_count`` as
-``step``, ``end_timestamp`` and ``drop_front`` change it.
+windows not yet trimmed count for nothing. ``step``, ``end_timestamp``
+and ``drop_front`` keep it current. ``snapshot()`` reads the trend counts
+of the oldest open window and the entry count.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from itertools import chain, compress, islice, repeat
 from operator import add, eq
 
@@ -67,6 +69,8 @@ from .cells import absorb_cells, combine_cells
 from .errors import MissingAttribute
 
 BACKEND_NAME = "python"
+
+Snapshot = namedtuple("Snapshot", "final counts stored entries")
 
 
 class _Absent:
@@ -149,8 +153,7 @@ class MixedKernel:
             if plan.cumulative and plan.end not in plan.event_grained
             else plan.identity.copy()
         )
-        # (cell vector or kept event, open window) pairs: what entries()
-        # returns.
+        # (cell vector or kept event, open window) pairs.
         self.entry_count = 0
         self._stale = 0  # closed windows still at the front of the vectors
         self._dead = 0  # leading kept events that hold no open window
@@ -319,8 +322,6 @@ class MixedKernel:
             self._watermark = len(self.events)
             self.time = None
             return 0
-        if self._stale:  # _forget counts a kept event's windows from base
-            self._trim()
         plan = self.plan
         before = self.entry_count
         if plan.cumulative:  # the shadows go
@@ -374,8 +375,9 @@ class MixedKernel:
         self._batch.clear()
 
     def drop_front(self):
-        """Close the oldest open window; ``_trim`` cuts it off later.
-        Returns the number of entries freed."""
+        """End the current timestamp and close the oldest open window;
+        ``_trim`` cuts it off later. Returns the number of entries freed."""
+        freed = self.end_timestamp() if self.time is not None else 0
         k = self.plan.k
         at = self._stale * k  # where the closing window sits in the vectors
         self.width -= 1
@@ -385,32 +387,29 @@ class MixedKernel:
         dead = self._dead
         # Every live kept event holds the window just closed. Their last
         # windows never decrease in arrival order, so the dead ones lead.
-        freed = len(events) - dead
+        freed += len(events) - dead
         base = self.base
         for _, _, first, cells in islice(events, dead, None):
             if first + len(cells) // k > base:
                 break
             dead += 1
         self._dead = dead
-        if self.type_cells or self._shadow:
-            for cells in chain(self.type_cells.values(), self._shadow.values()):
-                if len(cells) > at:  # it reaches the window just closed
-                    freed += 1
+        for cells in self.type_cells.values():
+            if len(cells) > at:  # it reaches the window just closed
+                freed += 1
         self.entry_count -= freed
         return freed
 
     def _trim(self):
         """Cut the windows closed since the last step off the vectors, and
         the kept events that hold none of the open ones. A type cell that
-        ends in a closed window goes; a shadow stays, empty if it does."""
+        ends in a closed window goes."""
         cut = self._stale * self.plan.k
         self._stale = 0
         if self.type_cells:
             self.type_cells = {
                 r: c[cut:] for r, c in self.type_cells.items() if len(c) > cut
             }
-        if self._shadow:
-            self._shadow = {r: c[cut:] for r, c in self._shadow.items()}
         if self.final_acc is not None:  # never handed out: cut in place
             del self.final_acc[:cut]
         dead = self._dead
@@ -429,16 +428,22 @@ class MixedKernel:
             acc = self.type_cells.get(self.plan.end, ())
         return acc[at : at + k] or self.plan.identity.copy()
 
-    def stored(self):
-        """(time, role, cell) of every kept event, in the oldest window."""
+    def snapshot(self):
+        """The trend counts of the oldest open window: ``final`` of the
+        finished trends, ``counts`` of each type-grained variable that holds
+        a cell there, and ``stored`` as (time, role, count) of each kept
+        event; ``entries`` is the entry count of the whole state."""
         k = self.plan.k
-        return [
-            (t, r, c[(self.base - f) * k :][:k])
-            for t, r, f, c in islice(self.events, self._dead, None)
-        ]
-
-    def entries(self):
-        return self.entry_count
+        at = self._stale * k
+        return Snapshot(
+            final=self.final_cell()[0],
+            counts={r: c[at] for r, c in self.type_cells.items() if len(c) > at},
+            stored=[
+                (t, r, c[(self.base - f) * k])
+                for t, r, f, c in islice(self.events, self._dead, None)
+            ],
+            entries=self.entry_count,
+        )
 
 
 # The benchmark's tracer (``e2ebench/tracing.py``) wraps kernel classes by

@@ -1,16 +1,17 @@
 """Engine facade: compiles a query and drives one kernel per partition key.
 
-``compile_query`` plans a query once: granularity, kernel plan, aggregate
-read-out and role probe. An Engine owns one kernel instance - the
+``compile_query`` plans a query once into one ``CompiledQuery``: the
+granularity, the role probe, the aggregate read-out and the tables every
+kernel of the query reads. An Engine owns one kernel instance - the
 incremental state of one partition key over its open windows - plus the
-read-out of a window's aggregates and the accessors the tests read.
+read-out of a window's aggregates. The kernel's ``snapshot()`` shows that
+state.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from operator import add
-from typing import NamedTuple
 
 from ._kernels_py import MixedKernel
 from .cells import (
@@ -22,7 +23,6 @@ from .cells import (
 )
 from .events import Event
 from .query import (
-    Granularity,
     GranularityPlan,
     Query,
     RoleProbe,
@@ -32,19 +32,27 @@ from .query import (
     classify_and_plan,
 )
 
-KernelPlan = namedtuple(
-    "KernelPlan",
-    "roles start end theta event_grained cumulative consume cont "
-    "merges additive k identity updates type_preds kept_preds",
+
+CompiledQuery = namedtuple(
+    "CompiledQuery",
+    "plan probe names extractors start end theta event_grained cumulative "
+    "consume cont merges additive k identity updates type_preds kept_preds",
 )
 
 
-def build_kernel_plan(query: Query, plan: GranularityPlan) -> KernelPlan:
-    """The tables every kernel of the query reads, built once per query
-    rather than once per partition key. ``type_preds`` and ``kept_preds``
-    split each variable's predecessors by granularity; ``kept_preds`` pairs
-    each event-grained one with its adjacency checks. A cell has ``k`` slots;
-    ``additive`` says that every one of them merges with ``add``."""
+def compile_query(query: Query, plan: GranularityPlan | None = None) -> CompiledQuery:
+    """Plan a query once; every engine of a run shares the result.
+
+    ``plan`` overrides the coarsest granularity that ``classify_and_plan``
+    picks. ``names`` holds each aggregate's RETURN-clause spelling. The
+    fields past ``extractors`` are the tables the kernel reads:
+    ``type_preds`` and ``kept_preds`` split each variable's predecessors by
+    granularity, and ``kept_preds`` pairs each event-grained one with its
+    adjacency checks. A cell has ``k`` slots; ``additive`` says that every
+    one of them merges with ``add``."""
+    check_supported(query)
+    if plan is None:
+        plan = classify_and_plan(query)
     template = query.template
     roles = tuple(sorted(template.types))
     preds = {r: tuple(sorted(template.pred_types[r])) for r in roles}
@@ -55,11 +63,14 @@ def build_kernel_plan(query: Query, plan: GranularityPlan) -> KernelPlan:
                 (p.prev_attr, p.op.apply, p.next_attr)
             )
     theta = {k: tuple(v) for k, v in theta.items()}
-    accs, _ = build_accumulators(query.aggregates)
+    accs, extractors = build_accumulators(query.aggregates)
     merges = merge_functions(accs)
     event_grained = plan.event_grained
-    return KernelPlan(
-        roles=roles,
+    return CompiledQuery(
+        plan=plan,
+        probe=RoleProbe(query),
+        names=aggregate_names(query),
+        extractors=extractors,
         start=template.start_type,
         end=template.end_type,
         theta=theta,
@@ -84,30 +95,6 @@ def build_kernel_plan(query: Query, plan: GranularityPlan) -> KernelPlan:
     )
 
 
-class CompiledQuery(NamedTuple):
-    """Everything an engine needs that depends on the query alone."""
-
-    plan: GranularityPlan
-    kplan: KernelPlan
-    names: tuple  # each aggregate's RETURN-clause spelling
-    extractors: tuple
-    probe: RoleProbe
-
-
-def compile_query(query: Query) -> CompiledQuery:
-    """Plan a query once; every engine of a run shares the result."""
-    check_supported(query)
-    plan = classify_and_plan(query)
-    _, extractors = build_accumulators(query.aggregates)
-    return CompiledQuery(
-        plan=plan,
-        kplan=build_kernel_plan(query, plan),
-        names=aggregate_names(query),
-        extractors=extractors,
-        probe=RoleProbe(query),
-    )
-
-
 class Engine:
     """Incremental aggregation state for one partition key.
 
@@ -117,15 +104,10 @@ class Engine:
     """
 
     def __init__(self, query: Query, compiled: CompiledQuery | None = None):
-        self.query = query
         self.compiled = compiled if compiled is not None else compile_query(query)
         self.plan = self.compiled.plan
-        self.kernel = MixedKernel(self.compiled.kplan)
-        self.peak_entries = self.kernel.entries()
-
-    @property
-    def mode(self) -> Granularity:
-        return self.plan.mode
+        self.kernel = MixedKernel(self.compiled)
+        self.peak_entries = self.kernel.entry_count
 
     def step(self, event: Event):
         """Feed one event; returns the cells created for it in the oldest
@@ -133,10 +115,10 @@ class Engine:
         ``peak_entries``. An event with a later time first ends the
         previous timestamp (the kernel does so as it steps)."""
         out = self.step_with_roles(event, self.compiled.probe(event))
-        entries = self.kernel.entries()
+        entries = self.kernel.entry_count
         if entries > self.peak_entries:
             self.peak_entries = entries
-        return [(r, cells[: self.compiled.kplan.k]) for r, cells in out]
+        return [(r, cells[: self.compiled.k]) for r, cells in out]
 
     def step_with_roles(self, event: Event, roles, width: int = 1):
         """Feed one event that falls into ``width`` windows, the open ones
@@ -148,9 +130,6 @@ class Engine:
             self.step(event)
         return self
 
-    def entries(self) -> int:
-        return self.kernel.entries()
-
     def results(self, cell=None) -> dict:
         """Aggregate values of the oldest open window, keyed by their
         RETURN-clause spelling; ``cell`` is that window's final cell, when
@@ -158,24 +137,6 @@ class Engine:
         if cell is None:
             cell = self.kernel.final_cell()
         return finalize(cell, self.compiled.names, self.compiled.extractors)
-
-    # ---- trace accessors, of the oldest open window (used by tests) ----
-
-    @property
-    def final_count(self):
-        return self.kernel.final_cell()[0]
-
-    def role_count(self, role):
-        """Current per-variable trend count (type-grained cells only); a
-        variable without cells has none."""
-        kernel = self.kernel
-        at = kernel._stale * kernel.plan.k
-        cells = kernel.type_cells.get(role, ())
-        return cells[at] if len(cells) > at else 0
-
-    def stored_events(self):
-        """(time, role, count) for retained events (mixed-grained only)."""
-        return [(t, r, cell[0]) for (t, r, cell) in self.kernel.stored()]
 
 
 def build_engine(query: Query) -> Engine:

@@ -71,7 +71,7 @@ class Schema:
 
     @classmethod
     def from_json(cls, path):
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             try:
                 types = json.load(fh)
             except ValueError as exc:  # not UTF-8 or not JSON
@@ -184,7 +184,7 @@ def _read_blocks(path, schema):
     column_decoders = {}  # event type -> (attr, converter) per column
     block = []
     append = block.append
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader, None)

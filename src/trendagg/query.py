@@ -405,6 +405,8 @@ def parse_query(text: str, schema: Schema) -> Query:
         for item in _split_top_level_commas(clauses["GROUP-BY"]):
             if not re.match(rf"^{_IDENT}$", item):
                 raise QuerySyntaxError(f"bad GROUP-BY item {item!r}")
+            if item in group_by:
+                raise QuerySyntaxError(f"duplicate GROUP-BY attribute {item!r}")
             group_by.append(item)
 
     # Partition attributes must exist on every matchable stream type.
@@ -453,7 +455,7 @@ def aggregate_names(query: Query) -> tuple:
 
 
 def load_query(path, schema: Schema) -> Query:
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         try:
             text = fh.read()
         except UnicodeDecodeError as exc:

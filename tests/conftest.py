@@ -2,7 +2,7 @@ import pytest
 from hypothesis import strategies as st
 
 from trendagg import Event, Granularity, GranularityPlan, Schema, WindowManager, parse_query
-from trendagg.engines import build_kernel_plan
+from trendagg.engines import compile_query
 
 # A/B/C event types, one int attribute each. The showcase stream below is
 # the worked example every engine is traced against: with pattern
@@ -68,9 +68,7 @@ def fine_manager(query, emit_empty=False):
     fine = GranularityPlan(
         Granularity.MIXED, frozenset(query.template.types), frozenset()
     )
-    manager.compiled = manager.compiled._replace(
-        plan=fine, kplan=build_kernel_plan(query, fine)
-    )
+    manager.compiled = compile_query(query, fine)
     return manager
 
 

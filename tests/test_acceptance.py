@@ -109,8 +109,9 @@ def test_criterion_2_state_traces(capsys):
         ]
         assert counts == [1, 1, 3, 6, None, 10, 22, 32]
         assert counts[6] == 22  # a7
-        assert engine.role_count("A") == 32
-        assert engine.role_count("B") == 43
+        snapshot = engine.kernel.snapshot()
+        assert snapshot.counts.get("A", 0) == 32
+        assert snapshot.counts.get("B", 0) == 43
 
         # Mixed granularity with B.v < A.v.
         engine = build_engine(make_query(where="B.v < A.v"))
@@ -119,7 +120,7 @@ def test_criterion_2_state_traces(capsys):
             for e in SHOWCASE
         ]
         assert counts[6] == 12  # a7 extends b2 but not b6
-        assert engine.final_count == 33
+        assert engine.kernel.snapshot().final == 33
 
         # Skip-till-next-match.
         engine = build_engine(make_query(semantics="next"))
@@ -128,7 +129,7 @@ def test_criterion_2_state_traces(capsys):
             for e in SHOWCASE
         ]
         assert counts[6] == 4  # a7
-        assert engine.final_count == 8
+        assert engine.kernel.snapshot().final == 8
 
         # Contiguous: c5 severs the open chains, so b6 extends none.
         engine = build_engine(make_query(semantics="cont"))
@@ -137,7 +138,7 @@ def test_criterion_2_state_traces(capsys):
             for e in SHOWCASE
         ]
         assert counts[4:7] == [None, 0, 1]  # c5, b6, a7
-        assert engine.final_count == 2
+        assert engine.kernel.snapshot().final == 2
 
 
 def _random_case_families():
@@ -269,7 +270,7 @@ def test_criterion_5_space_bounds(capsys, transport_runs):
             ]
             engine = build_engine(query)
             engine.run(events)
-            assert len(engine.stored_events()) == n_b
+            assert len(engine.kernel.snapshot().stored) == n_b
             return engine.peak_entries
 
         assert mixed_peak(500, 20) == mixed_peak(5000, 20) == 1 + 20 + 1
@@ -328,7 +329,8 @@ def test_criterion_6_scaling_shape(capsys, transport_runs):
         oracle_time = time.perf_counter() - started
 
         assert values["COUNT(*)"] == 2**19 - 1
-        assert build_engine(query).run(events).final_count == 2**19 - 1
+        engine = build_engine(query).run(events)
+        assert engine.kernel.snapshot().final == 2**19 - 1
         assert oracle_time / engine_time >= 100.0, (oracle_time, engine_time)
 
 

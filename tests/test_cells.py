@@ -240,8 +240,8 @@ def test_stored_predecessor_merges_match_one_window_kernels(data):
         stream[j * slide : j * slide + length] for j in range(-(-len(stream) // slide))
     ]
     plans = [compiled]
-    if compiled.kplan.additive:  # the same plan, merged slot by slot
-        plans.append(compiled._replace(kplan=compiled.kplan._replace(additive=False)))
+    if compiled.additive:  # the same plan, merged slot by slot
+        plans.append(compiled._replace(additive=False))
     for plan in plans:
         engine = Engine(query, plan)
         finals = []

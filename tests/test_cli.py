@@ -63,6 +63,21 @@ class TestRun:
         out = capsys.readouterr().out.strip().splitlines()
         assert out == ["wid,window_start_ms,window_end_ms,COUNT(*)", "0,0,100000,43"]
 
+    @pytest.mark.parametrize("flag", ["--input", "--schema", "--query"])
+    def test_a_byte_order_mark_is_skipped(self, workdir, capsys, flag):
+        files = {
+            "--query": workdir / "q.txt",
+            "--input": workdir / "stream.csv",
+            "--schema": workdir / "schema.json",
+        }
+        assert _run(["run", *[a for item in files.items() for a in item]]) == 0
+        plain = capsys.readouterr()
+        original = files[flag]
+        marked = files[flag] = workdir / f"bom{original.suffix}"
+        marked.write_bytes(b"\xef\xbb\xbf" + original.read_bytes())
+        assert _run(["run", *[a for item in files.items() for a in item]]) == 0
+        assert capsys.readouterr() == plain
+
     def test_schema_inference_matches_explicit(self, workdir, capsys):
         for extra in ([], ["--schema", workdir / "schema.json"]):
             assert _run(
@@ -266,6 +281,7 @@ class TestErrors:
             "schema not an object",
             "input not UTF-8",
             "query not UTF-8",
+            "query with a repeated GROUP-BY attribute",
             "gen without passengers",
             "gen without stations",
             "gen with a negative duration",
@@ -282,6 +298,9 @@ class TestErrors:
         (workdir / "list.json").write_text('["A"]')
         (workdir / "latin1.csv").write_bytes(b"time,type,v\n1,A,caf\xe9\n")
         (workdir / "latin1.txt").write_bytes(b"RETURN COUNT(*) -- caf\xe9\n")
+        (workdir / "dupgroup.txt").write_text(
+            "RETURN COUNT(*) PATTERN A+ SEMANTICS any GROUP-BY v, v WITHIN 1 s\n"
+        )
         (workdir / "dupcol.csv").write_text("time,type,v,v\n1,A,5,6\n")
         (workdir / "dupkey.csv").write_text("time,type\n1,A,v=5\n2,B,v=3,v=4\n")
         (workdir / "nameless.csv").write_text("time,type,,v\n1,A,3,5\n")
@@ -307,6 +326,9 @@ class TestErrors:
             "schema not an object": run("--schema", workdir / "list.json"),
             "input not UTF-8": run("--input", workdir / "latin1.csv"),
             "query not UTF-8": run("--query", workdir / "latin1.txt"),
+            "query with a repeated GROUP-BY attribute": run(
+                "--query", workdir / "dupgroup.txt"
+            ),
             "gen without passengers": [*gen, "--passengers", 0],
             "gen without stations": [*gen, "--stations", 0],
             "gen with a negative duration": [*gen, "--duration", -5],
@@ -322,6 +344,8 @@ class TestErrors:
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("error: ") and "Traceback" not in err
+        if case == "query with a repeated GROUP-BY attribute":
+            assert err == "error: duplicate GROUP-BY attribute 'v'\n"
         if case == "duplicate column":
             assert err == "error: row 1: duplicate column 'v'\n"
         if case == "repeated key=value attribute":

@@ -37,7 +37,7 @@ class TestShowcaseTrace:
 
     def test_per_event_cell_counts(self):
         engine = build_engine(_mixed_query())
-        assert engine.mode is Granularity.MIXED
+        assert engine.plan.mode is Granularity.MIXED
         assert engine.plan.event_grained == frozenset({"B"})
         counts = []
         for e in SHOWCASE:
@@ -50,11 +50,12 @@ class TestShowcaseTrace:
         a_counts, finals = [], []
         for e in SHOWCASE:
             engine.step(e)
-            a_counts.append(engine.role_count("A"))
-            finals.append(engine.final_count)
+            snapshot = engine.kernel.snapshot()
+            a_counts.append(snapshot.counts.get("A", 0))
+            finals.append(snapshot.final)
         assert a_counts == [1, 1, 4, 10, 10, 10, 22, 22]
         assert finals == [0, 1, 1, 1, 1, 11, 11, 33]
-        assert engine.stored_events() == [
+        assert engine.kernel.snapshot().stored == [
             (2000, "B", 1),
             (6000, "B", 10),
             (8000, "B", 22),
@@ -102,7 +103,7 @@ class TestMergedPredecessors:
     def test_one_window_matches_oracle(self):
         query = self._query()
         engine = build_engine(query).run(self.EVENTS)
-        assert engine.mode is Granularity.MIXED
+        assert engine.plan.mode is Granularity.MIXED
         assert engine.plan.event_grained == frozenset({"A"})
         expected = aggregate_trends(enumerate_trends(self.EVENTS, query), query.aggregates)
         assert expected["COUNT(*)"] > 0
@@ -126,17 +127,17 @@ class TestSelfAdjacency:
         ]
         query = make_query(pattern="A+", where="A.v < NEXT(A).v")
         engine = build_engine(query).run(events)
-        assert engine.mode is Granularity.MIXED
+        assert engine.plan.mode is Granularity.MIXED
         assert engine.plan.event_grained == frozenset({"A"})
         # a1; a2; a3; (a1,a2) -- value 1 is not < 1, so (a1,a3) is out.
-        assert engine.final_count == 4
+        assert engine.kernel.snapshot().final == 4
         assert len(enumerate_trends(events, query)) == 4
 
     def test_tied_events_never_chain(self):
         events = [Event(1000, "A", {"v": 1}), Event(1000, "A", {"v": 2})]
         query = make_query(pattern="A+", where="A.v < NEXT(A).v")
         engine = build_engine(query).run(events)
-        assert engine.final_count == 2
+        assert engine.kernel.snapshot().final == 2
 
 
 class TestStateFootprint:
@@ -150,7 +151,7 @@ class TestStateFootprint:
             t += 1000
         engine = build_engine(_mixed_query())
         engine.run(events)
-        stored = len(engine.stored_events())
+        stored = len(engine.kernel.snapshot().stored)
         return engine.peak_entries, stored
 
     def test_entries_track_stored_events_only(self):
@@ -239,7 +240,7 @@ class TestMissingPredicateAttribute:
         # check rejects never meets the later one.
         engine = build_engine(make_query(pattern="A+", where="A.v < NEXT(A).v"))
         engine.run([Event(1000, "A", {}), Event(1000, "A", {"v": 2})])
-        assert engine.final_count == 2
+        assert engine.kernel.snapshot().final == 2
         schema_query = make_query(
             pattern="A+",
             where="A.v < NEXT(A).v AND A.w < NEXT(A).w",
@@ -247,4 +248,4 @@ class TestMissingPredicateAttribute:
         )
         engine = build_engine(schema_query)
         engine.run([Event(1000, "A", {"v": 5}), Event(2000, "A", {"v": 1, "w": 0})])
-        assert engine.final_count == 2
+        assert engine.kernel.snapshot().final == 2

@@ -16,7 +16,7 @@ def _trace(engine, events):
     for e in events:
         cells = engine.step(e)
         counts.append(cells[0][1][0] if cells else None)
-        finals.append(engine.final_count)
+        finals.append(engine.kernel.snapshot().final)
     return counts, finals
 
 
@@ -32,7 +32,7 @@ class TestShowcaseTraces:
 
     def test_next_trace(self):
         engine = build_engine(make_query(semantics="next"))
-        assert engine.mode is Granularity.TYPE
+        assert engine.plan.mode is Granularity.TYPE
         counts, finals = _trace(engine, SHOWCASE)
         assert counts == [1, 1, 2, 3, None, 3, 4, 4]
         assert finals == [0, 1, 1, 1, 1, 4, 4, 8]
@@ -88,7 +88,8 @@ class TestFormerDivergences:
         query = make_query(pattern=pattern, semantics=semantics, where=where)
         events = _events(spec)
         assert len(enumerate_trends(events, query)) == count
-        assert build_engine(query).run(events).final_count == count
+        engine = build_engine(query).run(events)
+        assert engine.kernel.snapshot().final == count
 
 
 class TestEdgeBehaviour:
@@ -96,7 +97,7 @@ class TestEdgeBehaviour:
         events = [Event(1000, "A", {"v": 1}), Event(1000, "A", {"v": 2})]
         query = make_query(pattern="A+", semantics="next")
         engine = build_engine(query).run(events)
-        assert engine.final_count == 2
+        assert engine.kernel.snapshot().final == 2
         assert len(enumerate_trends(events, query)) == 2
 
     def test_state_stays_constant(self):
@@ -116,12 +117,12 @@ class TestEdgeBehaviour:
     def test_cont_reset_releases_entry(self):
         query = make_query(semantics="cont")
         engine = build_engine(query)
-        idle = engine.entries()
+        idle = engine.kernel.snapshot().entries
         engine.step(Event(1000, "A", {"v": 1}))
-        assert engine.entries() > idle
+        assert engine.kernel.snapshot().entries > idle
         engine.step(Event(2000, "C", {"v": 0}))
         engine.kernel.end_timestamp()  # the stream moves past the gap
-        assert engine.entries() == idle
+        assert engine.kernel.snapshot().entries == idle
         assert engine.step(Event(3000, "B", {"v": 0}))[0][1][0] == 0
 
     @pytest.mark.parametrize("semantics", ["next"])

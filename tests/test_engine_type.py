@@ -33,7 +33,7 @@ class TestShowcaseTrace:
 
     def test_per_event_cell_counts(self):
         engine = build_engine(make_query())
-        assert engine.mode is Granularity.TYPE
+        assert engine.plan.mode is Granularity.TYPE
         assert _counts(engine, SHOWCASE) == [1, 1, 3, 6, None, 10, 22, 32]
 
     def test_variable_cell_progression(self):
@@ -41,11 +41,12 @@ class TestShowcaseTrace:
         a_counts, b_counts = [], []
         for e in SHOWCASE:
             engine.step(e)
-            a_counts.append(engine.role_count("A"))
-            b_counts.append(engine.role_count("B"))
+            counts = engine.kernel.snapshot().counts
+            a_counts.append(counts.get("A", 0))
+            b_counts.append(counts.get("B", 0))
         assert a_counts == [1, 1, 4, 10, 10, 10, 32, 32]
         assert b_counts == [0, 1, 1, 1, 1, 11, 11, 43]
-        assert engine.final_count == 43
+        assert engine.kernel.snapshot().final == 43
 
     def test_oracle_agrees_with_trace(self):
         query = make_query()
@@ -77,7 +78,7 @@ class TestEqualTimestamps:
         events = [Event(1000, "A", {"v": 1}), Event(1000, "A", {"v": 2})]
         engine = build_engine(make_query(pattern="A+"))
         assert _counts(engine, events) == [1, 1]
-        assert engine.final_count == 2
+        assert engine.kernel.snapshot().final == 2
 
     def test_tied_batch_matches_oracle(self):
         events = [
@@ -88,7 +89,7 @@ class TestEqualTimestamps:
         query = make_query(pattern="SEQ(A+, B)")
         engine = build_engine(query).run(events)
         # Trends: (a,b) twice -- the tied A's contribute independently.
-        assert engine.final_count == 2
+        assert engine.kernel.snapshot().final == 2
         assert len(enumerate_trends(events, query)) == 2
 
 
@@ -109,7 +110,8 @@ class TestMultiRoleAliases:
         events = [Event(1000, "A", {"v": 1}), Event(2000, "A", {"v": 2})]
         query = make_query(pattern="SEQ(A X+, A Y)")
         engine = build_engine(query).run(events)
-        assert engine.final_count == len(enumerate_trends(events, query)) == 1
+        final = engine.kernel.snapshot().final
+        assert final == len(enumerate_trends(events, query)) == 1
 
 
 class TestAggregates:
@@ -193,4 +195,4 @@ def test_random_any_matches_oracle(data):
             assert got[name] == pytest.approx(want, rel=1e-9)
         else:
             assert got[name] == want
-    assert engine.mode is Granularity.TYPE
+    assert engine.plan.mode is Granularity.TYPE

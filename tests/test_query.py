@@ -172,6 +172,8 @@ def test_query_validation_errors():
         "RETURN COUNT(*) PATTERN A+ SEMANTICS any",
         # duplicate clause
         "RETURN COUNT(*) RETURN COUNT(*) PATTERN A+ SEMANTICS any WITHIN 1 s",
+        # duplicate GROUP-BY attribute
+        "RETURN COUNT(*) PATTERN A+ SEMANTICS any GROUP-BY name, name WITHIN 1 s",
         # no aggregate
         "RETURN name PATTERN A+ SEMANTICS any GROUP-BY name WITHIN 1 s",
         # slide larger than window

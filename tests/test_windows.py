@@ -8,7 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trendagg import Event, ResultRow, Schema, WindowManager, WindowSpec, windows_of
+from trendagg import (
+    Engine,
+    Event,
+    ResultRow,
+    Schema,
+    WindowManager,
+    WindowSpec,
+    windows_of,
+)
 from trendagg.cli import oracle_rows
 from trendagg.errors import MissingGroupAttribute, OutOfOrder
 from trendagg.windows import route
@@ -134,12 +142,13 @@ class TestLifecycle:
         assert [(r.wid, r.key) for r in rows] == [(0, (1,)), (1, (1,))]
         kernel = manager._engines[(1,)].kernel
         assert (kernel.base, kernel.width, kernel._stale, kernel._dead) == (2, 1, 2, 1)
-        assert [(t, cell[0]) for t, _, cell in kernel.stored()] == [(2000, 1)]
-        assert kernel.entries() == 1  # the kept event of 2 s, in window 2
+        snapshot = kernel.snapshot()
+        assert [(t, n) for t, _, n in snapshot.stored] == [(2000, 1)]
+        assert snapshot.entries == 1  # the kept event of 2 s, in window 2
         assert len(kernel.final_acc) == 3 * kernel.plan.k
         rows += manager.ingest(events[3])
         assert (kernel._stale, kernel._dead) == (0, 0)
-        assert [t for t, _, _ in kernel.stored()] == [2000, 4500]
+        assert [t for t, _, _ in kernel.snapshot().stored] == [2000, 4500]
         assert len(kernel.final_acc) == kernel.width * kernel.plan.k
         rows += manager.finish()
         assert row_tuples(rows) == row_tuples(oracle_rows(query, events))
@@ -486,7 +495,7 @@ def test_closed_windows_are_trimmed_at_the_next_step(data):
         )
     emit_empty = data.draw(st.booleans())
     manager = WindowManager(query, emit_empty=emit_empty)
-    k = manager.compiled.kplan.k
+    k = manager.compiled.k
     got = []
     for event in events:
         got += manager.ingest(event)
@@ -517,3 +526,40 @@ def test_closed_windows_are_trimmed_at_the_next_step(data):
     assert manager.current_entries == 0
     want = oracle_rows(query, events, emit_empty=emit_empty)
     assert row_tuples(got) == row_tuples(want)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+@pytest.mark.parametrize("where", [None, "A.v < NEXT(A).v"], ids=["type", "mixed"])
+def test_snapshot_after_a_close_reads_the_new_oldest_window(where, data):
+    """Between a close and the key's next step the closed windows still
+    lead the kernel's vectors; its snapshot then reads the new oldest
+    window as a one-window engine fed that window's events does."""
+    semantics = data.draw(st.sampled_from(("any", "next", "cont")))
+    within = 1000 * data.draw(st.integers(2, 4)) + data.draw(st.sampled_from((0, 500)))
+    query = make_query(
+        pattern="(SEQ(A+, B))+",
+        semantics=semantics,
+        where=where,
+        within=f"{within} ms",
+        slide="1000 ms",
+    )
+    manager = WindowManager(query)
+    spec = manager.spec
+    events, t = [], 0
+    for _ in range(data.draw(st.integers(1, 24))):
+        t += data.draw(st.sampled_from((0, 500, 1000)))
+        event = _ev(t, data.draw(st.sampled_from("AABC")), v=data.draw(st.integers(0, 3)))
+        manager.close_expired(t)
+        engine = manager._engines.get(())
+        if engine is not None and engine.kernel._stale:
+            wid = manager._first_wid
+            start, end = spec.start_of(wid), spec.end_of(wid)
+            reference = Engine(query).run(e for e in events if start <= e.time < end)
+            reference.kernel.end_timestamp()
+            got, want = engine.kernel.snapshot(), reference.kernel.snapshot()
+            assert got.final == want.final
+            assert got.counts == want.counts
+            assert got.stored == want.stored
+        manager.ingest(event)
+        events.append(event)
