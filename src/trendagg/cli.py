@@ -30,6 +30,7 @@ from .errors import InputError, TrendAggError
 from .events import (
     TRANSPORT_SCHEMA,
     Schema,
+    format_cell,
     generate_transport_stream,
     infer_schema,
     read_csv_stream,
@@ -45,14 +46,6 @@ from .query import (
     load_query,
 )
 from .windows import ResultRow, WindowManager, WindowSpec, route, windows_of
-
-
-def _format_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
 
 
 def result_header(query: Query) -> list:
@@ -77,8 +70,8 @@ def write_rows(rows, query: Query, fh) -> int:
                 row.wid,
                 row.window_start_ms,
                 row.window_end_ms,
-                *[_format_cell(v) for v in row.key],
-                *[_format_cell(values[name]) for name in names],
+                *map(format_cell, row.key),
+                *[format_cell(values[name]) for name in names],
             ]
         )
         n += 1

@@ -117,6 +117,8 @@ def _parse_time_ms(cell, row_number):
 
 
 def _coerce(cell, kind, row_number, attr):
+    """One cell decoded by its declared kind: the reference for the readers'
+    converters and their error message."""
     try:
         if kind == "int":
             return int(cell)
@@ -156,7 +158,8 @@ def read_csv_stream(path, schema: Optional[Schema] = None) -> Iterator[Event]:
       * ``time,type`` - every following cell in a row is a ``key=value`` pair;
       * ``time,type,<attr>,...`` - typed columns, empty cell means absent.
 
-    Value kinds come from ``schema`` when it covers the event type, otherwise
+    Both layouts strip names and cells of surrounding whitespace. Value
+    kinds come from ``schema`` when it covers the event type, otherwise
     they are inferred (int, then float, then string). Rows must be in
     non-decreasing time order.
 
@@ -174,10 +177,6 @@ def _read_blocks(path, schema):
     @functools.cache
     def kind_of(etype, attr):
         return schema.kind_of(etype, attr) if schema else None
-
-    def decode(etype, attr, cell, row_number):
-        kind = kind_of(etype, attr)
-        return _coerce(cell, kind, row_number, attr) if kind else _infer(cell)
 
     last_ms = -1
     row_number = 0  # records read; a csv.Error is in the next one
@@ -220,38 +219,36 @@ def _read_blocks(path, schema):
                 if not etype:
                     raise MalformedRow(row_number, "empty event type")
                 attrs = {}
-                if kv_mode:
-                    for cell in row[2:]:
-                        cell = cell.strip()
-                        if not cell:
-                            continue
-                        if "=" not in cell:
-                            raise MalformedRow(row_number, f"expected key=value, got {cell!r}")
-                        key, value = cell.split("=", 1)
-                        if not key:
-                            raise MalformedRow(row_number, f"no attribute name in {cell!r}")
-                        if key in attrs:
-                            raise MalformedRow(row_number, f"repeated attribute {key!r}")
-                        attrs[key] = decode(etype, key, value, row_number)
-                else:
-                    decoders = column_decoders.get(etype)
-                    if decoders is None:
-                        decoders = column_decoders[etype] = [
-                            (attr, _DECODERS[kind_of(etype, attr)]) for attr in columns
-                        ]
-                    try:
+                try:
+                    if kv_mode:
+                        for pair in row[2:]:
+                            pair = pair.strip()
+                            if not pair:
+                                continue
+                            attr, eq, cell = pair.partition("=")
+                            attr, cell = attr.strip(), cell.strip()
+                            if not eq:
+                                raise MalformedRow(row_number, f"expected key=value, got {pair!r}")
+                            if not attr:
+                                raise MalformedRow(row_number, f"no attribute name in {pair!r}")
+                            if attr in attrs:
+                                raise MalformedRow(row_number, f"repeated attribute {attr!r}")
+                            attrs[attr] = _DECODERS[kind_of(etype, attr)](cell)
+                    else:
+                        decoders = column_decoders.get(etype)
+                        if decoders is None:
+                            decoders = column_decoders[etype] = [
+                                (attr, _DECODERS[kind_of(etype, attr)]) for attr in columns
+                            ]
                         for (attr, convert), cell in zip(decoders, row[2:]):
                             cell = cell.strip()
                             if cell:
                                 attrs[attr] = convert(cell)
-                    except ValueError:
-                        # Decode the row again cell by cell; the bad cell
-                        # raises MalformedRow with its column and kind.
-                        attrs = {}
-                        for attr, cell in zip(columns, row[2:]):
-                            cell = cell.strip()
-                            if cell:
-                                attrs[attr] = decode(etype, attr, cell, row_number)
+                except ValueError:  # only a declared kind's converter raises
+                    raise MalformedRow(
+                        row_number,
+                        f"value {cell!r} for {attr} is not a valid {kind_of(etype, attr)}",
+                    ) from None
                 append(_trusted_event(time_ms, etype, attrs))
                 if len(block) == BLOCK_ROWS:
                     yield block
@@ -271,10 +268,13 @@ def _format_seconds(ms: int) -> str:
     return f"{ms // 1000}.{ms % 1000:03d}"
 
 
-def _format_value(v) -> str:
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
+def format_cell(value) -> str:
+    """A CSV cell: empty for ``None``, a float's ``repr``, else ``str``."""
+    if value is None:
+        return ""
+    if isinstance(value, float):
+        return repr(value)
+    return str(value)
 
 
 def write_csv_stream(events: Iterable[Event], path):
@@ -285,10 +285,8 @@ def write_csv_stream(events: Iterable[Event], path):
         writer = csv.writer(fh)
         writer.writerow(["time", "type", *columns])
         for ev in events:
-            row = [_format_seconds(ev.time), ev.etype]
-            for attr in columns:
-                row.append(_format_value(ev.attrs[attr]) if attr in ev.attrs else "")
-            writer.writerow(row)
+            cells = [format_cell(ev.attrs.get(attr)) for attr in columns]
+            writer.writerow([_format_seconds(ev.time), ev.etype, *cells])
 
 
 def infer_schema(events: Iterable[Event]) -> Schema:

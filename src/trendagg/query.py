@@ -155,7 +155,6 @@ class Query:
     within_ms: int
     slide_ms: int
     aggregates: tuple        # AggSpec, in RETURN order
-    return_attrs: tuple = ()
 
     @property
     def partition_attrs(self):
@@ -376,6 +375,8 @@ def _parse_return(body: str, view: _SchemaView):
                 raise QuerySyntaxError(f"{func}({target}.{attr}) needs a numeric attribute")
             aggregates.append(AggSpec(AggKind[func], target, attr))
         elif re.match(rf"^{_IDENT}$", item):
+            if item in attrs:
+                raise QuerySyntaxError(f"duplicate RETURN attribute {item!r}")
             attrs.append(item)
         else:
             raise QuerySyntaxError(f"bad RETURN item {item!r}")
@@ -445,7 +446,6 @@ def parse_query(text: str, schema: Schema) -> Query:
         within_ms=within_ms,
         slide_ms=slide_ms,
         aggregates=tuple(aggregates),
-        return_attrs=tuple(return_attrs),
     )
 
 

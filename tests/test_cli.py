@@ -102,6 +102,21 @@ class TestRun:
         out = capsys.readouterr().out.strip().splitlines()
         assert out == ["wid,window_start_ms,window_end_ms,COUNT(*)"]
 
+    def test_key_value_cells_are_stripped(self, workdir, capsys):
+        # `v = 5` is A.v = 5, so both events pass A.v > 3: three trends.
+        (workdir / "kv.csv").write_text("time,type\n1,A,v = 5\n2,A,v=4\n")
+        (workdir / "kv.txt").write_text(
+            "RETURN COUNT(*) PATTERN A+ SEMANTICS any WHERE A.v > 3 WITHIN 100 s\n"
+        )
+        for schema in ([], ["--schema", workdir / "schema.json"]):
+            assert _run(
+                ["run", "--query", workdir / "kv.txt", "--input", workdir / "kv.csv",
+                 *schema]
+            ) == 0
+            assert capsys.readouterr().out.splitlines() == [
+                "wid,window_start_ms,window_end_ms,COUNT(*)", "0,0,100000,3"
+            ]
+
     def test_repeat_runs_byte_identical(self, workdir):
         blobs = []
         for i in range(2):
@@ -282,6 +297,7 @@ class TestErrors:
             "input not UTF-8",
             "query not UTF-8",
             "query with a repeated GROUP-BY attribute",
+            "query with a repeated RETURN attribute",
             "gen without passengers",
             "gen without stations",
             "gen with a negative duration",
@@ -300,6 +316,9 @@ class TestErrors:
         (workdir / "latin1.txt").write_bytes(b"RETURN COUNT(*) -- caf\xe9\n")
         (workdir / "dupgroup.txt").write_text(
             "RETURN COUNT(*) PATTERN A+ SEMANTICS any GROUP-BY v, v WITHIN 1 s\n"
+        )
+        (workdir / "dupreturn.txt").write_text(
+            "RETURN v, v, COUNT(*) PATTERN A+ SEMANTICS any GROUP-BY v WITHIN 1 s\n"
         )
         (workdir / "dupcol.csv").write_text("time,type,v,v\n1,A,5,6\n")
         (workdir / "dupkey.csv").write_text("time,type\n1,A,v=5\n2,B,v=3,v=4\n")
@@ -329,6 +348,9 @@ class TestErrors:
             "query with a repeated GROUP-BY attribute": run(
                 "--query", workdir / "dupgroup.txt"
             ),
+            "query with a repeated RETURN attribute": run(
+                "--query", workdir / "dupreturn.txt"
+            ),
             "gen without passengers": [*gen, "--passengers", 0],
             "gen without stations": [*gen, "--stations", 0],
             "gen with a negative duration": [*gen, "--duration", -5],
@@ -346,6 +368,8 @@ class TestErrors:
         assert err.startswith("error: ") and "Traceback" not in err
         if case == "query with a repeated GROUP-BY attribute":
             assert err == "error: duplicate GROUP-BY attribute 'v'\n"
+        if case == "query with a repeated RETURN attribute":
+            assert err == "error: duplicate RETURN attribute 'v'\n"
         if case == "duplicate column":
             assert err == "error: row 1: duplicate column 'v'\n"
         if case == "repeated key=value attribute":

@@ -74,12 +74,15 @@ def test_read_key_value_mode(tmp_path):
         "time,type\n"
         "0,A,v=1\n"
         "1,B,v=2,name=hi\n"
-        "2,C\n",
+        "2,C\n"
+        "3,A,v = 5, name =  x \n",
     )
     events = list(read_csv_stream(path))
     assert events[0].attrs == {"v": 1}
     assert events[1].attrs == {"v": 2, "name": "hi"}
     assert events[2].attrs == {}
+    # Names and values are stripped like typed header names and cells.
+    assert events[3].attrs == {"v": 5, "name": "x"}
 
 
 def test_read_with_schema_coercion(tmp_path):
@@ -216,6 +219,46 @@ def test_csv_roundtrip(tmp_path):
     write_csv_stream(events, path)
     again = list(read_csv_stream(path))
     assert again == events
+
+
+_ROUND_TRIP_SCHEMA = Schema(
+    {"A": {"i": "int", "f": "float", "s": "str"}, "B": {"i": "float", "f": "str", "s": "int"}}
+)
+_KIND_VALUES = {
+    "int": st.integers(min_value=-(2**64), max_value=2**64),
+    "float": st.floats(allow_nan=False)
+    | st.sampled_from([1e308, -1e308, 5e-324, -5e-324, -0.0, 0.0]),
+    "str": st.text(st.characters(blacklist_categories=("Cs",)), min_size=1).filter(
+        lambda s: s == s.strip()
+    ),
+}
+
+
+@st.composite
+def _typed_events(draw):
+    events, time = [], 0
+    for _ in range(draw(st.integers(0, 8))):
+        time += draw(st.integers(0, 5000))
+        etype = draw(st.sampled_from("AB"))
+        attrs = {}
+        for attr, kind in _ROUND_TRIP_SCHEMA.types[etype].items():
+            if draw(st.booleans()):  # otherwise absent: an empty cell
+                attrs[attr] = draw(_KIND_VALUES[kind])
+        events.append(Event(time, etype, attrs))
+    return events
+
+
+@settings(max_examples=200, deadline=None)
+@given(events=_typed_events())
+def test_written_cells_read_back_by_their_kind(tmp_path_factory, events):
+    path = tmp_path_factory.mktemp("round") / "stream.csv"
+    write_csv_stream(events, path)
+    got = list(read_csv_stream(path, schema=_ROUND_TRIP_SCHEMA))
+    assert got == events
+    # repr tells 5 from 5.0 and '5', and -0.0 from 0.0.
+    assert [{a: repr(v) for a, v in e.attrs.items()} for e in got] == [
+        {a: repr(v) for a, v in e.attrs.items()} for e in events
+    ]
 
 
 def test_infer_schema_widens_kinds():
@@ -394,4 +437,8 @@ def test_column_decoder_errors_name_the_cell(tmp_path):
         read_csv_stream(path, schema=_READ_SCHEMA)
     path = _write(tmp_path, "time,type,u,w\n1,B,1,2\n2,A,2.5,x\n")
     with pytest.raises(MalformedRow, match="row 3: value '2.5' for u is not a valid int"):
+        read_csv_stream(path, schema=_READ_SCHEMA)
+    # A key=value cell is decoded, and named, like a typed one.
+    path = _write(tmp_path, "time,type\n1,A,u=1\n2,A,u=3, w = x \n")
+    with pytest.raises(MalformedRow, match="row 3: value 'x' for w is not a valid float"):
         read_csv_stream(path, schema=_READ_SCHEMA)

@@ -156,7 +156,8 @@ def test_return_group_attrs():
         "GROUP-BY name WITHIN 1 s",
         SCHEMA,
     )
-    assert q.return_attrs == ("name",)
+    assert q.partition_attrs == ("name",)
+    assert [str(s) for s in q.aggregates] == ["COUNT(*)"]
     with pytest.raises(QuerySyntaxError):
         parse_query(
             "RETURN name, COUNT(*) PATTERN A+ SEMANTICS any WITHIN 1 s", SCHEMA
@@ -174,6 +175,8 @@ def test_query_validation_errors():
         "RETURN COUNT(*) RETURN COUNT(*) PATTERN A+ SEMANTICS any WITHIN 1 s",
         # duplicate GROUP-BY attribute
         "RETURN COUNT(*) PATTERN A+ SEMANTICS any GROUP-BY name, name WITHIN 1 s",
+        # duplicate RETURN attribute
+        "RETURN name, name, COUNT(*) PATTERN A+ SEMANTICS any GROUP-BY name WITHIN 1 s",
         # no aggregate
         "RETURN name PATTERN A+ SEMANTICS any GROUP-BY name WITHIN 1 s",
         # slide larger than window
