@@ -5,6 +5,10 @@ variable and, for each variable constrained by an adjacency predicate,
 every event individually; type granularity is the case in which no
 variable is event-grained, so the kernel keeps no events. The semantics
 differ only in which predecessors an event may read (see ``MixedKernel``).
+The kernel does no slot arithmetic itself: it calls the query's generated
+``absorb`` of each variable an event plays, and its ``merge``, through
+``cells.combine_cells`` where two vectors may end at different windows
+(see ``cells.compile_cells``).
 
 A kernel holds the state of one partition key over all of that key's open
 windows. Those windows are a contiguous run of window ids; the kernel knows
@@ -65,7 +69,7 @@ from collections import namedtuple
 from itertools import chain, compress, islice, repeat
 from operator import add, eq
 
-from .cells import absorb_cells, combine_cells
+from .cells import combine_cells
 from .errors import MissingAttribute
 
 BACKEND_NAME = "python"
@@ -111,8 +115,8 @@ class MixedKernel:
     events' cells are then merged in arrival order, into every window the
     two events share, so float sums do not depend on how the predecessors
     were selected. Under an additive plan each merge is one ``map(add, ...)``
-    over the shared windows, with no call; otherwise ``combine_cells`` merges
-    slot by slot over strided slices.
+    over the shared windows, with no call; otherwise the query's generated
+    ``merge`` merges the shared windows.
 
     The predecessors an event may read - a type-grained variable's cells
     or a kept event - depend on the semantics:
@@ -211,7 +215,7 @@ class MixedKernel:
                 self.final_acc += plan.identity * (width - self.width)
             self.width = width
         size = self.width * k
-        merges = plan.merges
+        merge = plan.merge
         additive = plan.additive
         type_cells = self.type_cells
         shadow = self._shadow
@@ -232,7 +236,7 @@ class MixedKernel:
                     pred = (
                         prev
                         if pred is None
-                        else combine_cells(pred, prev, merges, additive)
+                        else combine_cells(pred, prev, merge)
                     )
             kept = self._predecessors(r, attrs) if plan.kept_preds[r] else ()
             if pred is None:
@@ -253,10 +257,10 @@ class MixedKernel:
                 else:
                     for _, _, first, stored in map(events.__getitem__, kept):
                         c = stored[(base - first) * k :]
-                        pred[: len(c)] = combine_cells(pred[: len(c)], c, merges, False)
+                        pred[: len(c)] = merge(pred[: len(c)], c)
             if plan.consume:
                 grown -= self._consume(r, kept)
-            cell = absorb_cells(pred, plan.updates[r], attrs, r == plan.start, k)
+            cell = plan.absorb[r](pred, attrs)
             if r in plan.event_grained:
                 self._keep(time, r, cell, attrs)
             else:
@@ -267,11 +271,11 @@ class MixedKernel:
                     shadow[r] = () if old is None else old
                     if not cumulative:
                         old = None
-                new = cell if old is None else combine_cells(old, cell, merges, additive)
+                new = cell if old is None else combine_cells(old, cell, merge)
                 type_cells[r] = new
                 grown += len(new)
             if r == plan.end and self.final_acc is not None:
-                self.final_acc = combine_cells(self.final_acc, cell, merges, additive)
+                self.final_acc = combine_cells(self.final_acc, cell, merge)
             out.append((r, cell))
         if grown:
             self.entry_count += grown // k
@@ -334,7 +338,7 @@ class MixedKernel:
                 for r, readable in shadow.items():
                     if readable:
                         type_cells[r] = combine_cells(
-                            readable, type_cells[r], plan.merges, plan.additive
+                            readable, type_cells[r], plan.merge
                         )
             else:
                 self._end_contiguous()
@@ -357,14 +361,12 @@ class MixedKernel:
             for roles, attrs in self._batch:
                 if start not in roles:
                     continue
-                cell = absorb_cells(
-                    plan.identity * self.width, plan.updates[start], attrs, True, plan.k
-                )
+                cell = plan.absorb[start](plan.identity * self.width, attrs)
                 if start in plan.event_grained:
                     self._keep(self.time, start, cell, attrs)
                 elif start in type_cells:
                     type_cells[start] = combine_cells(
-                        type_cells[start], cell, plan.merges, plan.additive
+                        type_cells[start], cell, plan.merge
                     )
                 else:
                     type_cells[start] = cell

@@ -12,14 +12,19 @@ slot ``s`` of window ``j`` sits at ``j * k + s``. The identity vector of
 concatenation, dropping the oldest window is ``cells[k:]`` and reading one
 window is a slice. When every slot merges with ``add`` (COUNT, SUM and
 AVG only) the plan is additive, and two vectors merge with one
-``map(add, ...)`` over the whole list; otherwise each slot merges over a
-strided slice.
+``map(add, ...)`` over the whole list.
 
-A vector of width 1 - every vector of a tumbling query, and of a sliding
-query whose key holds one open window - takes a scalar branch in
-``combine_cells`` and ``absorb_cells``: the same arithmetic on each slot's
-single value, without a slice per slot. Both functions read the width from
-the vector's length.
+The arithmetic on cells is compiled once per query: ``compile_cells``
+writes straight-line Python source for one ``absorb`` per pattern
+variable, one ``merge`` and one ``readout``, and builds the functions with
+``compile``/``exec`` (the way ``collections.namedtuple`` builds its
+methods). The source holds only integer slot indices and the ``repr`` of
+parsed names, and handles each slot in its own statement, in slot order,
+so a failure names the same slot that a slot-by-slot loop would reach
+first. ``absorb`` and a non-additive ``merge`` take a scalar branch on a
+vector of width 1 - every vector of a tumbling query, and of a sliding
+query whose key holds one open window - and a strided one, a slice per
+slot, on wider vectors. Both read the width from the vector's length.
 
 Counts are plain Python integers and therefore unbounded - under
 skip-till-any-match they grow exponentially with window size and would
@@ -43,6 +48,7 @@ SUM/COUNT(variable) and is null when that count is zero.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from operator import add
 
 from .errors import AggregateOverflow, MissingAttribute
@@ -90,47 +96,23 @@ def build_accumulators(specs):
 
 
 _CODES = {AggKind.SUM: ACC_SUM, AggKind.MIN: ACC_MIN, AggKind.MAX: ACC_MAX}
-
-
-def merge_functions(accs):
-    """One binary merge per cell slot: counts and sums add, min/max
-    lattice-merge with ``None`` as the identity."""
-    return (add, *(_MERGE[code] for code, _, _ in accs))
-
-
-def _merge_min(x, y):
-    return x if y is None or x is not None and x <= y else y
-
-
-def _merge_max(x, y):
-    return x if y is None or x is not None and x >= y else y
-
-
-_MERGE = {ACC_COUNT: add, ACC_SUM: add, ACC_MIN: _merge_min, ACC_MAX: _merge_max}
+_ADDITIVE = (ACC_COUNT, ACC_SUM)
 
 
 def identity_cell(accs):
     """The cell of no trends: zero counts and sums, no min or max yet."""
-    return [0, *(0 if code in (ACC_COUNT, ACC_SUM) else None for code, _, _ in accs)]
+    return [0, *(0 if code in _ADDITIVE else None for code, _, _ in accs)]
 
 
-def combine_cells(a, b, merges, additive):
+def combine_cells(a, b, merge):
     """Window-by-window merge of two cell vectors that start at the same
-    window; ``additive`` says that every one of ``merges`` is ``add``. One
+    window, by a query's ``merge`` of two vectors of equal length. One
     vector may end before the other: past its end it holds the identity,
     so there the other's cells are taken as they are."""
     if len(a) != len(b):
         n = min(len(a), len(b))
-        return combine_cells(a[:n], b[:n], merges, additive) + (a[n:] or b[n:])
-    if additive:
-        return list(map(add, a, b))
-    k = len(merges)
-    if len(a) == k:
-        return [m(x, y) for m, x, y in zip(merges, a, b)]
-    cells = a.copy()
-    for s, m in enumerate(merges):
-        cells[s::k] = map(m, a[s::k], b[s::k])
-    return cells
+        return merge(a[:n], b[:n]) + (a[n:] or b[n:])
+    return merge(a, b)
 
 
 def event_updates(accs, variable):
@@ -143,94 +125,164 @@ def event_updates(accs, variable):
     )
 
 
-def absorb_cells(pred, updates, attrs, is_start, k):
-    """Cells of a fresh event, window by window, given the merged cells of
-    its predecessors in each window, the event's ``event_updates`` and the
-    number ``k`` of slots per cell.
+CellCode = namedtuple("CellCode", "absorb merge readout additive source")
 
-    The event extends every partial trend counted in ``pred`` and, when it
-    is of the start variable, opens one more. Raises ``AggregateOverflow``
+
+def compile_cells(accs, extractors, names, roles, start):
+    """The cell arithmetic of one query, as generated functions.
+
+    ``absorb[r](pred, attrs)`` returns the cells of a fresh ``r``-event,
+    window by window, given the merged cells of its predecessors in each
+    window: the event extends every partial trend counted in ``pred`` and,
+    when ``r`` is ``start``, opens one more. It raises ``MissingAttribute``
+    when ``attrs`` lacks an aggregated attribute, and ``AggregateOverflow``
     when a float sum meets a trend count too large for a float.
+    ``merge(a, b)`` merges two vectors of equal length, and
+    ``readout(cell)`` maps ``names`` (the aggregates' RETURN-clause
+    spellings, in order) to their values in one final cell. ``additive``
+    says that every slot merges with ``add``; ``source`` is the generated
+    text.
     """
-    if len(pred) == k:
-        return _absorb_one(pred, updates, attrs, is_start)
-    counts = pred[::k]
-    cells = pred.copy()
+    k = len(accs) + 1
+    additive = all(code in _ADDITIVE for code, _, _ in accs)
+    lines = []
+    for n, r in enumerate(roles):
+        lines += _absorb_source(f"absorb_{n}", event_updates(accs, r), r == start, k)
+    lines += _merge_source(accs, k, additive)
+    lines += _readout_source(names, extractors)
+    source = "\n".join(lines) + "\n"
+    namespace = {
+        "add": add,
+        "AggregateOverflow": AggregateOverflow,
+        "MissingAttribute": MissingAttribute,
+    }
+    exec(compile(source, "<trendagg cells>", "exec"), namespace)
+    absorb = {r: namespace[f"absorb_{n}"] for n, r in enumerate(roles)}
+    return CellCode(absorb, namespace["merge"], namespace["readout"], additive, source)
+
+
+def _unpack(prefix, k, vector):
+    return f"{', '.join(f'{prefix}{s}' for s in range(k))}, = {vector}"
+
+
+# A slot's new value from its old value ``p``, the event's value ``v`` and
+# the trend count ``c``; on zero trends the event contributes nothing, and
+# min/max must not pick up its value.
+_UPDATE = {
+    ACC_COUNT: "{p} + {c}",
+    ACC_SUM: "{p} + {v} * {c}",
+    ACC_MIN: "{p} if {c} == 0 or {p} is not None and {p} <= {v} else {v}",
+    ACC_MAX: "{p} if {c} == 0 or {p} is not None and {p} >= {v} else {v}",
+}
+# A slot of two merged cells; ``None`` is the identity of min/max.
+_MERGE = {
+    ACC_COUNT: "{x} + {y}",
+    ACC_SUM: "{x} + {y}",
+    ACC_MIN: "{x} if {y} is None or {x} is not None and {x} <= {y} else {y}",
+    ACC_MAX: "{x} if {y} is None or {x} is not None and {x} >= {y} else {y}",
+}
+
+
+def _absorb_source(fn, updates, is_start, k):
+    one = [_unpack("c", k, "pred")]  # a vector of one window
+    many = ["cells = pred.copy()"]
     if is_start:
-        counts = [c + 1 for c in counts]
-        cells[::k] = counts
-    try:
-        for i, code, target, attr in updates:
-            prev = pred[i::k]
-            if code == ACC_COUNT:
-                cells[i::k] = map(add, prev, counts)
-                continue
-            value = _value(attrs, target, attr)
-            # On zero trends the event contributes nothing; min/max must not
-            # pick up its value.
-            if code == ACC_SUM:
-                cells[i::k] = [p + value * c for p, c in zip(prev, counts)]
-            elif code == ACC_MIN:
-                cells[i::k] = [
-                    p if c == 0 or p is not None and p <= value else value
-                    for p, c in zip(prev, counts)
-                ]
-            else:
-                cells[i::k] = [
-                    p if c == 0 or p is not None and p >= value else value
-                    for p, c in zip(prev, counts)
-                ]
-    except OverflowError as exc:
-        raise AggregateOverflow(f"the sum of {target}.{attr}", exc) from None
-    return cells
+        one.append("c0 = c0 + 1")
+        many += [f"counts = [c + 1 for c in pred[0::{k}]]", f"cells[0::{k}] = counts"]
+    else:
+        many.append(f"counts = pred[0::{k}]")
+    values = {}  # attribute -> local holding its value, read at first use
+    for i, code, target, attr in updates:
+        if code == ACC_COUNT:
+            one.append(f"c{i} = " + _UPDATE[code].format(p=f"c{i}", c="c0"))
+            many.append(f"cells[{i}::{k}] = map(add, pred[{i}::{k}], counts)")
+            continue
+        if attr not in values:
+            v = values[attr] = f"v{len(values)}"
+            message = f"aggregate needs {target}.{attr}, absent on event"
+            read = [
+                "try:",
+                f"    {v} = attrs[{attr!r}]",
+                "except KeyError:",
+                f"    raise MissingAttribute({message!r}) from None",
+            ]
+            one += read
+            many += read
+        v = values[attr]
+        scalar = f"c{i} = " + _UPDATE[code].format(p=f"c{i}", v=v, c="c0")
+        strided = (
+            f"cells[{i}::{k}] = ["
+            + _UPDATE[code].format(p="p", v=v, c="c")
+            + f" for p, c in zip(pred[{i}::{k}], counts)]"
+        )
+        if code == ACC_SUM:
+            guard = [
+                "except OverflowError as exc:",
+                f"    raise AggregateOverflow({f'the sum of {target}.{attr}'!r}, exc)"
+                " from None",
+            ]
+            one += ["try:", "    " + scalar, *guard]
+            many += ["try:", "    " + strided, *guard]
+        else:
+            one.append(scalar)
+            many.append(strided)
+    one.append(f"return [{', '.join(f'c{s}' for s in range(k))}]")
+    many.append("return cells")
+    return [
+        f"def {fn}(pred, attrs):",
+        f"    if len(pred) == {k}:",
+        *("        " + line for line in one),
+        *("    " + line for line in many),
+        "",
+    ]
 
 
-def _absorb_one(pred, updates, attrs, is_start):
-    """``absorb_cells`` on a vector of one window."""
-    count = pred[0] + 1 if is_start else pred[0]
-    cells = pred.copy()
-    cells[0] = count
-    try:
-        for i, code, target, attr in updates:
-            p = pred[i]
-            if code == ACC_COUNT:
-                cells[i] = p + count
-                continue
-            value = _value(attrs, target, attr)
-            if code == ACC_SUM:
-                cells[i] = p + value * count
-            elif code == ACC_MIN:
-                cells[i] = p if count == 0 or p is not None and p <= value else value
-            else:
-                cells[i] = p if count == 0 or p is not None and p >= value else value
-    except OverflowError as exc:
-        raise AggregateOverflow(f"the sum of {target}.{attr}", exc) from None
-    return cells
+def _merge_source(accs, k, additive):
+    if additive:
+        return ["def merge(a, b):", "    return list(map(add, a, b))", ""]
+    codes = (ACC_COUNT, *(code for code, _, _ in accs))
+    one = ", ".join(
+        _MERGE[code].format(x=f"a{s}", y=f"b{s}") for s, code in enumerate(codes)
+    )
+    many = [
+        f"cells[{s}::{k}] = map(add, a[{s}::{k}], b[{s}::{k}])"
+        if code in _ADDITIVE
+        else f"cells[{s}::{k}] = ["
+        + _MERGE[code].format(x="x", y="y")
+        + f" for x, y in zip(a[{s}::{k}], b[{s}::{k}])]"
+        for s, code in enumerate(codes)
+    ]
+    return [
+        "def merge(a, b):",
+        f"    if len(a) == {k}:",
+        "        " + _unpack("a", k, "a"),
+        "        " + _unpack("b", k, "b"),
+        f"        return [{one}]",
+        "    cells = a.copy()",
+        *("    " + line for line in many),
+        "    return cells",
+        "",
+    ]
 
 
-def _value(attrs, target, attr):
-    try:
-        return attrs[attr]
-    except KeyError:
-        raise MissingAttribute(
-            f"aggregate needs {target}.{attr}, absent on event"
-        ) from None
-
-
-def finalize(cell, names, extractors):
-    """Read the requested aggregate values out of a final cell, keyed by
-    ``names`` (the aggregates' RETURN-clause spellings, in order)."""
-    out = {}
-    try:
-        for name, (how, a, b) in zip(names, extractors):
-            if how == "star":
-                value = cell[0]
-            elif how == "acc":
-                value = cell[a]
-            else:  # avg
-                total, n = cell[a], cell[b]
-                value = None if n == 0 else total / n
-            out[name] = value
-    except OverflowError as exc:
-        raise AggregateOverflow(name, exc) from None
-    return out
+def _readout_source(names, extractors):
+    body = []
+    values = []
+    for n, (name, (how, a, b)) in enumerate(zip(names, extractors)):
+        if how != "avg":  # COUNT(*) reads slot 0, the others their own slot
+            values.append(f"cell[{a}]")
+            continue
+        body += [
+            "try:",
+            f"    avg{n} = None if cell[{b}] == 0 else cell[{a}] / cell[{b}]",
+            "except OverflowError as exc:",
+            f"    raise AggregateOverflow({name!r}, exc) from None",
+        ]
+        values.append(f"avg{n}")
+    pairs = ", ".join(f"{name!r}: {value}" for name, value in zip(names, values))
+    return [
+        "def readout(cell):",
+        *("    " + line for line in body),
+        f"    return {{{pairs}}}",
+        "",
+    ]

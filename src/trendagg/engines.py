@@ -1,8 +1,10 @@
 """Engine facade: compiles a query and drives one kernel per partition key.
 
 ``compile_query`` plans a query once into one ``CompiledQuery``: the
-granularity, the role probe, the aggregate read-out and the tables every
-kernel of the query reads. An Engine owns one kernel instance - the
+granularity, the role probe, the tables every kernel of the query reads
+and the query's cell arithmetic, generated as straight-line functions
+(``cells.compile_cells``: one ``absorb`` per pattern variable, one
+``merge`` and one ``readout``). An Engine owns one kernel instance - the
 incremental state of one partition key over its open windows - plus the
 read-out of a window's aggregates. The kernel's ``snapshot()`` shows that
 state.
@@ -11,16 +13,9 @@ state.
 from __future__ import annotations
 
 from collections import namedtuple
-from operator import add
 
 from ._kernels_py import MixedKernel
-from .cells import (
-    build_accumulators,
-    event_updates,
-    finalize,
-    identity_cell,
-    merge_functions,
-)
+from .cells import build_accumulators, compile_cells, identity_cell
 from .events import Event
 from .query import (
     GranularityPlan,
@@ -35,8 +30,8 @@ from .query import (
 
 CompiledQuery = namedtuple(
     "CompiledQuery",
-    "plan probe names extractors start end theta event_grained cumulative "
-    "consume cont merges additive k identity updates type_preds kept_preds",
+    "plan probe start end theta event_grained cumulative consume cont "
+    "absorb merge readout additive source k identity type_preds kept_preds",
 )
 
 
@@ -44,12 +39,12 @@ def compile_query(query: Query, plan: GranularityPlan | None = None) -> Compiled
     """Plan a query once; every engine of a run shares the result.
 
     ``plan`` overrides the coarsest granularity that ``classify_and_plan``
-    picks. ``names`` holds each aggregate's RETURN-clause spelling. The
-    fields past ``extractors`` are the tables the kernel reads:
-    ``type_preds`` and ``kept_preds`` split each variable's predecessors by
-    granularity, and ``kept_preds`` pairs each event-grained one with its
-    adjacency checks. A cell has ``k`` slots; ``additive`` says that every
-    one of them merges with ``add``."""
+    picks. The fields past ``probe`` are what the kernel reads:
+    ``absorb``, ``merge``, ``readout``, ``additive`` and ``source`` come
+    from ``cells.compile_cells``; ``type_preds`` and ``kept_preds`` split
+    each variable's predecessors by granularity, and ``kept_preds`` pairs
+    each event-grained one with its adjacency checks. A cell has ``k``
+    slots."""
     check_supported(query)
     if plan is None:
         plan = classify_and_plan(query)
@@ -64,13 +59,13 @@ def compile_query(query: Query, plan: GranularityPlan | None = None) -> Compiled
             )
     theta = {k: tuple(v) for k, v in theta.items()}
     accs, extractors = build_accumulators(query.aggregates)
-    merges = merge_functions(accs)
+    code = compile_cells(
+        accs, extractors, aggregate_names(query), roles, template.start_type
+    )
     event_grained = plan.event_grained
     return CompiledQuery(
         plan=plan,
         probe=RoleProbe(query),
-        names=aggregate_names(query),
-        extractors=extractors,
         start=template.start_type,
         end=template.end_type,
         theta=theta,
@@ -78,11 +73,13 @@ def compile_query(query: Query, plan: GranularityPlan | None = None) -> Compiled
         cumulative=query.semantics is Semantics.ANY,
         consume=query.semantics is Semantics.NEXT,
         cont=query.semantics is Semantics.CONT,
-        merges=merges,
-        additive=all(m is add for m in merges),
-        k=len(merges),
+        absorb=code.absorb,
+        merge=code.merge,
+        readout=code.readout,
+        additive=code.additive,
+        source=code.source,
+        k=len(accs) + 1,
         identity=identity_cell(accs),
-        updates={r: event_updates(accs, r) for r in roles},
         type_preds={
             r: tuple(p for p in preds[r] if p not in event_grained) for r in roles
         },
@@ -136,7 +133,7 @@ class Engine:
         the caller has read it already."""
         if cell is None:
             cell = self.kernel.final_cell()
-        return finalize(cell, self.compiled.names, self.compiled.extractors)
+        return self.compiled.readout(cell)
 
 
 def build_engine(query: Query) -> Engine:

@@ -28,7 +28,9 @@ enumerating oracle (``cli.oracle_rows``):
   any open chain in its own partition. Such events are routed to the
   windows already open for the key only - they cannot start anything, and
   a window opened later only sees events after the gap anyway. If the
-  partition key cannot be extracted the event is dropped.
+  partition key cannot be extracted the event is dropped. A key whose
+  engine opens later at the gap's own timestamp still counts the gap
+  among that timestamp's events (see ``_kernels_py``).
 * Everything else that matches nothing is ignored.
 
 The manager relies on time order and raises ``OutOfOrder`` when an
@@ -130,6 +132,7 @@ class WindowManager:
         self._probe = self.compiled.probe
         self._engines = {}  # key -> Engine over the key's open windows
         self._stepped = []  # kernels that stepped at the last timestamp
+        self._gaps = {}  # key without an engine -> its gap event at this time
         self._keys_by_wid = {}  # open window id -> keys holding it
         self._first_wid = 0  # oldest open window id
         self._min_end = float("inf")
@@ -152,6 +155,8 @@ class WindowManager:
             self._last_time = time
             if self._stepped:  # before any window closes
                 self._end_timestamp()
+            if self._gaps:
+                self._gaps.clear()
         rows = self.close_expired(time) if time >= self._min_end else []
         self.events_ingested += 1
         routed = route(event, self._probe, self._partition_attrs, self._cont)
@@ -165,6 +170,10 @@ class WindowManager:
             if engine is None:
                 engine = self._engines[key] = Engine(self.query, self.compiled)
                 held = 0
+                gap = self._gaps.pop(key, None)
+                if gap is not None:  # it shares this timestamp with the event
+                    self._stepped.append(engine.kernel)
+                    engine.step_with_roles(gap, (), 0)
             else:
                 held = engine.kernel.width
             # The key's open windows are the oldest of the event's windows.
@@ -172,6 +181,7 @@ class WindowManager:
                 for wid in wids[held:]:
                     self._open(wid, key)
         elif engine is None:
+            self._gaps[key] = event
             return rows
         else:
             width = 0

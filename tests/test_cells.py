@@ -8,17 +8,16 @@ from trendagg.cells import (
     ACC_MAX,
     ACC_MIN,
     ACC_SUM,
-    absorb_cells,
     build_accumulators,
     combine_cells,
+    compile_cells,
     event_updates,
-    finalize,
     identity_cell,
-    merge_functions,
 )
 from trendagg.engines import compile_query
 from trendagg.errors import AggregateOverflow
 
+from cells_reference import absorb_cells, finalize, merge_by_slot, merge_functions
 from conftest import make_query
 
 SPECS = (
@@ -36,6 +35,19 @@ K = 5  # slots per cell of SPECS
 def _vector(*cells):
     """The flat cell vector holding ``cells``, one per window, oldest first."""
     return [value for cell in cells for value in cell]
+
+
+def _code(specs=SPECS, start="A"):
+    """The generated cell functions of ``specs`` over the variables A and B."""
+    accs, extractors = build_accumulators(specs)
+    names = tuple(str(spec) for spec in specs)
+    return compile_cells(accs, extractors, names, ("A", "B"), start)
+
+
+def _absorb(variable, is_start, specs=SPECS):
+    """The generated absorb of ``variable``, as the start variable or not."""
+    start = variable if is_start else "B" if variable == "A" else "A"
+    return _code(specs, start).absorb[variable]
 
 
 def test_accumulator_slots_are_shared():
@@ -64,63 +76,61 @@ def test_identity_cell_layout():
 
 def test_combine_adds_counts_and_merges_lattice():
     accs, _ = build_accumulators(SPECS)
-    merges = merge_functions(accs)
+    merge = _code().merge
     a = _vector([2, 3, 10, 1, 7])
     b = _vector([1, 1, 4, 2, 5])
-    merged = combine_cells(a, b, merges, False)
+    merged = combine_cells(a, b, merge)
     assert merged[:K] == [3, 4, 14, 1, 7]
     ident = identity_cell(accs)
-    assert combine_cells(a, ident, merges, False) == a
-    assert combine_cells(ident, a, merges, False) == a
-    assert combine_cells(merged, ident, merges, False) == merged
+    assert combine_cells(a, ident, merge) == a
+    assert combine_cells(ident, a, merge) == a
+    assert combine_cells(merged, ident, merge) == merged
 
 
 def test_absorb_start_event():
     accs, _ = build_accumulators(SPECS)
     pred = identity_cell(accs)
-    cell = absorb_cells(pred, event_updates(accs, "A"), {"v": 6}, True, K)[:K]
+    cell = _absorb("A", True)(pred, {"v": 6})[:K]
     # one new trend; its one A-event contributes v=6 everywhere
     assert cell == [1, 1, 6, 6, 6]
 
 
 def test_absorb_extends_predecessor_trends():
-    accs, _ = build_accumulators(SPECS)
     pred = _vector([3, 2, 10, 4, 9])  # merged predecessor cell
-    updates = event_updates(accs, "A")
-    cell = absorb_cells(pred, updates, {"v": 6}, False, K)
+    cell = _absorb("A", False)(pred, {"v": 6})
     # 3 trends extended: +3 A-occurrences, +6*3 to the sum, lattice with 6
     assert cell[:K] == [3, 5, 28, 4, 9]
-    as_start = absorb_cells(pred, updates, {"v": 6}, True, K)
+    as_start = _absorb("A", True)(pred, {"v": 6})
     assert as_start[:K] == [4, 6, 34, 4, 9]
 
 
 def test_absorb_other_variable_propagates_untouched():
-    accs, _ = build_accumulators(SPECS)
     pred = _vector([3, 2, 10, 4, 9])
-    cell = absorb_cells(pred, event_updates(accs, "B"), {"v": 100}, False, K)
+    cell = _absorb("B", False)(pred, {"v": 100})
     assert cell[:K] == [3, 2, 10, 4, 9]
 
 
 def test_absorb_on_zero_trends_does_not_poison_min_max():
     # An end-variable event with no predecessors sits on zero trends; its
     # value must not leak into MIN/MAX (sums are self-guarded by the factor).
-    accs, _ = build_accumulators(
-        (AggSpec(AggKind.MIN, "B", "v"), AggSpec(AggKind.SUM, "B", "v"))
-    )
+    specs = (AggSpec(AggKind.MIN, "B", "v"), AggSpec(AggKind.SUM, "B", "v"))
+    accs, _ = build_accumulators(specs)
     pred = identity_cell(accs)
-    cell = absorb_cells(pred, event_updates(accs, "B"), {"v": -99}, False, 3)
+    cell = _absorb("B", False, specs)(pred, {"v": -99})
     assert cell[:3] == [0, None, 0]
 
 
 def test_absorb_missing_attribute():
-    accs, _ = build_accumulators((AggSpec(AggKind.SUM, "A", "v"),))
+    specs = (AggSpec(AggKind.SUM, "A", "v"),)
+    accs, _ = build_accumulators(specs)
     with pytest.raises(MissingAttribute):
-        absorb_cells(identity_cell(accs), event_updates(accs, "A"), {}, True, 2)
+        _absorb("A", True, specs)(identity_cell(accs), {})
 
 
 def test_finalize_including_avg():
-    accs, extractors = build_accumulators(SPECS)
-    out = finalize([4, 2, 10, 3, 7], NAMES, extractors)
+    accs, _ = build_accumulators(SPECS)
+    readout = _code().readout
+    out = readout([4, 2, 10, 3, 7])
     assert out == {
         "COUNT(*)": 4,
         "COUNT(A)": 2,
@@ -129,7 +139,7 @@ def test_finalize_including_avg():
         "MAX(A.v)": 7,
         "AVG(A.v)": 5.0,
     }
-    empty = finalize(identity_cell(accs), NAMES, extractors)
+    empty = readout(identity_cell(accs))
     assert empty == {
         "COUNT(*)": 0,
         "COUNT(A)": 0,
@@ -141,14 +151,14 @@ def test_finalize_including_avg():
 
 
 def test_counts_are_arbitrary_precision():
-    accs, _ = build_accumulators((AggSpec(AggKind.COUNT_STAR),))
-    merges = merge_functions(accs)
-    updates = event_updates(accs, "A")
+    specs = (AggSpec(AggKind.COUNT_STAR),)
+    accs, _ = build_accumulators(specs)
+    code = _code(specs)
     cells = identity_cell(accs)
     # 128 doublings of a start-variable cell: 2^128 dwarfs any fixed width
     for _ in range(128):
-        absorbed = absorb_cells(cells, updates, {}, True, 1)
-        cells = combine_cells(cells, absorbed, merges, True)
+        absorbed = code.absorb["A"](cells, {})
+        cells = combine_cells(cells, absorbed, code.merge)
     assert cells[0] == 2**128 - 1
 
 
@@ -181,31 +191,113 @@ def _cells(draw):
 def test_one_window_branch_matches_vector_path(
     a, b, other_a, other_b, variable, attrs, is_start
 ):
-    """The width-1 scalar branch, the strided per-slot branch and, on the
-    additive slots alone, the ``map(add)`` branch give the same cells."""
-    accs, _ = build_accumulators(SPECS)
-    merges = merge_functions(accs)
-    one = combine_cells(_vector(a), _vector(b), merges, False)
-    two = combine_cells(_vector(a, other_a), _vector(b, other_b), merges, False)
+    """The generated width-1 scalar branch and strided branch give the same
+    cells, and so do, on the additive slots alone, ``map(add)`` and the
+    slot-by-slot reference."""
+    merge = _code().merge
+    one = combine_cells(_vector(a), _vector(b), merge)
+    two = combine_cells(_vector(a, other_a), _vector(b, other_b), merge)
     assert one == two[:K]
-    assert two[K:] == combine_cells(_vector(other_a), _vector(other_b), merges, False)
-    additive = merges[:3]  # COUNT(*), COUNT(A) and SUM(A.v) merge with add
+    assert two[K:] == combine_cells(_vector(other_a), _vector(other_b), merge)
+    additive = SPECS[:3]  # COUNT(*), COUNT(A) and SUM(A.v) merge with add
+    merges = merge_functions(build_accumulators(additive)[0])
     x, y = _vector(a[:3], other_a[:3]), _vector(b[:3], other_b[:3])
     for n in (3, 6):  # one window, two windows
-        by_slot = combine_cells(x[:n], y[:n], additive, False)
-        assert combine_cells(x[:n], y[:n], additive, True) == by_slot
+        by_slot = merge_by_slot(x[:n], y[:n], merges)
+        assert combine_cells(x[:n], y[:n], _code(additive).merge) == by_slot
         assert by_slot[:3] == one[:3]
 
-    updates = event_updates(accs, variable)
+    absorb = _absorb(variable, is_start)
     try:
-        two = absorb_cells(_vector(a, other_a), updates, attrs, is_start, K)
+        two = absorb(_vector(a, other_a), attrs)
     except MissingAttribute:
         with pytest.raises(MissingAttribute):
-            absorb_cells(_vector(a), updates, attrs, is_start, K)
+            absorb(_vector(a), attrs)
         return
-    one = absorb_cells(_vector(a), updates, attrs, is_start, K)
+    one = absorb(_vector(a), attrs)
     assert one == two[:K]
-    assert two[K:] == absorb_cells(_vector(other_a), updates, attrs, is_start, K)
+    assert two[K:] == absorb(_vector(other_a), attrs)
+
+
+_BIG = 2**1100  # a trend count no float can hold
+_VALUES = st.one_of(
+    st.integers(-5, 5),
+    st.floats(-5, 5, allow_nan=False, allow_subnormal=False),
+    st.sampled_from((0.5, -0.0, 1e308, -1e308, 10**400)),
+)
+_COUNTS = st.one_of(st.integers(0, 3), st.just(_BIG))
+
+
+@st.composite
+def _aggregates(draw):
+    """Variables (one to three, the start among them) and aggregates over
+    them, duplicates allowed."""
+    roles = draw(st.sampled_from(("A", "AB", "ABC")))
+    variable = st.sampled_from(roles)
+    spec = st.one_of(
+        st.just(AggSpec(AggKind.COUNT_STAR)),
+        st.builds(AggSpec, st.just(AggKind.COUNT), variable),
+        st.builds(
+            AggSpec,
+            st.sampled_from((AggKind.SUM, AggKind.MIN, AggKind.MAX, AggKind.AVG)),
+            variable,
+            st.sampled_from("vw"),
+        ),
+    )
+    return tuple(roles), draw(st.sampled_from(roles)), draw(st.lists(spec, min_size=1, max_size=6))
+
+
+def _vectors(accs, width):
+    """A cell vector of ``width`` windows over ``accs``: counts (zero
+    included), int and float sums, and min and max that may be ``None``."""
+    slot = {
+        ACC_COUNT: _COUNTS,
+        ACC_SUM: _VALUES,
+        ACC_MIN: st.one_of(st.none(), _VALUES),
+        ACC_MAX: st.one_of(st.none(), _VALUES),
+    }
+    cell = st.tuples(_COUNTS, *(slot[code] for code, _, _ in accs))
+    return st.lists(cell, min_size=width, max_size=width).map(lambda c: _vector(*c))
+
+
+def _outcome(fn, *args):
+    """What ``fn(*args)`` returns, by ``repr``, or the type and message of
+    what it raises."""
+    try:
+        return "returns", repr(fn(*args))
+    except Exception as exc:  # noqa: BLE001 - compared, not handled
+        return "raises", type(exc), str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(aggregates=_aggregates(), width=st.integers(1, 4), data=st.data())
+def test_generated_functions_match_the_slot_by_slot_reference(aggregates, width, data):
+    """The generated ``absorb``, ``merge`` and ``readout`` return what the
+    slot-by-slot interpreters return, bit for bit, or raise the same
+    exception with the same message: ``MissingAttribute`` on zero counts
+    too, and ``AggregateOverflow`` naming the slot that overflows first."""
+    roles, start, specs = aggregates
+    accs, extractors = build_accumulators(specs)
+    names = tuple(str(spec) for spec in specs)
+    code = compile_cells(accs, extractors, names, roles, start)
+    k = len(accs) + 1
+    pred = data.draw(_vectors(accs, width))
+    attrs = data.draw(
+        st.fixed_dictionaries({}, optional={"v": _VALUES, "w": _VALUES})
+    )
+    held = pred.copy()
+    for r in roles:
+        assert _outcome(code.absorb[r], pred, attrs) == _outcome(
+            absorb_cells, pred, event_updates(accs, r), attrs, r == start, k
+        )
+    assert pred == held  # absorb returns new cells
+    other = data.draw(_vectors(accs, width))
+    assert _outcome(code.merge, pred, other) == _outcome(
+        merge_by_slot, pred, other, merge_functions(accs)
+    )
+    assert _outcome(code.readout, pred[:k]) == _outcome(
+        finalize, pred[:k], names, extractors
+    )
 
 
 _MERGE_FAMILIES = [
@@ -221,8 +313,9 @@ _MERGE_FAMILIES = [
 def test_stored_predecessor_merges_match_one_window_kernels(data):
     """Merging kept events into a vector of open windows - with window
     offsets (a kept event that arrived before older windows closed), ``None``
-    min/max identities, and by ``map(add)`` or slot by slot - gives every
-    window the final cell of a one-window kernel fed that window's events."""
+    min/max identities, and by ``map(add)`` or the generated ``merge`` -
+    gives every window the final cell of a one-window kernel fed that
+    window's events."""
     pattern, where, returns = data.draw(st.sampled_from(_MERGE_FAMILIES))
     semantics = data.draw(st.sampled_from(("any", "next", "cont")))
     query = make_query(
@@ -240,7 +333,7 @@ def test_stored_predecessor_merges_match_one_window_kernels(data):
         stream[j * slide : j * slide + length] for j in range(-(-len(stream) // slide))
     ]
     plans = [compiled]
-    if compiled.additive:  # the same plan, merged slot by slot
+    if compiled.additive:  # the same plan, merged by its generated merge
         plans.append(compiled._replace(additive=False))
     for plan in plans:
         engine = Engine(query, plan)
@@ -258,10 +351,9 @@ def test_stored_predecessor_merges_match_one_window_kernels(data):
 
 
 def test_float_sum_over_a_count_beyond_the_float_range_names_the_aggregate():
-    accs, extractors = build_accumulators((AggSpec(AggKind.AVG, "A", "v"),))
-    updates = event_updates(accs, "A")
+    code = _code((AggSpec(AggKind.AVG, "A", "v"),), start="B")
     for width in (1, 2):
         with pytest.raises(AggregateOverflow, match=r"^the sum of A\.v exceeds"):
-            absorb_cells([2**1100, 0, 0] * width, updates, {"v": 0.5}, False, 3)
+            code.absorb["A"]([2**1100, 0, 0] * width, {"v": 0.5})
     with pytest.raises(AggregateOverflow, match=r"^AVG\(A\.v\) exceeds"):
-        finalize([1, float("inf"), 2**1100], ("AVG(A.v)",), extractors)
+        code.readout([1, float("inf"), 2**1100])

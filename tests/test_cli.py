@@ -213,6 +213,38 @@ class TestOracle:
         assert blocks[1] == blocks[2]
         assert "(oracle)" in captured.err
 
+    @pytest.mark.parametrize("semantics", ["any", "next", "cont"])
+    def test_attributes_named_like_python_words_agree_with_run(
+        self, workdir, capsys, semantics
+    ):
+        # Every name matches the grammar's identifiers; the generated cell
+        # functions must quote them, not splice them into their source.
+        rows = [(10, 3, 1.5, 2, 0.5), (20, 1, 2.5, 7, 1.5), (30, 4, 0.5, 1, 2.0),
+                (40, 2, 3.5, 5, 1.0), (60, 5, 1.0, 3, 0.5), (80, 6, 2.0, 4, 3.5)]
+        (workdir / "words.csv").write_text(
+            "time,type,class,None,lambda,__import__\n"
+            + "".join(f"{t},A,{c},{n},{lam},{imp}\n" for t, c, n, lam, imp in rows)
+        )
+        (workdir / "words.txt").write_text(
+            "RETURN COUNT(*), SUM(A.class), MIN(A.None), MAX(A.lambda), "
+            "AVG(A.__import__), SUM(A.None) PATTERN A+ SEMANTICS "
+            f"{semantics} WHERE A.lambda > 1 AND A.class < NEXT(A).class "
+            "WITHIN 100 s SLIDE 50 s\n"
+        )
+        outputs = []
+        for sub in ("run", "oracle"):
+            assert _run(
+                [sub, "--query", workdir / "words.txt", "--input", workdir / "words.csv"]
+            ) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        header, *lines = outputs[0].splitlines()
+        assert header == (
+            "wid,window_start_ms,window_end_ms,COUNT(*),SUM(A.class),MIN(A.None),"
+            "MAX(A.lambda),AVG(A.__import__),SUM(A.None)"
+        )
+        assert lines
+
     def test_cap_enforced(self, workdir, capsys):
         # 12 A events under A+ produce 2^12 - 1 trends; a tiny cap trips.
         events = [
@@ -448,6 +480,16 @@ class TestErrors:
 
 
     @pytest.mark.parametrize(
+        "window, offset",
+        [
+            ("WITHIN 10000 s", 0),
+            # From 5,001 s on, every event falls into windows 0 and 1, so the
+            # cells are vectors of two windows.
+            ("WITHIN 10000 s SLIDE 5000 s", 5000),
+        ],
+        ids=["tumbling", "sliding"],
+    )
+    @pytest.mark.parametrize(
         "returns, values, message",
         [
             # 1,100 A events under skip-till-any-match: about 2^1100 trends,
@@ -458,12 +500,15 @@ class TestErrors:
             ("AVG(A.v)", ["1" + "0" * 400] * 3, "AVG(A.v) exceeds the float range"),
         ],
     )
-    def test_float_overflow_exits_2(self, workdir, capsys, returns, values, message):
+    def test_float_overflow_exits_2(
+        self, workdir, capsys, returns, values, message, window, offset
+    ):
         (workdir / "big.csv").write_text(
-            "time,type,v\n" + "".join(f"{t},A,{v}\n" for t, v in enumerate(values, 1))
+            "time,type,v\n"
+            + "".join(f"{t},A,{v}\n" for t, v in enumerate(values, offset + 1))
         )
         (workdir / "big.txt").write_text(
-            f"RETURN {returns} PATTERN A+ SEMANTICS any WITHIN 10000 s\n"
+            f"RETURN {returns} PATTERN A+ SEMANTICS any {window}\n"
         )
         code = _run(
             ["run", "--query", workdir / "big.txt", "--input", workdir / "big.csv"]

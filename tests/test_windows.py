@@ -563,3 +563,22 @@ def test_snapshot_after_a_close_reads_the_new_oldest_window(where, data):
             assert got.stored == want.stored
         manager.ingest(event)
         events.append(event)
+
+
+def test_gap_before_a_key_opens_counts_in_its_timestamp():
+    """Under contiguous semantics a gap event that reaches a key before
+    the key holds a window still shares its timestamp with the event that
+    opens one: the timestamp held two events, so only the trends they
+    start stay readable, as in a one-window engine fed both."""
+    query = make_query(
+        pattern="(SEQ(A+, B))+", semantics="cont", within="2000 ms", slide="1000 ms"
+    )
+    manager = WindowManager(query)
+    for event in (_ev(1000, "C"), _ev(1000, "B")):
+        manager.ingest(event)
+    manager.close_expired(2000)
+    kernel = manager._engines[()].kernel
+    reference = Engine(query).run([_ev(1000, "C"), _ev(1000, "B")])
+    reference.kernel.end_timestamp()
+    assert kernel.snapshot().counts == reference.kernel.snapshot().counts == {}
+    assert manager.current_entries == kernel.entry_count == 0
