@@ -8,7 +8,10 @@ differ only in which predecessors an event may read (see ``MixedKernel``).
 The kernel does no slot arithmetic itself: it calls the query's generated
 ``absorb`` of each variable an event plays, and its ``merge``, through
 ``cells.combine_cells`` where two vectors may end at different windows
-(see ``cells.compile_cells``).
+(see ``cells.compile_cells``). Nor does it read the plan per event:
+``compile_step`` generates each query's ``step`` once, with the plan's
+tables and flags resolved into straight-line code, and ``MixedKernel.step``
+calls it.
 
 A kernel holds the state of one partition key over all of that key's open
 windows. Those windows are a contiguous run of window ids; the kernel knows
@@ -141,6 +144,7 @@ class MixedKernel:
 
     def __init__(self, plan):
         self.plan = plan
+        self._step = plan.step
         self.width = 1
         self.base = 0  # number of the oldest open window
         self.time = None  # the current timestamp; None once it has ended
@@ -199,87 +203,9 @@ class MixedKernel:
         return sorted(chain.from_iterable(picked))
 
     def step(self, time, roles, attrs, width=1):
-        if self._stale:
-            self._trim()
-        if time != self.time:
-            if self.time is not None:  # the caller did not end it
-                self.end_timestamp()
-            self.time = time
-        plan = self.plan
-        cumulative = plan.cumulative
-        if plan.cont:
-            self._batch.append((roles, attrs))
-        k = plan.k
-        if width > self.width:
-            if self.final_acc is not None:
-                self.final_acc += plan.identity * (width - self.width)
-            self.width = width
-        size = self.width * k
-        merge = plan.merge
-        additive = plan.additive
-        type_cells = self.type_cells
-        shadow = self._shadow
-        grown = 0  # slots added to the type cells and shadows
-        out = []
-        for r in roles:
-            # Merging starts from the first type-grained predecessor rather
-            # than from the identity; 0 + x is x for every slot value, since
-            # sums start at integer 0 and so never hold -0.0. An absent cell,
-            # and a vector's windows past its end, are the identity.
-            pred = None
-            for p in plan.type_preds[r]:
-                prev = shadow.get(p)
-                if prev is None:
-                    prev = type_cells.get(p)
-                self.pred_accesses += 1
-                if prev:
-                    pred = (
-                        prev
-                        if pred is None
-                        else combine_cells(pred, prev, merge)
-                    )
-            kept = self._predecessors(r, attrs) if plan.kept_preds[r] else ()
-            if pred is None:
-                pred = plan.identity * self.width
-            elif len(pred) < size:
-                pred = pred + plan.identity * ((size - len(pred)) // k)
-            elif kept:  # merged in place below; pred may be a variable's cells
-                pred = pred.copy()
-            if kept:
-                # A stored event's windows from the oldest open one on are
-                # exactly the windows it shares with the new event.
-                base = self.base
-                events = self.events
-                if additive:
-                    for _, _, first, stored in map(events.__getitem__, kept):
-                        c = stored[(base - first) * k :]
-                        pred[: len(c)] = map(add, pred, c)
-                else:
-                    for _, _, first, stored in map(events.__getitem__, kept):
-                        c = stored[(base - first) * k :]
-                        pred[: len(c)] = merge(pred[: len(c)], c)
-            if plan.consume:
-                grown -= self._consume(r, kept)
-            cell = plan.absorb[r](pred, attrs)
-            if r in plan.event_grained:
-                self._keep(time, r, cell, attrs)
-            else:
-                old = type_cells.get(r)
-                if r in shadow:  # updated earlier in this timestamp
-                    grown -= len(old)
-                else:  # its readable cells move to the shadow
-                    shadow[r] = () if old is None else old
-                    if not cumulative:
-                        old = None
-                new = cell if old is None else combine_cells(old, cell, merge)
-                type_cells[r] = new
-                grown += len(new)
-            if r == plan.end and self.final_acc is not None:
-                self.final_acc = combine_cells(self.final_acc, cell, merge)
-            out.append((r, cell))
-        if grown:
-            self.entry_count += grown // k
-        return out
+        """Apply one event, as the step contract above says, through the
+        query's generated step (``compile_step``)."""
+        return self._step(self, time, roles, attrs, width)
 
     def _keep(self, time, r, cell, attrs):
         self.events.append((time, r, self.base, cell))
@@ -446,6 +372,147 @@ class MixedKernel:
             ],
             entries=self.entry_count,
         )
+
+
+def compile_step(plan):
+    """The kernel step of one compiled query, as a generated function.
+
+    ``step(kernel, time, roles, attrs, width)`` does what the step
+    contract above says, with the plan's tables and flags resolved once:
+    each pattern variable gets a block that reads its type-grained
+    predecessors one by one, calls ``_predecessors`` only when it has
+    kept ones, merges kept cells additively or by ``merge``, calls
+    ``_consume`` only under skip-till-next-match, then keeps the event or
+    updates the variable's cells and shadow, and feeds ``final_acc`` only
+    where the plan has one. Names enter the source only as ``repr()``
+    literals. Returns the function and its source."""
+    k = plan.k
+    has_final = not (plan.cumulative and plan.end not in plan.event_grained)
+    roles = sorted(plan.type_preds)
+    lines = [
+        "def step(self, time, roles, attrs, width):",
+        "    if self._stale:",
+        "        self._trim()",
+        "    if time != self.time:",
+        "        if self.time is not None:  # the caller did not end it",
+        "            self.end_timestamp()",
+        "        self.time = time",
+    ]
+    if plan.cont:
+        lines.append("    self._batch.append((roles, attrs))")
+    lines += ["    w = self.width", "    if width > w:"]
+    if has_final:
+        lines.append("        self.final_acc += identity * (width - w)")
+    lines.append("        self.width = w = width")
+    if any(plan.type_preds.values()):
+        lines.append(f"    size = w * {k}")
+    typed = any(r not in plan.event_grained for r in roles)
+    if typed:
+        lines += ["    type_cells = self.type_cells", "    shadow = self._shadow"]
+    grows = typed or plan.consume
+    if grows:
+        lines.append("    grown = 0  # slots added to the type cells and shadows")
+    lines += ["    out = []", "    for r in roles:"]
+    for n, r in enumerate(roles):
+        indent = " " * 8
+        if len(roles) > 1:  # roles hold only the query's variables
+            if n == len(roles) - 1:
+                lines.append(indent + "else:")
+            else:
+                lines.append(indent + f"{'elif' if n else 'if'} r == {r!r}:")
+            indent += " " * 4
+        lines += [indent + line for line in _role_source(plan, n, r, has_final)]
+    if grows:
+        lines += ["    if grown:", f"        self.entry_count += grown // {k}"]
+    lines += ["    return out", ""]
+    source = "\n".join(lines)
+    namespace = {
+        "add": add,
+        "combine_cells": combine_cells,
+        "merge": plan.merge,
+        "identity": plan.identity,
+    }
+    namespace.update((f"absorb_{n}", plan.absorb[r]) for n, r in enumerate(roles))
+    exec(compile(source, "<trendagg step>", "exec"), namespace)
+    return namespace["step"], source
+
+
+def _role_source(plan, n, r, has_final):
+    """The lines that apply an ``r``-event, ``r`` being the ``n``-th
+    variable in name order."""
+    k = plan.k
+    type_preds = plan.type_preds[r]
+    kept = bool(plan.kept_preds[r])
+    lines = []
+    if type_preds:
+        # Merging starts from the first type-grained predecessor rather
+        # than from the identity; 0 + x is x for every slot value, since
+        # sums start at integer 0 and so never hold -0.0. An absent cell,
+        # and a vector's windows past its end, are the identity.
+        lines.append(f"self.pred_accesses += {len(type_preds)}")
+        first, *rest = type_preds
+        lines += [
+            f"pred = shadow.get({first!r})",
+            "if pred is None:",
+            f"    pred = type_cells.get({first!r})",
+        ]
+        for p in rest:
+            lines += [
+                f"prev = shadow.get({p!r})",
+                "if prev is None:",
+                f"    prev = type_cells.get({p!r})",
+                "if prev:",
+                "    pred = combine_cells(pred, prev, merge) if pred else prev",
+            ]
+    if kept:
+        lines.append(f"kept = self._predecessors({r!r}, attrs)")
+    if type_preds:
+        lines += [
+            "if not pred:",
+            "    pred = identity * w",
+            "elif len(pred) < size:",
+            f"    pred = pred + identity * ((size - len(pred)) // {k})",
+        ]
+        if kept:  # merged in place below; pred may be a variable's cells
+            lines += ["elif kept:", "    pred = pred.copy()"]
+    else:
+        lines.append("pred = identity * w")
+    if kept:
+        # A stored event's windows from the oldest open one on are exactly
+        # the windows it shares with the new event.
+        lines += [
+            "if kept:",
+            "    base = self.base",
+            "    for _, _, first, stored in map(self.events.__getitem__, kept):",
+            f"        c = stored[(base - first) * {k}:]",
+            "        pred[:len(c)] = map(add, pred, c)"
+            if plan.additive
+            else "        pred[:len(c)] = merge(pred[:len(c)], c)",
+        ]
+    if plan.consume:
+        lines.append(f"grown -= self._consume({r!r}, {'kept' if kept else '()'})")
+    lines.append(f"cell = absorb_{n}(pred, attrs)")
+    if r in plan.event_grained:
+        lines.append(f"self._keep(time, {r!r}, cell, attrs)")
+    else:
+        lines += [
+            f"old = type_cells.get({r!r})",
+            f"if {r!r} in shadow:  # updated earlier in this timestamp",
+            "    grown -= len(old)",
+            "else:  # its readable cells move to the shadow",
+            f"    shadow[{r!r}] = () if old is None else old",
+        ]
+        if not plan.cumulative:
+            lines.append("    old = None")
+        lines += [
+            "new = cell if old is None else combine_cells(old, cell, merge)",
+            f"type_cells[{r!r}] = new",
+            "grown += len(new)",
+        ]
+    if r == plan.end and has_final:
+        lines.append("self.final_acc = combine_cells(self.final_acc, cell, merge)")
+    lines.append(f"out.append(({r!r}, cell))")
+    return lines
 
 
 # The benchmark's tracer (``e2ebench/tracing.py``) wraps kernel classes by

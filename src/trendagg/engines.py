@@ -1,20 +1,21 @@
 """Engine facade: compiles a query and drives one kernel per partition key.
 
 ``compile_query`` plans a query once into one ``CompiledQuery``: the
-granularity, the role probe, the tables every kernel of the query reads
-and the query's cell arithmetic, generated as straight-line functions
-(``cells.compile_cells``: one ``absorb`` per pattern variable, one
-``merge`` and one ``readout``). An Engine owns one kernel instance - the
-incremental state of one partition key over its open windows - plus the
-read-out of a window's aggregates. The kernel's ``snapshot()`` shows that
-state.
+granularity, the role probe, the tables every kernel of the query reads,
+and the query's cell arithmetic and kernel step, generated as
+straight-line functions (``cells.compile_cells``: one ``absorb`` per
+pattern variable, one ``merge`` and one ``readout``;
+``_kernels_py.compile_step``: one ``step``). An Engine owns one kernel
+instance - the incremental state of one partition key over its open
+windows - plus the read-out of a window's aggregates. The kernel's
+``snapshot()`` shows that state.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 
-from ._kernels_py import MixedKernel
+from ._kernels_py import MixedKernel, compile_step
 from .cells import build_accumulators, compile_cells, identity_cell
 from .events import Event
 from .query import (
@@ -31,7 +32,7 @@ from .query import (
 CompiledQuery = namedtuple(
     "CompiledQuery",
     "plan probe start end theta event_grained cumulative consume cont "
-    "absorb merge readout additive source k identity type_preds kept_preds",
+    "absorb merge readout additive source k identity type_preds kept_preds step",
 )
 
 
@@ -40,11 +41,13 @@ def compile_query(query: Query, plan: GranularityPlan | None = None) -> Compiled
 
     ``plan`` overrides the coarsest granularity that ``classify_and_plan``
     picks. The fields past ``probe`` are what the kernel reads:
-    ``absorb``, ``merge``, ``readout``, ``additive`` and ``source`` come
-    from ``cells.compile_cells``; ``type_preds`` and ``kept_preds`` split
+    ``absorb``, ``merge``, ``readout`` and ``additive`` come from
+    ``cells.compile_cells``; ``type_preds`` and ``kept_preds`` split
     each variable's predecessors by granularity, and ``kept_preds`` pairs
     each event-grained one with its adjacency checks. A cell has ``k``
-    slots."""
+    slots. ``step`` is the kernel step that ``_kernels_py.compile_step``
+    generates from the other fields; ``source`` is the generated text of
+    the cell functions and the step."""
     check_supported(query)
     if plan is None:
         plan = classify_and_plan(query)
@@ -63,7 +66,7 @@ def compile_query(query: Query, plan: GranularityPlan | None = None) -> Compiled
         accs, extractors, aggregate_names(query), roles, template.start_type
     )
     event_grained = plan.event_grained
-    return CompiledQuery(
+    compiled = CompiledQuery(
         plan=plan,
         probe=RoleProbe(query),
         start=template.start_type,
@@ -89,7 +92,10 @@ def compile_query(query: Query, plan: GranularityPlan | None = None) -> Compiled
             )
             for r in roles
         },
+        step=None,
     )
+    step, step_source = compile_step(compiled)
+    return compiled._replace(step=step, source=code.source + step_source)
 
 
 class Engine:

@@ -116,21 +116,6 @@ def _parse_time_ms(cell, row_number):
     return int(ms)
 
 
-def _coerce(cell, kind, row_number, attr):
-    """One cell decoded by its declared kind: the reference for the readers'
-    converters and their error message."""
-    try:
-        if kind == "int":
-            return int(cell)
-        if kind == "float":
-            return float(cell)
-        return cell
-    except ValueError:
-        raise MalformedRow(
-            row_number, f"value {cell!r} for {attr} is not a valid {kind}"
-        ) from None
-
-
 def _infer(cell):
     try:
         return int(cell)

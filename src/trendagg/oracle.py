@@ -28,7 +28,7 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .errors import ExplosionGuard, MissingAttribute, UnsupportedQuery
-from .query import AggKind, Query, Semantics, check_adjacent, matchable_variables
+from .query import AggKind, Query, RoleProbe, Semantics, check_adjacent
 
 DEFAULT_CAP = 1_000_000
 
@@ -78,9 +78,10 @@ class Trend:
 
 
 def _matchable(events, query):
+    probe = RoleProbe(query)
     out = []
     for i, ev in enumerate(events):
-        for variable in matchable_variables(query, ev):
+        for variable in probe(ev):
             out.append(Occurrence(i, variable, ev))
     return out
 

@@ -173,9 +173,6 @@ class Query:
     def adjacent_predicates(self):
         return tuple(p for p in self.predicates if isinstance(p, Adjacent))
 
-    def variables_for(self, etype):
-        return tuple(sorted(v for v, src in self.aliases.items() if src == etype))
-
 
 # --------------------------------------------------------------------------
 # Parsing
@@ -543,26 +540,10 @@ def check_adjacent(
     return True
 
 
-def passes_local(query: Query, event: Event, variable: str) -> bool:
-    """Do the local predicates allow ``event`` to match ``variable``?"""
-    for p in query.local_predicates:
-        if p.variable != variable:
-            continue
-        value = event.attrs.get(p.attr)
-        if value is None or not p.op.apply(value, p.constant):
-            return False
-    return True
-
-
-def matchable_variables(query: Query, event: Event) -> tuple:
-    """Variables this event can play, after local filtering."""
-    return tuple(
-        v for v in query.variables_for(event.etype) if passes_local(query, event, v)
-    )
-
-
 class RoleProbe:
-    """Precomputed form of matchable_variables for per-event use."""
+    """The pattern variables an event can play: those that read its type
+    and whose local predicates it passes. An absent attribute fails a
+    local predicate."""
 
     __slots__ = ("_by_type", "_locals")
 

@@ -4,13 +4,17 @@ The query is compiled once; each partition key owns one engine whose state
 covers all of the key's open windows. Window ids are derived
 arithmetically from the event time: window ``w`` covers
 ``[w * slide, w * slide + within)`` milliseconds, so an event at time
-``t`` falls into a contiguous run of ids. Windows close as soon as an
-event at or past their end boundary arrives (the stream is time-ordered),
-or when the stream ends. Closing a window only reads each key's aggregates
-for it: a key's state is trimmed of its closed windows at the key's next
-step, and a key with no open window left loses its engine. Before that,
-as soon as an event with a later time arrives, every key that stepped at
-the previous time ends that timestamp, which frees its tie state.
+``t`` falls into a contiguous run of ids, ``windows_of(t, spec)``.
+``WindowManager.ingest`` computes that run's first id and length inline:
+``t // slide`` and 1 on a tumbling window (``slide == within``),
+otherwise from ``t // slide`` and ``(t - within) // slide + 1``, clamped
+at 0. Windows close as soon as an event at or past their end boundary
+arrives (the stream is time-ordered), or when the stream ends. Closing a
+window only reads each key's aggregates for it: a key's state is trimmed
+of its closed windows at the key's next step, and a key with no open
+window left loses its engine. Before that, as soon as an event with a
+later time arrives, every key that stepped at the previous time ends that
+timestamp, which frees its tie state.
 
 Since windows close before a later event is routed, the windows a key
 holds are always the oldest of the windows the key's next event falls
@@ -126,6 +130,9 @@ class WindowManager:
         self.query = query
         self.emit_empty = emit_empty
         self.spec = WindowSpec(query.within_ms, query.slide_ms)
+        self._within = query.within_ms
+        self._slide = query.slide_ms
+        self._tumbling = query.slide_ms == query.within_ms
         self.compiled = compile_query(query)
         self._cont = query.semantics is Semantics.CONT
         self._partition_attrs = query.partition_attrs
@@ -165,8 +172,17 @@ class WindowManager:
         roles, key = routed
         engine = self._engines.get(key)
         if roles:
-            wids = windows_of(time, self.spec)
-            width = len(wids)
+            # The event's windows are ``lo`` to ``lo + width - 1``, as
+            # ``windows_of`` gives them.
+            if self._tumbling:
+                lo = time // self._slide
+                width = 1
+            else:
+                hi = time // self._slide
+                lo = (time - self._within) // self._slide + 1
+                if lo < 0:
+                    lo = 0
+                width = hi - lo + 1
             if engine is None:
                 engine = self._engines[key] = Engine(self.query, self.compiled)
                 held = 0
@@ -178,7 +194,7 @@ class WindowManager:
                 held = engine.kernel.width
             # The key's open windows are the oldest of the event's windows.
             if width > held:
-                for wid in wids[held:]:
+                for wid in range(lo + held, lo + width):
                     self._open(wid, key)
         elif engine is None:
             self._gaps[key] = event

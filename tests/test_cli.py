@@ -245,6 +245,33 @@ class TestOracle:
         )
         assert lines
 
+    @pytest.mark.parametrize("semantics", ["any", "next", "cont"])
+    def test_variables_named_like_the_step_locals_agree_with_run(
+        self, workdir, capsys, semantics
+    ):
+        # The generated kernel step has locals and parameters of these
+        # names; it must quote variable names, not splice them in.
+        rows = [(10, "A", 1), (20, "A", 3), (30, "A", 2), (40, "B", 2), (50, "C", 4),
+                (60, "C", 5), (70, "D", 1), (80, "E", 6), (90, "A", 4), (100, "B", 1),
+                (110, "C", 3), (120, "D", 2), (130, "E", 7)]
+        (workdir / "locals.csv").write_text(
+            "time,type,v\n" + "".join(f"{t},{e},{v}\n" for t, e, v in rows)
+        )
+        (workdir / "locals.txt").write_text(
+            "RETURN COUNT(*), SUM(self.v), MIN(cell.v), MAX(r.v), AVG(attrs.v), "
+            "COUNT(pred) PATTERN SEQ(A self+, B pred, C attrs+, D cell, E r) "
+            f"SEMANTICS {semantics} WHERE self.v < NEXT(self).v AND attrs.v > 1 "
+            "AND pred.v <= attrs.v WITHIN 100 s SLIDE 50 s\n"
+        )
+        outputs = []
+        for sub in ("run", "oracle"):
+            assert _run(
+                [sub, "--query", workdir / "locals.txt", "--input", workdir / "locals.csv"]
+            ) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        assert len(outputs[0].splitlines()) > 1
+
     def test_cap_enforced(self, workdir, capsys):
         # 12 A events under A+ produce 2^12 - 1 trends; a tiny cap trips.
         events = [

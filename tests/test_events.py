@@ -18,7 +18,7 @@ from trendagg import (
     read_csv_stream,
     write_csv_stream,
 )
-from trendagg.events import BLOCK_ROWS, _coerce, _infer, _parse_time_ms
+from trendagg.events import BLOCK_ROWS, _infer, _parse_time_ms
 
 
 def test_event_validation():
@@ -385,6 +385,21 @@ _READ_SCHEMA = Schema(
     }
 )
 _READ_CELLS = ("", " ", "  \t", "3", " -4 ", "2.5", "1e3", "-0.0", "x", "007", "inf", "1_0")
+
+
+def _coerce(cell, kind, row_number, attr):
+    """One cell decoded by its declared kind: the reference for the readers'
+    column converters and their error message."""
+    try:
+        if kind == "int":
+            return int(cell)
+        if kind == "float":
+            return float(cell)
+        return cell
+    except ValueError:
+        raise MalformedRow(
+            row_number, f"value {cell!r} for {attr} is not a valid {kind}"
+        ) from None
 
 
 def _reference_read(rows, schema):

@@ -1,0 +1,177 @@
+"""The generated kernel step (``_kernels_py.compile_step``) against the
+interpreted one in ``kernel_reference``. Both kernels share one compiled
+query and are driven with the same steps, timestamp ends and window
+closes; after each, their results, exceptions and state must agree."""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from trendagg import Event, Granularity, GranularityPlan
+from trendagg._kernels_py import MixedKernel
+from trendagg.engines import compile_query
+from trendagg.errors import AggregateOverflow, MissingAttribute, UnsupportedQuery
+
+from conftest import make_query
+from kernel_reference import ReferenceKernel
+
+# Pattern -> adjacency predicates that may go with it, and its event types.
+_PATTERNS = {
+    "A+": (["A.v < NEXT(A).v"], "AB"),
+    "SEQ(A, B)": (["A.v <= B.v"], "ABC"),
+    "SEQ(A+, B)": (["A.v < NEXT(A).v", "A.v >= B.v", "A.v < NEXT(A).v AND A.v >= B.v"], "AB"),
+    # B reads its own cells and kept A events alike.
+    "SEQ(A+, B+)": (["A.v < B.v"], "AB"),
+    "(SEQ(A+, B))+": (["B.v < A.v"], "ABC"),
+    "SEQ(A, B+, C)": (["B.v > NEXT(B).v"], "ABC"),
+    "SEQ(A+, B, C+)": (["B.v != C.v", "C.v = NEXT(C).v"], "ABC"),
+    "SEQ(A X+, A Y)": (["X.v < NEXT(X).v"], "AB"),
+}
+_VARIABLES = {"SEQ(A X+, A Y)": "XY"}
+_AGGREGATES = ("SUM({}.v)", "MIN({}.v)", "MAX({}.v)", "COUNT({})", "AVG({}.v)")
+# Start events of ``A+`` under skip-till-any-match: each doubles the trend
+# count, so that a float sum overflows after about a thousand of them.
+_PUMP = 1030
+
+
+@st.composite
+def _queries(draw, pump):
+    """A query, a plan (``None`` for the coarsest one) and the event types
+    to draw. A query for a pump runs ``A+`` start events on a type-grained
+    ``A`` under skip-till-any-match and sums ``A.v``."""
+    starts = ("A+", "SEQ(A+", "(SEQ(A+") if pump else ("",)
+    pattern = draw(st.sampled_from(sorted(p for p in _PATTERNS if p.startswith(starts))))
+    wheres, types = _PATTERNS[pattern]
+    variables = _VARIABLES.get(pattern, "".join(sorted(set(pattern) & set("ABC"))))
+    where = None if pump or draw(st.integers(0, 3)) == 0 else draw(st.sampled_from(wheres))
+    if draw(st.booleans()):
+        local = f"{variables[0]}.v > 1"
+        where = local if where is None else f"{where} AND {local}"
+    returns = ["COUNT(*)"] + [
+        draw(st.sampled_from(_AGGREGATES)).format(draw(st.sampled_from(variables)))
+        for _ in range(draw(st.integers(0, 3)))
+    ]
+    if pump:
+        returns.append("SUM(A.v)")
+    semantics = "any" if pump else draw(st.sampled_from(("any", "next", "cont")))
+    query = make_query(
+        pattern=pattern, semantics=semantics, where=where, returns=", ".join(returns)
+    )
+    fine = not pump and draw(st.integers(0, 2)) == 0  # every variable event-grained
+    plan = (
+        GranularityPlan(Granularity.MIXED, frozenset(query.template.types), frozenset())
+        if fine
+        else None
+    )
+    return query, plan, types
+
+
+@st.composite
+def _ops(draw, types, floats, time):
+    ops = []
+    for _ in range(draw(st.integers(0, 20))):
+        op = draw(st.sampled_from(("step", "step", "step", "end", "close")))
+        if op == "step":
+            if ops and ops[-1][0] != "step":  # past the ended timestamp
+                time += 1000 * draw(st.integers(1, 2))
+            else:
+                time += 1000 * draw(st.integers(0, 2))
+            value = draw(st.integers(0, 5))
+            attrs = (
+                {}
+                if draw(st.integers(0, 7)) == 0
+                else {"v": value + 0.5 if floats else value}
+            )
+            etype = draw(st.sampled_from(types))
+            ops.append(("step", time, etype, attrs, draw(st.integers(1, 4))))
+        else:
+            ops.append((op,))
+    return ops
+
+
+def _state(kernel):
+    return repr(
+        (
+            kernel.type_cells,
+            kernel._shadow,
+            kernel.events,
+            kernel.final_acc,
+            kernel.width,
+            kernel.time,
+            kernel.final_cell(),
+        )
+    )
+
+
+def _apply(kernel, op, probe, cont):
+    """Returns what the op returned, or the exception's type and text, and
+    whether the run goes on."""
+    try:
+        if op[0] == "step":
+            _, time, etype, attrs, width = op
+            roles = probe(Event(time, etype, attrs))
+            if not roles and not cont:
+                return None, True  # the manager drops it
+            return kernel.step(time, roles, attrs, width if roles else 0), True
+        if op[0] == "end":
+            return (kernel.end_timestamp() if kernel.time is not None else None), True
+        return (kernel.drop_front() if kernel.width > 1 else None), True
+    except (MissingAttribute, AggregateOverflow) as exc:
+        return (type(exc).__name__, str(exc)), False
+
+
+def _drive(compiled, ops):
+    """Drive both kernels; returns the exception that ended the run, if
+    any."""
+    kernels = MixedKernel(compiled), ReferenceKernel(compiled)
+    for op in ops:
+        (got, going), (want, _) = (
+            _apply(k, op, compiled.probe, compiled.cont) for k in kernels
+        )
+        assert repr(got) == repr(want), op
+        generated, reference = kernels
+        assert generated.snapshot() == reference.snapshot()
+        assert generated.entry_count == reference.entry_count
+        assert generated.pred_accesses == reference.pred_accesses
+        assert _state(generated) == _state(reference)
+        if not going:
+            return got
+    return None
+
+
+def _pump():
+    return [("step", 1000 * t, "A", {"v": 1.5}, 1 + t % 2) for t in range(1, _PUMP)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_generated_step_matches_the_interpreted_one(data):
+    pump = data.draw(st.integers(0, 9)) == 0
+    query, plan, types = data.draw(_queries(pump))
+    try:
+        compiled = compile_query(query, plan)
+    except UnsupportedQuery:  # an aliased pattern under next
+        return
+    floats = pump or data.draw(st.booleans())
+    ops = _pump() if pump else []
+    ops += data.draw(_ops(types, floats, 1000 * _PUMP))
+    _drive(compiled, ops)
+
+
+def test_a_float_sum_past_the_range_fails_alike():
+    failed = _drive(compile_query(make_query(pattern="A+", returns="SUM(A.v)")), _pump())
+    assert failed == ("AggregateOverflow", "the sum of A.v exceeds the float range: "
+                      "int too large to convert to float")
+
+
+@pytest.mark.parametrize("semantics", ["any", "next", "cont"])
+@pytest.mark.parametrize("width", [1, 3])
+def test_merging_kept_cells_leaves_the_variable_cells_alone(semantics, width):
+    # B reads its own full-width cells and a kept A event: the kept cells
+    # are merged into a copy, not into the cells that B still holds.
+    query = make_query(pattern="SEQ(A+, B+)", where="A.v < B.v", semantics=semantics,
+                       returns="COUNT(*), SUM(B.v), MAX(A.v)")
+    ops = [("step", 1000, "A", {"v": 0}, width), ("step", 2000, "B", {"v": 3}, width),
+           ("step", 3000, "B", {"v": 4}, width), ("end",), ("close",),
+           ("step", 4000, "A", {"v": 1}, width), ("step", 5000, "B", {"v": 2}, width)]
+    assert _drive(compile_query(query), ops) is None

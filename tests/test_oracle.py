@@ -19,7 +19,9 @@ from trendagg import (
     parse_query,
 )
 from trendagg.oracle import Occurrence, Trend
-from trendagg.query import check_adjacent, matchable_variables
+from trendagg.query import check_adjacent
+
+from query_reference import matchable_variables
 
 SCHEMA = Schema({"A": {"v": "int"}, "B": {"v": "int"}, "C": {"v": "int"}})
 

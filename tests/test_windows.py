@@ -61,6 +61,28 @@ class TestWindowArithmetic:
         for t in range(0, 50):
             assert len(list(windows_of(t, spec))) == 1
 
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_manager_spans_match_windows_of(self, data):
+        # ``ingest`` works out an event's windows by arithmetic; the
+        # windows its key opens and its kernel's width must be those of
+        # ``windows_of``, tumbling or sliding, early times included.
+        slide = data.draw(st.integers(1, 5_000), label="slide")
+        within = slide * data.draw(st.integers(1, 6)) + data.draw(st.integers(0, slide - 1))
+        spec = WindowSpec(within, slide)
+        time = data.draw(st.integers(0, 3 * within) | st.integers(0, 10**12), label="time")
+        manager = WindowManager(make_query(within=f"{within} ms", slide=f"{slide} ms"))
+        manager.ingest(Event(time, "A", {"v": 1}))
+        first = windows_of(time, spec)
+        assert sorted(manager._keys_by_wid) == list(first)
+        assert manager._engines[()].kernel.width == len(first)
+        # A later event before the oldest window ends opens only the rest.
+        later = time + data.draw(st.integers(0, spec.end_of(first[0]) - time - 1))
+        manager.ingest(Event(later, "A", {"v": 1}))
+        second = windows_of(later, spec)
+        assert sorted(manager._keys_by_wid) == sorted({*first, *second})
+        assert manager._engines[()].kernel.width == len(second)
+
 
 class TestLifecycle:
     def test_window_closes_when_first_event_passes_it(self):
