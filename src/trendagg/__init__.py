@@ -36,7 +36,6 @@ from .events import (
     write_csv_stream,
 )
 from .oracle import (
-    Trend,
     aggregate_trends,
     enumerate_any,
     enumerate_cont,
@@ -98,7 +97,6 @@ __all__ = [
     "Semantics",
     "Seq",
     "TRANSPORT_SCHEMA",
-    "Trend",
     "TrendAggError",
     "TypeAtom",
     "UnknownAttribute",

@@ -20,13 +20,14 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import itertools
 import os
 import shutil
 import sys
 import tempfile
 from contextlib import ExitStack, contextmanager
 
-from .errors import InputError, TrendAggError
+from .errors import InputError, OutOfOrder, TrendAggError
 from .events import (
     TRANSPORT_SCHEMA,
     Schema,
@@ -139,33 +140,55 @@ def oracle_rows(query: Query, events, cap: int = DEFAULT_CAP, emit_empty: bool =
 
     Events are routed as by ``WindowManager``: a matchable event opens the
     slots of all its windows, a gap event joins only slots already open.
+    A window's slots are enumerated and dropped as the window closes, by
+    the manager's rule: an event at or past its end arrives, or the stream
+    ends. Raises ``OutOfOrder``, as the manager does, when an event's time
+    is below its predecessor's.
     """
     check_supported(query)
     spec = WindowSpec(query.within_ms, query.slide_ms)
     probe = RoleProbe(query)
     attrs = query.partition_attrs
     cont = query.semantics is Semantics.CONT
-    slots: dict = {}
-    for event in events:
+    # Open window id -> key -> events. A window an event opens ends after
+    # every open one, so the ids are in ascending order.
+    windows: dict = {}
+
+    def close(now):
+        while windows and spec.end_of(wid := next(iter(windows))) <= now:
+            slots = windows.pop(wid)
+            for key in sorted(slots):
+                trends = enumerate_trends(slots[key], query, cap=cap)
+                first = next(trends, None)
+                if first is None and not emit_empty:
+                    continue
+                yield ResultRow(
+                    wid=wid,
+                    window_start_ms=spec.start_of(wid),
+                    window_end_ms=spec.end_of(wid),
+                    key=key,
+                    values=aggregate_trends(
+                        itertools.chain((first,) if first else (), trends),
+                        query.aggregates,
+                    ),
+                )
+
+    last = 0
+    for number, event in enumerate(events, 1):
+        if event.time < last:
+            raise OutOfOrder(number, last, event.time)
+        last = event.time
+        yield from close(last)
         routed = route(event, probe, attrs, cont)
         if routed is None:
             continue
         roles, key = routed
         for wid in windows_of(event.time, spec):
-            slot = slots.setdefault((wid, key), []) if roles else slots.get((wid, key))
-            if slot is not None:
-                slot.append(event)
-    for (wid, key) in sorted(slots):
-        trends = enumerate_trends(slots[(wid, key)], query, cap=cap)
-        if not trends and not emit_empty:
-            continue
-        yield ResultRow(
-            wid=wid,
-            window_start_ms=spec.start_of(wid),
-            window_end_ms=spec.end_of(wid),
-            key=key,
-            values=aggregate_trends(trends, query.aggregates),
-        )
+            if roles:
+                windows.setdefault(wid, {}).setdefault(key, []).append(event)
+            elif key in windows.get(wid, ()):
+                windows[wid][key].append(event)
+    yield from close(float("inf"))
 
 
 def cmd_oracle(args) -> int:
@@ -232,7 +255,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--oracle-cap",
         type=int,
         default=DEFAULT_CAP,
-        help=f"abort if a window exceeds this many trends (default {DEFAULT_CAP})",
+        help=(
+            "abort once a window and key yield more than this many trends of "
+            "the query's semantics; bounds enumeration time (default %(default)s)"
+        ),
     )
     p_oracle.set_defaults(func=cmd_oracle)
 

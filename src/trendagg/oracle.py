@@ -1,8 +1,17 @@
 """Reference implementation: enumerate trends explicitly, then aggregate.
 
 This is the two-step ground truth the incremental engines are checked
-against. It is deliberately simple and exponential; a configurable cap
-turns runaway enumerations into errors instead of hangs.
+against. It is deliberately simple and exponential; a cap on the trends
+one call yields turns runaway enumerations into errors instead of hangs.
+A trend is a tuple of ``Occurrence``: the events in order, each with the
+variable it plays. Trends are yielded one at a time and folded as they
+come, so memory follows the events and the pattern depth, not the number
+of trends.
+
+Trends come in canonical order, ascending by their ``(index, variable)``
+keys, without a sort: the candidates are listed in that order, a trend is
+yielded before its extensions, and the extensions of one trend are tried
+in candidate order. So float sums are added in the same order on every run.
 
 Semantics, in operational terms:
 
@@ -14,10 +23,13 @@ Semantics, in operational terms:
   its tip and a finished trend is recorded each time the tip passes the end
   variable.
 * contiguous: additionally, nothing at all may lie strictly between a
-  trend's first and last event. Implemented as the gap-free filter over the
-  skip-till-any-match set, which provably selects the same trends as
-  filtering the skip-till-next-match set (a gap-free trend occupies its
-  whole time span, so its chain is forced to reconstruct it).
+  trend's first and last event. The skip-till-any-match search is pruned:
+  ``last`` is extended by ``occ`` only if no event time lies strictly
+  between theirs and, unless ``last`` is the trend's first event, no other
+  event shares its time. Adjacent trend events have strictly increasing
+  times, so a trend holds one event per timestamp and cannot hold a tie
+  inside its span. The prune keeps exactly the gap-free trends, and every
+  prefix of a gap-free trend is gap-free, so the search reaches them all.
 
 The input to the contiguous enumeration must be the partition's raw event
 sequence - events that fail local predicates still break contiguity.
@@ -25,7 +37,7 @@ sequence - events that fail local predicates still break contiguity.
 
 from __future__ import annotations
 
-from collections import namedtuple
+from collections import Counter, namedtuple
 
 from .errors import ExplosionGuard, MissingAttribute, UnsupportedQuery
 from .query import AggKind, Query, RoleProbe, Semantics, check_adjacent
@@ -33,48 +45,6 @@ from .query import AggKind, Query, RoleProbe, Semantics, check_adjacent
 DEFAULT_CAP = 1_000_000
 
 Occurrence = namedtuple("Occurrence", "index variable event")
-
-
-class Trend:
-    """One finished trend: events in order, each with the variable it plays."""
-
-    __slots__ = ("occurrences", "_key")
-
-    def __init__(self, occurrences):
-        self.occurrences = tuple(occurrences)
-        self._key = tuple((o.index, o.variable) for o in self.occurrences)
-
-    @property
-    def start(self):
-        return self.occurrences[0]
-
-    @property
-    def end(self):
-        return self.occurrences[-1]
-
-    def indices(self):
-        return frozenset(o.index for o in self.occurrences)
-
-    def __len__(self):
-        return len(self.occurrences)
-
-    def __iter__(self):
-        return iter(self.occurrences)
-
-    def __eq__(self, other):
-        return isinstance(other, Trend) and self._key == other._key
-
-    def __hash__(self):
-        return hash(self._key)
-
-    def __lt__(self, other):
-        return self._key < other._key
-
-    def __repr__(self):
-        inner = ", ".join(
-            f"{o.variable}@{o.event.time}" for o in self.occurrences
-        )
-        return f"({inner})"
 
 
 def _matchable(events, query):
@@ -97,80 +67,87 @@ def _adjacent(query, prev: Occurrence, nxt: Occurrence) -> bool:
     )
 
 
-def enumerate_any(events, query: Query, cap: int = DEFAULT_CAP) -> set:
-    """All finished trends under skip-till-any-match."""
+def _search(events, query: Query, cap: int, contiguous: bool):
+    """Skip-till-any-match trends by depth-first search, pruned to the
+    gap-free ones when ``contiguous``."""
     template = query.template
     candidates = _matchable(events, query)
-    trends = set()
+    times = sorted({ev.time for ev in events})
+    following = dict(zip(times, times[1:]))
+    ties = Counter(ev.time for ev in events)
 
-    def extend(stack, last):
-        if last.variable == template.end_type:
-            if len(trends) >= cap:
-                raise ExplosionGuard(cap)
-            trends.add(Trend(stack))
-        for occ in candidates:
-            if occ.index <= last.index:
-                continue
-            if _adjacent(query, last, occ):
-                stack.append(occ)
-                extend(stack, occ)
-                stack.pop()
+    def may_follow(trend, occ):
+        if not trend:
+            return occ.variable == template.start_type
+        last = trend[-1]
+        if contiguous and (
+            occ.event.time != following.get(last.event.time)
+            or len(trend) > 1 and ties[last.event.time] > 1
+        ):
+            return False
+        return _adjacent(query, last, occ)
 
-    for occ in candidates:
-        if occ.variable == template.start_type:
-            extend([occ], occ)
-    return trends
+    n = len(candidates)
+    found = 0
+    trend = []
+    # untried[d] runs over the candidate positions still to try as the
+    # trend's event d; the last entry is for the event after the trend.
+    untried = [iter(range(n))]
+    while untried:
+        for j in untried[-1]:
+            occ = candidates[j]
+            if may_follow(trend, occ):
+                trend.append(occ)
+                untried.append(iter(range(j + 1, n)))
+                if occ.variable == template.end_type:
+                    if found >= cap:
+                        raise ExplosionGuard(cap)
+                    found += 1
+                    yield tuple(trend)
+                break
+        else:
+            untried.pop()
+            if trend:
+                trend.pop()
 
 
-def enumerate_next(events, query: Query, cap: int = DEFAULT_CAP) -> set:
-    """All finished trends under skip-till-next-match."""
+def enumerate_any(events, query: Query, cap: int = DEFAULT_CAP):
+    """All finished trends under skip-till-any-match, in canonical order."""
+    return _search(events, query, cap, contiguous=False)
+
+
+def enumerate_next(events, query: Query, cap: int = DEFAULT_CAP):
+    """All finished trends under skip-till-next-match, in canonical order."""
     template = query.template
     candidates = _matchable(events, query)
-    by_index = {}
-    for occ in candidates:
-        by_index.setdefault(occ.index, []).append(occ)
-    if any(len(group) > 1 for group in by_index.values()):
+    if len({occ.index for occ in candidates}) < len(candidates):
         raise UnsupportedQuery(
             "skip-till-next-match needs an unambiguous variable per event"
         )
-    trends = set()
+    found = 0
     for k, first in enumerate(candidates):
         if first.variable != template.start_type:
             continue
-        chain = [first]
-        if first.variable == template.end_type:
-            if len(trends) >= cap:
-                raise ExplosionGuard(cap)
-            trends.add(Trend(chain))
-        for occ in candidates[k + 1:]:
-            if _adjacent(query, chain[-1], occ):
-                chain.append(occ)
-                if occ.variable == template.end_type:
-                    if len(trends) >= cap:
-                        raise ExplosionGuard(cap)
-                    trends.add(Trend(chain))
-    return trends
+        chain = []
+        for occ in candidates[k:]:
+            if chain and not _adjacent(query, chain[-1], occ):
+                continue
+            chain.append(occ)
+            if occ.variable == template.end_type:
+                if found >= cap:
+                    raise ExplosionGuard(cap)
+                found += 1
+                yield tuple(chain)
 
 
-def enumerate_cont(events, query: Query, cap: int = DEFAULT_CAP) -> set:
-    """All finished trends under contiguous semantics.
+def enumerate_cont(events, query: Query, cap: int = DEFAULT_CAP):
+    """All finished trends under contiguous semantics, in canonical order.
 
     ``events`` must be the partition's full sequence: an event that cannot
     match anything still breaks contiguity when it falls strictly inside a
     trend's time span.
     """
-    times = [ev.time for ev in events]
-    out = set()
-    for tr in enumerate_any(events, query, cap=cap):
-        lo = tr.start.event.time
-        hi = tr.end.event.time
-        used = tr.indices()
-        if all(
-            not (lo < t < hi) or i in used
-            for i, t in enumerate(times)
-        ):
-            out.add(tr)
-    return out
+    return _search(events, query, cap, contiguous=True)
 
 
 _ENUMERATORS = {
@@ -180,45 +157,40 @@ _ENUMERATORS = {
 }
 
 
-def enumerate_trends(events, query: Query, cap: int = DEFAULT_CAP) -> set:
+def enumerate_trends(events, query: Query, cap: int = DEFAULT_CAP):
+    """An iterator over the query's trends in ``events``, in canonical order."""
     return _ENUMERATORS[query.semantics](events, query, cap=cap)
 
 
 def aggregate_trends(trends, specs) -> dict:
-    """Fold a finished trend set into the requested aggregate values.
-
-    Trends are visited in a canonical order so float sums come out the same
-    on every run.
-    """
-    ordered = sorted(trends)
-    out = {}
-    for spec in specs:
-        if spec.kind is AggKind.COUNT_STAR:
-            out[str(spec)] = len(ordered)
-            continue
-        count = 0
-        total = 0
-        low = None
-        high = None
-        for tr in ordered:
-            for occ in tr:
+    """Fold trends into the requested aggregate values, in one pass and in
+    the order given, which the enumerators make canonical."""
+    trends_seen = 0
+    folds = [[0, 0, None, None] for _ in specs]  # count, total, low, high
+    for trend in trends:
+        trends_seen += 1
+        for spec, fold in zip(specs, folds):
+            for occ in trend:
                 if occ.variable != spec.variable:
                     continue
-                count += 1
-                if spec.attr is not None:
-                    try:
-                        value = occ.event.attrs[spec.attr]
-                    except KeyError:
-                        raise MissingAttribute(
-                            f"aggregate needs {spec.variable}.{spec.attr}, "
-                            f"absent on event"
-                        ) from None
-                    total += value
-                    if low is None or value < low:
-                        low = value
-                    if high is None or value > high:
-                        high = value
-        if spec.kind is AggKind.COUNT:
+                fold[0] += 1
+                if spec.attr is None:
+                    continue
+                try:
+                    value = occ.event.attrs[spec.attr]
+                except KeyError:
+                    raise MissingAttribute(
+                        f"aggregate needs {spec.variable}.{spec.attr}, "
+                        f"absent on event"
+                    ) from None
+                fold[1] += value
+                fold[2] = value if fold[2] is None else min(fold[2], value)
+                fold[3] = value if fold[3] is None else max(fold[3], value)
+    out = {}
+    for spec, (count, total, low, high) in zip(specs, folds):
+        if spec.kind is AggKind.COUNT_STAR:
+            out[str(spec)] = trends_seen
+        elif spec.kind is AggKind.COUNT:
             out[str(spec)] = count
         elif spec.kind is AggKind.SUM:
             out[str(spec)] = total

@@ -63,9 +63,9 @@ class TestShowcaseTrace:
 
     def test_oracle_agrees(self):
         query = _mixed_query()
-        trends = enumerate_trends(SHOWCASE, query)
+        trends = list(enumerate_trends(SHOWCASE, query))
         assert len(trends) == 33
-        ends = [sum(1 for t in trends if t.end.event.time == tm) for tm in (2000, 6000, 8000)]
+        ends = [sum(1 for t in trends if t[-1].event.time == tm) for tm in (2000, 6000, 8000)]
         assert ends == [1, 10, 22]
 
 
@@ -131,7 +131,7 @@ class TestSelfAdjacency:
         assert engine.plan.event_grained == frozenset({"A"})
         # a1; a2; a3; (a1,a2) -- value 1 is not < 1, so (a1,a3) is out.
         assert engine.kernel.snapshot().final == 4
-        assert len(enumerate_trends(events, query)) == 4
+        assert len(list(enumerate_trends(events, query))) == 4
 
     def test_tied_events_never_chain(self):
         events = [Event(1000, "A", {"v": 1}), Event(1000, "A", {"v": 2})]

@@ -46,8 +46,8 @@ class TestShowcaseTraces:
         assert finals == [0, 1, 1, 1, 1, 1, 1, 2]
 
     def test_oracle_agrees(self):
-        assert len(enumerate_trends(SHOWCASE, make_query(semantics="next"))) == 8
-        assert len(enumerate_trends(SHOWCASE, make_query(semantics="cont"))) == 2
+        assert len(list(enumerate_trends(SHOWCASE, make_query(semantics="next")))) == 8
+        assert len(list(enumerate_trends(SHOWCASE, make_query(semantics="cont")))) == 2
 
 
 def _events(spec):
@@ -87,7 +87,7 @@ class TestFormerDivergences:
         pattern, semantics, where, spec, count = _FORMER_DIVERGENCES[case]
         query = make_query(pattern=pattern, semantics=semantics, where=where)
         events = _events(spec)
-        assert len(enumerate_trends(events, query)) == count
+        assert len(list(enumerate_trends(events, query))) == count
         engine = build_engine(query).run(events)
         assert engine.kernel.snapshot().final == count
 
@@ -98,7 +98,7 @@ class TestEdgeBehaviour:
         query = make_query(pattern="A+", semantics="next")
         engine = build_engine(query).run(events)
         assert engine.kernel.snapshot().final == 2
-        assert len(enumerate_trends(events, query)) == 2
+        assert len(list(enumerate_trends(events, query))) == 2
 
     def test_state_stays_constant(self):
         # Without adjacency predicates the state is type-grained: its peak

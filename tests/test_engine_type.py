@@ -50,22 +50,22 @@ class TestShowcaseTrace:
 
     def test_oracle_agrees_with_trace(self):
         query = make_query()
-        trends = enumerate_trends(SHOWCASE, query)
+        trends = list(enumerate_trends(SHOWCASE, query))
         assert len(trends) == 43
         # Finished trends end at a B event; their counts are the B-cell
         # increments from the trace above.
-        ends = [sum(1 for t in trends if t.end.event.time == tm) for tm in (2000, 6000, 8000)]
+        ends = [sum(1 for t in trends if t[-1].event.time == tm) for tm in (2000, 6000, 8000)]
         assert ends == [1, 10, 32]
 
     def test_partial_count_at_a7_decomposes(self):
         # The 22 partial trends ending at a7 split into pure A-chains (8)
         # and chains with at least one completed SEQ(A+, B) body (14);
         # the latter needs alias variables to stay a legal pattern.
-        chains = enumerate_trends(SHOWCASE, make_query(pattern="A+"))
-        with_body = enumerate_trends(
+        chains = list(enumerate_trends(SHOWCASE, make_query(pattern="A+")))
+        with_body = list(enumerate_trends(
             SHOWCASE, make_query(pattern="SEQ((SEQ(A X+, B))+, A Y+)")
-        )
-        at7 = lambda ts: sum(1 for t in ts if t.end.event.time == 7000)
+        ))
+        at7 = lambda ts: sum(1 for t in ts if t[-1].event.time == 7000)
         assert at7(chains) == 8
         assert at7(with_body) == 14
         assert at7(chains) + at7(with_body) == 22
@@ -90,7 +90,7 @@ class TestEqualTimestamps:
         engine = build_engine(query).run(events)
         # Trends: (a,b) twice -- the tied A's contribute independently.
         assert engine.kernel.snapshot().final == 2
-        assert len(enumerate_trends(events, query)) == 2
+        assert len(list(enumerate_trends(events, query))) == 2
 
 
 class TestMultiRoleAliases:
@@ -111,7 +111,7 @@ class TestMultiRoleAliases:
         query = make_query(pattern="SEQ(A X+, A Y)")
         engine = build_engine(query).run(events)
         final = engine.kernel.snapshot().final
-        assert final == len(enumerate_trends(events, query)) == 1
+        assert final == len(list(enumerate_trends(events, query))) == 1
 
 
 class TestAggregates:

@@ -224,6 +224,11 @@ class TestLifecycle:
             list(manager.run([_ev(12000, "A"), _ev(1000, "A")]))
         assert err.value.row_number == 2
         assert manager.events_ingested == 1
+        # The oracle too: unchecked, it reported window 0 twice once A@2 s
+        # came after A@12 s had closed it.
+        with pytest.raises(OutOfOrder) as err:
+            list(oracle_rows(query, [_ev(1000, "A"), _ev(12000, "A"), _ev(2000, "A")]))
+        assert err.value.row_number == 3
 
     def test_untouched_windows_never_emit(self):
         query = make_query(within="10 s", schema=GROUPED_SCHEMA)
@@ -292,6 +297,27 @@ class TestOracleEquivalence:
         dict(pattern="A+", within="2 s", slide="1 s",
              returns="COUNT(*), SUM(A.v), MIN(A.v)"),
     ]
+
+    def test_oracle_emits_a_window_as_it_closes(self):
+        # Window 0 ends at 10 s: its row comes out as the event at 11 s
+        # arrives, before the oracle reads any further.
+        query = make_query(within="10 s", schema=GROUPED_SCHEMA)
+        events = [_ev(1000, "A"), _ev(2000, "B"), _ev(11000, "A"),
+                  _ev(12000, "B")]
+        read = []
+
+        def stream():
+            for event in events:
+                read.append(event)
+                yield event
+
+        rows = oracle_rows(query, stream())
+        first = next(rows)
+        assert (first.wid, first.values) == (0, {"COUNT(*)": 1})
+        assert read == events[:3]
+        assert row_tuples([first, *rows]) == row_tuples(
+            WindowManager(query).run(events)
+        )
 
     @pytest.mark.parametrize("spec", range(len(QUERIES)))
     def test_rows_match_oracle(self, spec):
