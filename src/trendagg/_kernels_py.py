@@ -5,13 +5,14 @@ variable and, for each variable constrained by an adjacency predicate,
 every event individually; type granularity is the case in which no
 variable is event-grained, so the kernel keeps no events. The semantics
 differ only in which predecessors an event may read (see ``MixedKernel``).
-The kernel does no slot arithmetic itself: it calls the query's generated
-``absorb`` of each variable an event plays, and its ``merge``, through
-``cells.combine_cells`` where two vectors may end at different windows
-(see ``cells.compile_cells``). Nor does it read the plan per event:
-``compile_step`` generates each query's ``step`` once, with the plan's
-tables and flags resolved into straight-line code, and ``MixedKernel.step``
-calls it.
+The kernel does no slot arithmetic of its own: it runs the query's
+generated ``absorb`` of each variable an event plays, and its ``merge``,
+through ``cells.combine_cells`` where two vectors may end at different
+windows (see ``cells.compile_cells``). Nor does it read the plan per
+event: ``compile_step`` generates each query's ``step`` once, with the
+plan's tables and flags resolved into straight-line code and, on a key
+with one open window, the absorb's and merge's one-window lines inline,
+and ``MixedKernel.step`` calls it.
 
 A kernel holds the state of one partition key over all of that key's open
 windows. Those windows are a contiguous run of window ids; the kernel knows
@@ -72,8 +73,8 @@ from collections import namedtuple
 from itertools import chain, compress, islice, repeat
 from operator import add, eq
 
-from .cells import combine_cells
-from .errors import MissingAttribute
+from .cells import combine_cells, unpack
+from .errors import AggregateOverflow, MissingAttribute
 
 BACKEND_NAME = "python"
 
@@ -374,7 +375,7 @@ class MixedKernel:
         )
 
 
-def compile_step(plan):
+def compile_step(plan, cells):
     """The kernel step of one compiled query, as a generated function.
 
     ``step(kernel, time, roles, attrs, width)`` does what the step
@@ -384,8 +385,13 @@ def compile_step(plan):
     kept ones, merges kept cells additively or by ``merge``, calls
     ``_consume`` only under skip-till-next-match, then keeps the event or
     updates the variable's cells and shadow, and feeds ``final_acc`` only
-    where the plan has one. Names enter the source only as ``repr()``
-    literals. Returns the function and its source."""
+    where the plan has one. On a vector of one window the block runs the
+    absorb's one-window lines and the merge's one-window expression that
+    ``cells`` (the query's ``cells.CellCode``) hands over, inline, for the
+    new cell, the variable's cells and ``final_acc``; on wider vectors it
+    calls the absorb and ``combine_cells``. So a slot fails at the same
+    point, with the same error, either way. Names enter the source only
+    as ``repr()`` literals. Returns the function and its source."""
     k = plan.k
     has_final = not (plan.cumulative and plan.end not in plan.event_grained)
     roles = sorted(plan.type_preds)
@@ -421,13 +427,15 @@ def compile_step(plan):
             else:
                 lines.append(indent + f"{'elif' if n else 'if'} r == {r!r}:")
             indent += " " * 4
-        lines += [indent + line for line in _role_source(plan, n, r, has_final)]
+        lines += [indent + line for line in _role_source(plan, cells, n, r, has_final)]
     if grows:
         lines += ["    if grown:", f"        self.entry_count += grown // {k}"]
     lines += ["    return out", ""]
     source = "\n".join(lines)
     namespace = {
         "add": add,
+        "AggregateOverflow": AggregateOverflow,
+        "MissingAttribute": MissingAttribute,
         "combine_cells": combine_cells,
         "merge": plan.merge,
         "identity": plan.identity,
@@ -437,7 +445,7 @@ def compile_step(plan):
     return namespace["step"], source
 
 
-def _role_source(plan, n, r, has_final):
+def _role_source(plan, cells, n, r, has_final):
     """The lines that apply an ``r``-event, ``r`` being the ``n``-th
     variable in name order."""
     k = plan.k
@@ -491,11 +499,15 @@ def _role_source(plan, n, r, has_final):
         ]
     if plan.consume:
         lines.append(f"grown -= self._consume({r!r}, {'kept' if kept else '()'})")
-    lines.append(f"cell = absorb_{n}(pred, attrs)")
+    # One window: the absorb's and the merge's one-window arithmetic,
+    # inline; wider vectors call the absorb and ``combine_cells``.
+    one = [*cells.absorb_one[r], f"cell = [{', '.join(f'c{s}' for s in range(k))}]"]
+    many = [f"cell = absorb_{n}(pred, attrs)"]
     if r in plan.event_grained:
-        lines.append(f"self._keep(time, {r!r}, cell, attrs)")
+        one.append(f"self._keep(time, {r!r}, cell, attrs)")
+        many.append(f"self._keep(time, {r!r}, cell, attrs)")
     else:
-        lines += [
+        update = [
             f"old = type_cells.get({r!r})",
             f"if {r!r} in shadow:  # updated earlier in this timestamp",
             "    grown -= len(old)",
@@ -503,15 +515,35 @@ def _role_source(plan, n, r, has_final):
             f"    shadow[{r!r}] = () if old is None else old",
         ]
         if not plan.cumulative:
-            lines.append("    old = None")
-        lines += [
+            update.append("    old = None")
+        store = [f"type_cells[{r!r}] = new", "grown += len(new)"]
+        one += [
+            *update,
+            "if old is None:",
+            "    new = cell",
+            "else:",
+            "    " + unpack("o", k, "old"),
+            f"    new = {cells.merge_one('o', 'c')}",
+            *store,
+        ]
+        many += [
+            *update,
             "new = cell if old is None else combine_cells(old, cell, merge)",
-            f"type_cells[{r!r}] = new",
-            "grown += len(new)",
+            *store,
         ]
     if r == plan.end and has_final:
-        lines.append("self.final_acc = combine_cells(self.final_acc, cell, merge)")
-    lines.append(f"out.append(({r!r}, cell))")
+        one += [
+            unpack("f", k, "self.final_acc"),
+            f"self.final_acc = {cells.merge_one('f', 'c')}",
+        ]
+        many.append("self.final_acc = combine_cells(self.final_acc, cell, merge)")
+    lines += [
+        "if w == 1:",
+        *("    " + line for line in one),
+        "else:",
+        *("    " + line for line in many),
+        f"out.append(({r!r}, cell))",
+    ]
     return lines
 
 

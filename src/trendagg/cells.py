@@ -49,6 +49,7 @@ SUM/COUNT(variable) and is null when that count is zero.
 from __future__ import annotations
 
 from collections import namedtuple
+from functools import partial
 from operator import add
 
 from .errors import AggregateOverflow, MissingAttribute
@@ -125,7 +126,9 @@ def event_updates(accs, variable):
     )
 
 
-CellCode = namedtuple("CellCode", "absorb merge readout additive source")
+CellCode = namedtuple(
+    "CellCode", "absorb merge readout additive source absorb_one merge_one"
+)
 
 
 def compile_cells(accs, extractors, names, roles, start):
@@ -142,13 +145,26 @@ def compile_cells(accs, extractors, names, roles, start):
     spellings, in order) to their values in one final cell. ``additive``
     says that every slot merges with ``add``; ``source`` is the generated
     text.
+
+    The one-window arithmetic is also handed out as source, for
+    ``_kernels_py.compile_step`` to run inline: ``absorb_one[r]`` holds
+    the lines of ``absorb[r]``'s one-window branch, which read ``pred``
+    and ``attrs`` and leave the new cell's slots in the locals ``c0``,
+    ``c1``, ...; ``merge_one(x, y)`` is the expression, a list display,
+    of the merge of two cells held in the locals ``x0``, ... and ``y0``,
+    .... They are the very lines ``absorb`` and ``merge`` are built from.
     """
     k = len(accs) + 1
     additive = all(code in _ADDITIVE for code, _, _ in accs)
+    codes = (ACC_COUNT, *(code for code, _, _ in accs))
+    absorb_one = {}
     lines = []
     for n, r in enumerate(roles):
-        lines += _absorb_source(f"absorb_{n}", event_updates(accs, r), r == start, k)
-    lines += _merge_source(accs, k, additive)
+        updates = event_updates(accs, r)
+        one = absorb_one[r] = _absorb_lines(updates, r == start, k, one=True)
+        many = _absorb_lines(updates, r == start, k, one=False)
+        lines += _absorb_source(f"absorb_{n}", one, many, k)
+    lines += _merge_source(codes, k, additive)
     lines += _readout_source(names, extractors)
     source = "\n".join(lines) + "\n"
     namespace = {
@@ -158,10 +174,20 @@ def compile_cells(accs, extractors, names, roles, start):
     }
     exec(compile(source, "<trendagg cells>", "exec"), namespace)
     absorb = {r: namespace[f"absorb_{n}"] for n, r in enumerate(roles)}
-    return CellCode(absorb, namespace["merge"], namespace["readout"], additive, source)
+    return CellCode(
+        absorb,
+        namespace["merge"],
+        namespace["readout"],
+        additive,
+        source,
+        absorb_one,
+        partial(_merge_one, codes),
+    )
 
 
-def _unpack(prefix, k, vector):
+def unpack(prefix, k, vector):
+    """The statement that unpacks the ``k`` slots of a one-window
+    ``vector`` into the locals ``prefix0``, ``prefix1``, ...."""
     return f"{', '.join(f'{prefix}{s}' for s in range(k))}, = {vector}"
 
 
@@ -183,67 +209,82 @@ _MERGE = {
 }
 
 
-def _absorb_source(fn, updates, is_start, k):
-    one = [_unpack("c", k, "pred")]  # a vector of one window
-    many = ["cells = pred.copy()"]
-    if is_start:
-        one.append("c0 = c0 + 1")
-        many += [f"counts = [c + 1 for c in pred[0::{k}]]", f"cells[0::{k}] = counts"]
+def _absorb_lines(updates, is_start, k, one):
+    """The body of an absorb, without its ``return``: on a vector of one
+    window (``one``), into the locals ``c0``, ...; otherwise into
+    ``cells``, a slice per slot."""
+    if one:
+        lines = [unpack("c", k, "pred")]
+        if is_start:
+            lines.append("c0 = c0 + 1")
+    elif is_start:
+        lines = [
+            "cells = pred.copy()",
+            f"counts = [c + 1 for c in pred[0::{k}]]",
+            f"cells[0::{k}] = counts",
+        ]
     else:
-        many.append(f"counts = pred[0::{k}]")
+        lines = ["cells = pred.copy()", f"counts = pred[0::{k}]"]
     values = {}  # attribute -> local holding its value, read at first use
     for i, code, target, attr in updates:
         if code == ACC_COUNT:
-            one.append(f"c{i} = " + _UPDATE[code].format(p=f"c{i}", c="c0"))
-            many.append(f"cells[{i}::{k}] = map(add, pred[{i}::{k}], counts)")
+            lines.append(
+                f"c{i} = " + _UPDATE[code].format(p=f"c{i}", c="c0")
+                if one
+                else f"cells[{i}::{k}] = map(add, pred[{i}::{k}], counts)"
+            )
             continue
         if attr not in values:
             v = values[attr] = f"v{len(values)}"
             message = f"aggregate needs {target}.{attr}, absent on event"
-            read = [
+            lines += [
                 "try:",
                 f"    {v} = attrs[{attr!r}]",
                 "except KeyError:",
                 f"    raise MissingAttribute({message!r}) from None",
             ]
-            one += read
-            many += read
         v = values[attr]
-        scalar = f"c{i} = " + _UPDATE[code].format(p=f"c{i}", v=v, c="c0")
-        strided = (
-            f"cells[{i}::{k}] = ["
-            + _UPDATE[code].format(p="p", v=v, c="c")
-            + f" for p, c in zip(pred[{i}::{k}], counts)]"
-        )
+        if one:
+            update = f"c{i} = " + _UPDATE[code].format(p=f"c{i}", v=v, c="c0")
+        else:
+            update = (
+                f"cells[{i}::{k}] = ["
+                + _UPDATE[code].format(p="p", v=v, c="c")
+                + f" for p, c in zip(pred[{i}::{k}], counts)]"
+            )
         if code == ACC_SUM:
-            guard = [
+            lines += [
+                "try:",
+                "    " + update,
                 "except OverflowError as exc:",
                 f"    raise AggregateOverflow({f'the sum of {target}.{attr}'!r}, exc)"
                 " from None",
             ]
-            one += ["try:", "    " + scalar, *guard]
-            many += ["try:", "    " + strided, *guard]
         else:
-            one.append(scalar)
-            many.append(strided)
-    one.append(f"return [{', '.join(f'c{s}' for s in range(k))}]")
-    many.append("return cells")
+            lines.append(update)
+    return lines
+
+
+def _absorb_source(fn, one, many, k):
     return [
         f"def {fn}(pred, attrs):",
         f"    if len(pred) == {k}:",
         *("        " + line for line in one),
+        f"        return [{', '.join(f'c{s}' for s in range(k))}]",
         *("    " + line for line in many),
+        "    return cells",
         "",
     ]
 
 
-def _merge_source(accs, k, additive):
+def _merge_one(codes, x, y):
+    slots = (_MERGE[c].format(x=f"{x}{s}", y=f"{y}{s}") for s, c in enumerate(codes))
+    return f"[{', '.join(slots)}]"
+
+
+def _merge_source(codes, k, additive):
     if additive:
         return ["def merge(a, b):", "    return list(map(add, a, b))", ""]
-    codes = (ACC_COUNT, *(code for code, _, _ in accs))
-    one = ", ".join(
-        _MERGE[code].format(x=f"a{s}", y=f"b{s}") for s, code in enumerate(codes)
-    )
     many = [
         f"cells[{s}::{k}] = map(add, a[{s}::{k}], b[{s}::{k}])"
         if code in _ADDITIVE
@@ -255,9 +296,9 @@ def _merge_source(accs, k, additive):
     return [
         "def merge(a, b):",
         f"    if len(a) == {k}:",
-        "        " + _unpack("a", k, "a"),
-        "        " + _unpack("b", k, "b"),
-        f"        return [{one}]",
+        "        " + unpack("a", k, "a"),
+        "        " + unpack("b", k, "b"),
+        f"        return {_merge_one(codes, 'a', 'b')}",
         "    cells = a.copy()",
         *("    " + line for line in many),
         "    return cells",

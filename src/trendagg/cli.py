@@ -46,7 +46,7 @@ from .query import (
     check_supported,
     load_query,
 )
-from .windows import ResultRow, WindowManager, WindowSpec, route, windows_of
+from .windows import ResultRow, WindowManager, WindowSpec, key_getter, route, windows_of
 
 
 def result_header(query: Query) -> list:
@@ -148,7 +148,7 @@ def oracle_rows(query: Query, events, cap: int = DEFAULT_CAP, emit_empty: bool =
     check_supported(query)
     spec = WindowSpec(query.within_ms, query.slide_ms)
     probe = RoleProbe(query)
-    attrs = query.partition_attrs
+    key_of = key_getter(query.partition_attrs)
     cont = query.semantics is Semantics.CONT
     # Open window id -> key -> events. A window an event opens ends after
     # every open one, so the ids are in ascending order.
@@ -179,7 +179,7 @@ def oracle_rows(query: Query, events, cap: int = DEFAULT_CAP, emit_empty: bool =
             raise OutOfOrder(number, last, event.time)
         last = event.time
         yield from close(last)
-        routed = route(event, probe, attrs, cont)
+        routed = route(event, probe, key_of, cont)
         if routed is None:
             continue
         roles, key = routed

@@ -46,8 +46,8 @@ def compile_query(query: Query, plan: GranularityPlan | None = None) -> Compiled
     each variable's predecessors by granularity, and ``kept_preds`` pairs
     each event-grained one with its adjacency checks. A cell has ``k``
     slots. ``step`` is the kernel step that ``_kernels_py.compile_step``
-    generates from the other fields; ``source`` is the generated text of
-    the cell functions and the step."""
+    generates from the other fields and the cells' one-window lines;
+    ``source`` is the generated text of the cell functions and the step."""
     check_supported(query)
     if plan is None:
         plan = classify_and_plan(query)
@@ -94,7 +94,7 @@ def compile_query(query: Query, plan: GranularityPlan | None = None) -> Compiled
         },
         step=None,
     )
-    step, step_source = compile_step(compiled)
+    step, step_source = compile_step(compiled, code)
     return compiled._replace(step=step, source=code.source + step_source)
 
 

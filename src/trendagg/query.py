@@ -541,34 +541,66 @@ def check_adjacent(
 
 
 class RoleProbe:
-    """The pattern variables an event can play: those that read its type
-    and whose local predicates it passes. An absent attribute fails a
-    local predicate."""
+    """The pattern variables an event can play, in name order: those that
+    read its type and whose local predicates it passes. An absent
+    attribute fails a local predicate.
 
-    __slots__ = ("_by_type", "_locals")
+    The local filter is compiled once per query. Each stream type maps
+    to its variables' names, when none of them has a local predicate, or
+    else to a generated function of the event's attributes (see
+    ``_compile_filter``), so a call is one lookup by type."""
+
+    __slots__ = ("_by_type",)
 
     def __init__(self, query: Query):
         by_type: dict = {}
         for variable, source in query.aliases.items():
             by_type.setdefault(source, []).append(variable)
-        self._by_type = {s: tuple(sorted(vs)) for s, vs in by_type.items()}
-        self._locals: dict = {}
+        checks: dict = {}
         for p in query.local_predicates:
-            self._locals.setdefault(p.variable, []).append(
-                (p.attr, p.op.apply, p.constant)
-            )
+            checks.setdefault(p.variable, []).append(p)
+        self._by_type = {}
+        for source, variables in by_type.items():
+            roles = tuple(sorted(variables))
+            if any(v in checks for v in roles):
+                self._by_type[source] = _compile_filter(roles, checks)
+            else:
+                self._by_type[source] = roles
 
     def __call__(self, event: Event) -> tuple:
         roles = self._by_type.get(event.etype, ())
-        if not (roles and self._locals):
-            return roles
-        attrs = event.attrs
-        kept = []
-        for v in roles:
-            for attr, apply, constant in self._locals.get(v, ()):
-                value = attrs.get(attr)
-                if value is None or not apply(value, constant):
-                    break
-            else:
-                kept.append(v)
-        return tuple(kept)
+        return roles if roles.__class__ is tuple else roles(event.attrs)
+
+
+def _compile_filter(roles, checks):
+    """The roles among ``roles`` that an event with ``attrs`` passes, as a
+    generated function of ``attrs``.
+
+    Each variable's predicates are tested in query order, and each stops
+    at the first that fails, exactly as a loop over them would: a test is
+    ``value is not None and op(value, constant)``. Each attribute is read
+    once with ``attrs.get``. Attribute and variable names enter the source
+    only through ``repr()``; the operators and constants are bound by
+    name, since a constant such as ``inf`` has no literal."""
+    namespace = {op.__name__: op for op in _OPERATORS.values()}
+    values: dict = {}  # attribute -> local holding its value
+    constants: dict = {}
+    body, parts = [], []
+    for v in roles:
+        tests = []
+        for p in checks.get(v, ()):
+            if p.attr not in values:
+                values[p.attr] = f"a{len(values)}"
+                body.append(f"    {values[p.attr]} = attrs.get({p.attr!r})")
+            a = values[p.attr]
+            constant = f"k{len(constants)}"
+            constants[constant] = p.constant
+            tests.append(f"{a} is not None and {p.op.apply.__name__}({a}, {constant})")
+        role = f"({v!r},)"
+        parts.append(f"({role} if {' and '.join(tests)} else ())" if tests else role)
+    source = "\n".join(
+        ["def roles_of(attrs):", *body, f"    return {' + '.join(parts)}", ""]
+    )
+    namespace.update(constants)
+    exec(compile(source, "<trendagg filter>", "exec"), namespace)
+    return namespace["roles_of"]

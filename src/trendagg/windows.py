@@ -48,6 +48,7 @@ row either way.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from .engines import Engine, compile_query
 from .errors import MissingGroupAttribute, OutOfOrder
@@ -73,18 +74,33 @@ def windows_of(time_ms: int, spec: WindowSpec) -> range:
     return range(lo, hi + 1)
 
 
-def route(event, probe, partition_attrs, cont):
+def key_getter(partition_attrs):
+    """The partition key of an event's attributes, as a function built
+    once per query: a closure over the one name for one attribute,
+    ``operator.itemgetter`` for several, and for none a function that
+    returns ``()``. A missing attribute raises ``KeyError`` naming the
+    first one missing, in ``partition_attrs`` order."""
+    if len(partition_attrs) > 1:
+        return itemgetter(*partition_attrs)
+    if partition_attrs:
+        (name,) = partition_attrs
+        return lambda attrs: (attrs[name],)
+    return lambda attrs: ()
+
+
+def route(event, probe, key_of, cont):
     """Where ``event`` goes under the routing rules above.
 
-    ``probe`` is the query's ``RoleProbe``. Returns ``None`` when the event
-    is dropped, otherwise ``(roles, key)``: the variables it can play and
-    its partition key. Empty ``roles`` mark a contiguous-semantics gap
-    event, which reaches only the windows already open for ``key``.
+    ``probe`` is the query's ``RoleProbe`` and ``key_of`` its
+    ``key_getter``. Returns ``None`` when the event is dropped, otherwise
+    ``(roles, key)``: the variables it can play and its partition key.
+    Empty ``roles`` mark a contiguous-semantics gap event, which reaches
+    only the windows already open for ``key``.
     """
     roles = probe(event)
     if roles or cont:
         try:
-            return roles, tuple(map(event.attrs.__getitem__, partition_attrs))
+            return roles, key_of(event.attrs)
         except KeyError as exc:
             if roles:
                 raise MissingGroupAttribute(
@@ -135,7 +151,7 @@ class WindowManager:
         self._tumbling = query.slide_ms == query.within_ms
         self.compiled = compile_query(query)
         self._cont = query.semantics is Semantics.CONT
-        self._partition_attrs = query.partition_attrs
+        self._key_of = key_getter(query.partition_attrs)
         self._probe = self.compiled.probe
         self._engines = {}  # key -> Engine over the key's open windows
         self._stepped = []  # kernels that stepped at the last timestamp
@@ -166,7 +182,7 @@ class WindowManager:
                 self._gaps.clear()
         rows = self.close_expired(time) if time >= self._min_end else []
         self.events_ingested += 1
-        routed = route(event, self._probe, self._partition_attrs, self._cont)
+        routed = route(event, self._probe, self._key_of, self._cont)
         if routed is None:
             return rows
         roles, key = routed

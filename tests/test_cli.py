@@ -343,6 +343,62 @@ class TestErrors:
             "error: event at 1000ms lacks partition attribute 'g'\n"
         )
 
+    @pytest.mark.parametrize("group_by", ["", "g", "g, h", "h, g"])
+    @pytest.mark.parametrize("missing", ["", "g", "h", "g h"])
+    def test_partition_key_in_run_and_oracle(self, workdir, capsys, group_by, missing):
+        # The A event at 2 s lacks the ``missing`` attributes; with them in
+        # GROUP-BY, both commands name the first one missing, in GROUP-BY
+        # order, and exit 2; without, both write the same rows.
+        cells = {a: "" if a in missing.split() else "1" for a in ("g", "h")}
+        (workdir / "keys.csv").write_text(
+            "time,type,v,g,h\n1,A,5,1,1\n"
+            f"2,A,3,{cells['g']},{cells['h']}\n3,B,2,1,1\n"
+        )
+        (workdir / "keys.txt").write_text(
+            "RETURN COUNT(*) PATTERN (SEQ(A+, B))+ SEMANTICS any "
+            f"{'GROUP-BY ' + group_by if group_by else ''} WITHIN 100 s\n"
+        )
+        outcomes = []
+        for command in ("run", "oracle"):
+            code = _run(
+                [command, "--query", workdir / "keys.txt",
+                 "--input", workdir / "keys.csv"]
+            )
+            out, err = capsys.readouterr()
+            outcomes.append((code, out, err if code else ""))
+        assert outcomes[0] == outcomes[1]
+        first = next((a for a in group_by.split(", ") if a in missing.split()), None)
+        if first is None:
+            assert outcomes[0][0] == 0 and outcomes[0][1]
+        else:
+            assert outcomes[0] == (
+                2, "", f"error: event at 2000ms lacks partition attribute '{first}'\n"
+            )
+
+    @pytest.mark.parametrize("gap_key", ["", "1"])
+    def test_a_contiguous_gap_without_its_key_is_dropped(
+        self, workdir, capsys, gap_key
+    ):
+        # The C event matches nothing. With the key it severs the chain
+        # from a1 to b3, and no trend is left; without, it is dropped.
+        (workdir / "gap.csv").write_text(
+            f"time,type,v,g\n1,A,5,1\n2,C,0,{gap_key}\n3,B,2,1\n"
+        )
+        (workdir / "gap.txt").write_text(
+            "RETURN g, COUNT(*) PATTERN SEQ(A, B) SEMANTICS cont "
+            "GROUP-BY g WITHIN 100 s\n"
+        )
+        rows = "wid,window_start_ms,window_end_ms,g,COUNT(*)\n"
+        if not gap_key:
+            rows += "0,0,100000,1,1\n"
+        for command in ("run", "oracle"):
+            code = _run(
+                [command, "--query", workdir / "gap.txt",
+                 "--input", workdir / "gap.csv"]
+            )
+            assert code == 0
+            assert capsys.readouterr().out.replace("\r\n", "\n") == rows
+
     @pytest.mark.parametrize(
         "case",
         [

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trendagg import Event, Granularity, GranularityPlan
+from trendagg import Engine, Event, Granularity, GranularityPlan, Schema
 from trendagg._kernels_py import MixedKernel
 from trendagg.engines import compile_query
 from trendagg.errors import AggregateOverflow, MissingAttribute, UnsupportedQuery
@@ -175,3 +175,37 @@ def test_merging_kept_cells_leaves_the_variable_cells_alone(semantics, width):
            ("step", 3000, "B", {"v": 4}, width), ("end",), ("close",),
            ("step", 4000, "A", {"v": 1}, width), ("step", 5000, "B", {"v": 2}, width)]
     assert _drive(compile_query(query), ops) is None
+
+
+@pytest.mark.parametrize("semantics", ["any", "next", "cont"])
+@pytest.mark.parametrize("first, second", [(0.0, -0.0), (-0.0, 0.0)])
+def test_a_tie_of_signed_zeros_keeps_the_older_min_and_max(semantics, first, second):
+    # Two events at one timestamp each start a trend; merging the second
+    # cell into the variable's cells, or into the finished trends, keeps
+    # the older of two equal MIN and MAX values, as ``<=`` and ``>=`` do.
+    query = make_query(pattern="A+", semantics=semantics,
+                       returns="COUNT(*), MIN(A.v), MAX(A.v)",
+                       schema=Schema({"A": {"v": "float"}}))
+    for width in (1, 2):
+        ops = [("step", 1000, "A", {"v": first}, width),
+               ("step", 1000, "A", {"v": second}, width), ("end",)]
+        assert _drive(compile_query(query), ops) is None
+    engine = Engine(query).run([Event(1000, "A", {"v": first}),
+                                Event(1000, "A", {"v": second})])
+    assert repr(engine.results()) == repr(
+        {"COUNT(*)": 2, "MIN(A.v)": first, "MAX(A.v)": first}
+    )
+
+
+@pytest.mark.parametrize("width", [1, 2])
+def test_an_overflow_comes_before_a_later_slots_missing_attribute(width):
+    # The last event overflows the sum of A.v and lacks A.w, which only a
+    # later slot reads: the slot that fails first names the error.
+    query = make_query(pattern="A+", returns="SUM(A.v), SUM(A.w)",
+                       schema=Schema({"A": {"v": "float", "w": "float"}}))
+    ops = [("step", 1000 * t, "A", {"v": 1, "w": 1}, width) for t in range(1, _PUMP)]
+    ops.append(("step", 1000 * _PUMP, "A", {"v": 1.5}, width))
+    assert _drive(compile_query(query), ops) == (
+        "AggregateOverflow",
+        "the sum of A.v exceeds the float range: int too large to convert to float",
+    )

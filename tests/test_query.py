@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trendagg import (
@@ -274,6 +274,89 @@ def _probe_cases(draw):
 def test_role_probe_agrees_with_matchable_variables(case):
     query, event = case
     assert RoleProbe(query)(event) == matchable_variables(query, event)
+
+
+# Attribute names that are Python keywords, constants or the generated
+# filter's own parameter; each type has all three, and D is read by no
+# variable.
+_FILTER_ATTRS = {"class": "float", "None": "int", "attrs": "float"}
+_FILTER_SCHEMA = Schema({t: dict(_FILTER_ATTRS) for t in "ABCD"})
+_FILTER_PATTERNS = {
+    "A+": ("A",),
+    "SEQ(A X+, A Y)": ("X", "Y"),
+    "SEQ(A X, A Y, A Z)": ("X", "Y", "Z"),
+    "SEQ(A X+, B, A Y+)": ("X", "B", "Y"),
+    "(SEQ(A X+, C Y))+": ("X", "Y"),
+}
+# ``1e400`` parses to inf, which has no literal in Python source.
+_FILTER_CONSTANTS = ("1e400", "-1e400", "-0.0", "0.0", "0", "2", "2.5", "-1")
+_FILTER_VALUES = st.one_of(
+    st.none(),
+    st.integers(-2, 3),
+    st.sampled_from((0.0, -0.0, 2.5, float("inf"), float("-inf"), float("nan"))),
+    st.just("x"),  # not comparable by order with a number: TypeError
+)
+
+
+def _probe_outcome(fn, *args):
+    """What ``fn(*args)`` returns, or the type and message of what it raises."""
+    try:
+        return "returns", fn(*args)
+    except Exception as exc:  # noqa: BLE001 - compared, not handled
+        return "raises", type(exc), str(exc)
+
+
+@st.composite
+def _filter_cases(draw):
+    """A query whose local predicates fall on some of its variables, up to
+    three on one variable, and an event of any type."""
+    pattern = draw(st.sampled_from(sorted(_FILTER_PATTERNS)))
+    variables = _FILTER_PATTERNS[pattern]
+    filtered = draw(st.lists(st.sampled_from(variables), unique=True, min_size=1))
+    locals_ = [
+        f"{v}.{draw(st.sampled_from(sorted(_FILTER_ATTRS)))} "
+        f"{draw(st.sampled_from([op.value for op in Op]))} "
+        f"{draw(st.sampled_from(_FILTER_CONSTANTS))}"
+        for v in filtered
+        for _ in range(draw(st.integers(1, 3)))
+    ]
+    text = (
+        f"RETURN COUNT(*) PATTERN {pattern} SEMANTICS any "
+        f"WHERE {' AND '.join(draw(st.permutations(locals_)))} WITHIN 1 s"
+    )
+    query = parse_query(text, _FILTER_SCHEMA)
+    attrs = draw(
+        st.fixed_dictionaries({}, optional={a: _FILTER_VALUES for a in _FILTER_ATTRS})
+    )
+    return query, Event(0, draw(st.sampled_from("ABCD")), attrs)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_filter_cases())
+def test_generated_filter_agrees_with_the_reference(case):
+    """``RoleProbe``'s generated filter returns the reference's variables,
+    in the same order, or raises the same exception with the same message:
+    float constants (``inf`` and ``-0.0`` too) against int and float
+    values, several predicates on one variable, aliases of which only some
+    are filtered, attribute names that are Python keywords, and a type that
+    no variable reads."""
+    query, event = case
+    assert _probe_outcome(RoleProbe(query), event) == _probe_outcome(
+        matchable_variables, query, event
+    )
+
+
+def test_a_float_constant_without_a_literal_filters_by_its_value():
+    query = parse_query(
+        "RETURN COUNT(*) PATTERN SEQ(A X+, A Y) SEMANTICS any "
+        "WHERE X.class < 1e400 AND Y.class >= -0.0 WITHIN 1 s",
+        _FILTER_SCHEMA,
+    )
+    probe = RoleProbe(query)
+    assert probe(Event(0, "A", {"class": 0.0})) == ("X", "Y")
+    assert probe(Event(0, "A", {"class": float("inf")})) == ("Y",)
+    assert probe(Event(0, "A", {"class": -1.0})) == ("X",)
+    assert probe(Event(0, "D", {"class": 0.0})) == ()
 
 
 def test_check_adjacent():

@@ -9,19 +9,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trendagg import (
+    TRANSPORT_SCHEMA,
     Engine,
     Event,
     ResultRow,
     Schema,
     WindowManager,
     WindowSpec,
+    generate_transport_stream,
+    parse_query,
     windows_of,
 )
+from trendagg._kernels_py import MixedKernel
 from trendagg.cli import oracle_rows
 from trendagg.errors import MissingGroupAttribute, OutOfOrder
+from trendagg.query import RoleProbe
 from trendagg.windows import route
 
 from conftest import fine_manager, make_query, row_tuples
+from query_reference import matchable_variables
 
 GROUPED_SCHEMA = Schema(
     {t: {"v": "int", "g": "int"} for t in ("A", "B", "C")}
@@ -555,7 +561,7 @@ def test_closed_windows_are_trimmed_at_the_next_step(data):
             assert kernel.time in (None, event.time)
             if kernel.time is None:  # its timestamp ended as the stream moved on
                 assert not kernel._shadow
-        routed = route(event, manager._probe, manager._partition_attrs, manager._cont)
+        routed = route(event, manager._probe, manager._key_of, manager._cont)
         if routed is None or routed[1] not in manager._engines:
             continue
         kernel = manager._engines[routed[1]].kernel  # it just stepped: nothing stale
@@ -630,3 +636,42 @@ def test_gap_before_a_key_opens_counts_in_its_timestamp():
     reference.kernel.end_timestamp()
     assert kernel.snapshot().counts == reference.kernel.snapshot().counts == {}
     assert manager.current_entries == kernel.entry_count == 0
+
+
+@pytest.mark.parametrize("semantics", ["any", "next"])
+def test_traced_entry_points_stay_in_the_path(monkeypatch, semantics):
+    """``e2ebench/tracing.py`` wraps ``RoleProbe.__call__``,
+    ``Engine.step_with_roles`` and ``MixedKernel.step`` by name, and counts
+    matched events and steps from their calls. Over a sliding stream with a
+    local filter, the probe runs once per ingested event, and each step
+    callable once per routed step: here, once per matched event."""
+    calls = {}
+
+    def count(owner, name):
+        original = owner.__dict__[name]
+        calls[owner.__name__] = []
+
+        def wrapper(*args):
+            result = original(*args)
+            calls[owner.__name__].append(result)
+            return result
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    count(RoleProbe, "__call__")
+    count(Engine, "step_with_roles")
+    count(MixedKernel, "step")
+    query = parse_query(
+        "RETURN passenger, COUNT(*), MIN(T.wait), SUM(T.wait) PATTERN Trip T+ "
+        f"SEMANTICS {semantics} WHERE T.wait > 10 GROUP-BY passenger "
+        "WITHIN 120 s SLIDE 40 s",
+        TRANSPORT_SCHEMA,
+    )
+    events = generate_transport_stream(4, 3, 600, 7)
+    manager = WindowManager(query)
+    list(manager.run(events))
+    matched = sum(1 for e in events if matchable_variables(query, e))
+    assert 0 < matched < len(events)
+    assert len(calls["RoleProbe"]) == manager.events_ingested == len(events)
+    assert sum(1 for roles in calls["RoleProbe"] if roles) == matched
+    assert len(calls["Engine"]) == len(calls["MixedKernel"]) == matched
