@@ -15,12 +15,12 @@ with one open window, the absorb's and merge's one-window lines inline,
 and ``MixedKernel.step`` calls it.
 
 A kernel holds the state of one partition key over all of that key's open
-windows. Those windows are a contiguous run of window ids; the kernel knows
-them by position only, position 0 being the oldest. Cells are kept as flat
-cell vectors holding one cell per open window, oldest first (see
-``cells``), so each event is applied once per key however many windows
-overlap. A new kernel has one window open; the single-partition engine
-never opens or closes another.
+windows. Those windows are a contiguous run of window ids, ``base`` being
+the oldest; a kernel built alone starts at 0. Cells are kept as flat cell
+vectors holding one cell per open window, oldest first (see ``cells``), so
+each event is applied once per key however many windows overlap. A new
+kernel has one window open; the single-partition engine never opens or
+closes another.
 
 The step contract:
 
@@ -107,8 +107,8 @@ class MixedKernel:
 
     A kept event is stored once, with a cell vector over the windows that
     hold it: from the oldest window open when it arrived to the newest.
-    Windows are numbered from the kernel's creation on, so that a kept
-    event's first window stays valid as older windows close.
+    Windows are numbered by window id; a kernel built alone starts at 0.
+    So a kept event's first window stays valid as older windows close.
 
     Beside the kept events, the kernel keeps their variables and the
     left-hand operand of every adjacency check in columns, in arrival
@@ -147,7 +147,7 @@ class MixedKernel:
         self.plan = plan
         self._step = plan.step
         self.width = 1
-        self.base = 0  # number of the oldest open window
+        self.base = 0  # window id of the oldest open window
         self.time = None  # the current timestamp; None once it has ended
         self.type_cells = {}  # type-grained variable -> cells, if any
         self.events = []  # (time, role, first window, cells) in arrival order

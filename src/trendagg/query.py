@@ -533,7 +533,7 @@ def check_adjacent(
             except KeyError as exc:
                 raise MissingAttribute(
                     f"adjacency predicate needs attribute {exc.args[0]}, "
-                    f"absent on the event"
+                    "absent on event"
                 ) from None
             if not p.op.apply(a, b):
                 return False

@@ -19,8 +19,10 @@ timestamp, which frees its tie state.
 Since windows close before a later event is routed, the windows a key
 holds are always the oldest of the windows the key's next event falls
 into. The event is applied once per key; the engine opens the missing
-windows at the back. The open window ids of all keys together are
-contiguous, so closing visits only the windows that end.
+windows at the back. A key's kernel numbers its windows by window id,
+its ``base`` being the oldest. The open window ids of all keys together
+are contiguous, so closing visits only the windows that end, and closing
+one reads the kernels whose oldest window is the closing id.
 
 Routing rules, applied by ``route`` for both this manager and the
 enumerating oracle (``cli.oracle_rows``):
@@ -156,7 +158,6 @@ class WindowManager:
         self._engines = {}  # key -> Engine over the key's open windows
         self._stepped = []  # kernels that stepped at the last timestamp
         self._gaps = {}  # key without an engine -> its gap event at this time
-        self._keys_by_wid = {}  # open window id -> keys holding it
         self._first_wid = 0  # oldest open window id
         self._min_end = float("inf")
         self._last_time = 0
@@ -200,18 +201,15 @@ class WindowManager:
                     lo = 0
                 width = hi - lo + 1
             if engine is None:
+                if not self._engines:
+                    self._first_wid = lo
+                    self._min_end = self.spec.end_of(lo)
                 engine = self._engines[key] = Engine(self.query, self.compiled)
-                held = 0
+                engine.kernel.base = lo  # its windows are numbered by id
                 gap = self._gaps.pop(key, None)
                 if gap is not None:  # it shares this timestamp with the event
                     self._stepped.append(engine.kernel)
                     engine.step_with_roles(gap, (), 0)
-            else:
-                held = engine.kernel.width
-            # The key's open windows are the oldest of the event's windows.
-            if width > held:
-                for wid in range(lo + held, lo + width):
-                    self._open(wid, key)
         elif engine is None:
             self._gaps[key] = event
             return rows
@@ -236,15 +234,6 @@ class WindowManager:
         self.current_entries -= freed
         self._stepped.clear()
 
-    def _open(self, wid, key):
-        keys = self._keys_by_wid.get(wid)
-        if keys is None:
-            if not self._keys_by_wid:
-                self._first_wid = wid
-                self._min_end = self.spec.end_of(wid)
-            keys = self._keys_by_wid[wid] = []
-        keys.append(key)
-
     def run(self, events):
         """Feed a whole stream and yield result rows as windows close."""
         for event in events:
@@ -264,34 +253,35 @@ class WindowManager:
         """Emit everything still open, in (window id, key) order."""
         self._end_timestamp()
         rows = []
-        while self._keys_by_wid:
+        while self._engines:
             self._close_oldest(rows)
         return rows
 
     def _close_oldest(self, rows):
         # Open window ids are contiguous: an event opens every window it
         # falls into that its key does not hold yet, and all windows that
-        # end after it stay open.
+        # end after it stay open. The keys holding the closing window are
+        # those whose kernel's oldest window, its ``base``, is that id.
         wid = self._first_wid
-        keys = self._keys_by_wid.pop(wid)
-        self._first_wid = wid + 1
-        self._min_end = (
-            self.spec.end_of(wid + 1) if self._keys_by_wid else float("inf")
-        )
         start = self.spec.start_of(wid)
         end = self.spec.end_of(wid)
+        engines = self._engines
         emitted = len(rows)
         freed = 0
-        for key in sorted(keys):
-            engine = self._engines[key]
+        for key in sorted(engines):
+            engine = engines[key]
             kernel = engine.kernel
+            if kernel.base > wid:  # it opened after this window
+                continue
             cell = kernel.final_cell()
             if cell[0] != 0 or self.emit_empty:
                 rows.append(_trusted_row(wid, start, end, key, engine.results(cell)))
             if kernel.width == 1:  # the key's last window: drop it all
-                del self._engines[key]
+                del engines[key]
                 freed += kernel.entry_count
             else:
                 freed += kernel.drop_front()
+        self._first_wid = wid + 1
+        self._min_end = self.spec.end_of(wid + 1) if engines else float("inf")
         self.current_entries -= freed
         self.rows_emitted += len(rows) - emitted

@@ -14,8 +14,10 @@ from trendagg.cells import (
     event_updates,
     identity_cell,
 )
+from trendagg._kernels_py import compile_step
 from trendagg.engines import compile_query
 from trendagg.errors import AggregateOverflow
+from trendagg.query import aggregate_names
 
 from cells_reference import absorb_cells, finalize, merge_by_slot, merge_functions
 from conftest import make_query
@@ -333,8 +335,16 @@ def test_stored_predecessor_merges_match_one_window_kernels(data):
         stream[j * slide : j * slide + length] for j in range(-(-len(stream) // slide))
     ]
     plans = [compiled]
-    if compiled.additive:  # the same plan, merged by its generated merge
-        plans.append(compiled._replace(additive=False))
+    if compiled.additive:  # the same plan, its step regenerated to merge
+        merged = compiled._replace(additive=False)
+        accs, extractors = build_accumulators(query.aggregates)
+        roles = tuple(sorted(query.template.types))
+        cells = compile_cells(
+            accs, extractors, aggregate_names(query), roles, merged.start
+        )
+        step, source = compile_step(merged, cells)
+        assert "merge(pred[:len(c)], c)" in source
+        plans.append(merged._replace(step=step))
     for plan in plans:
         engine = Engine(query, plan)
         finals = []

@@ -561,6 +561,89 @@ class TestErrors:
             "stream type to several variables\n"
         )
 
+    @pytest.mark.parametrize(
+        "rows, returns, where, message",
+        [
+            # The first event lacks v and is only ever a predecessor.
+            ("1,A\n2,A,v=2\n", "COUNT(*)", "WHERE A.v < NEXT(A).v",
+             "adjacency predicate needs attribute v, absent on event"),
+            # The last event lacks v and is only ever a successor.
+            ("1,A,v=1\n2,A,v=2\n3,A\n", "COUNT(*)", "WHERE A.v < NEXT(A).v",
+             "adjacency predicate needs attribute v, absent on event"),
+            # The middle event lacks v and plays both parts.
+            ("1,A,v=1\n2,A\n3,A,v=3\n", "COUNT(*)", "WHERE A.v < NEXT(A).v",
+             "adjacency predicate needs attribute v, absent on event"),
+            # An aggregated attribute is missing.
+            ("1,A,v=1\n2,A,w=5\n", "SUM(A.w)", "",
+             "aggregate needs A.w, absent on event"),
+        ],
+        ids=["predecessor", "successor", "both", "aggregated"],
+    )
+    def test_a_missing_attribute_reads_the_same_in_run_and_oracle(
+        self, workdir, capsys, rows, returns, where, message
+    ):
+        (workdir / "gappy.csv").write_text("time,type\n" + rows)
+        (workdir / "gappy.txt").write_text(
+            f"RETURN {returns} PATTERN A+ SEMANTICS any {where} WITHIN 100 s\n"
+        )
+        for command in ("run", "oracle"):
+            code = _run(
+                [command, "--query", workdir / "gappy.txt",
+                 "--input", workdir / "gappy.csv"]
+            )
+            captured = capsys.readouterr()
+            assert (command, code, captured.out, captured.err) == (
+                command, 2, "", f"error: {message}\n"
+            )
+
+    @pytest.mark.parametrize(
+        "command, query, extra, message",
+        [
+            ("run", "junk RETURN COUNT(*) PATTERN A+ SEMANTICS any WITHIN 100 s", [],
+             "unexpected text before first clause: 'junk'"),
+            ("run", "RETURN COUNT(*) PATTERN A+ SEMANTICS any "
+             "WHERE A.v < 1.2.3 WITHIN 100 s", [], "bad constant '1.2.3'"),
+            ("run", "RETURN COUNT(*) PATTERN A+ SEMANTICS any "
+             "WHERE A.v < A.s WITHIN 100 s", [],
+             "incomparable attribute kinds in 'A.v < A.s'"),
+            ("run", "RETURN COUNT(*) PATTERN A+ SEMANTICS any "
+             "WHERE [1x] WITHIN 100 s", [], "bad equivalence predicate '[1x]'"),
+            ("run", "RETURN COUNT(*) PATTERN A+ SEMANTICS any "
+             "WHERE A.v WITHIN 100 s", [], "bad predicate 'A.v'"),
+            ("run", "RETURN COUNT(*) PATTERN A+ SEMANTICS any "
+             "WHERE 3 < A.v WITHIN 100 s", [],
+             "left side of '3 < A.v' must be Variable.attr"),
+            ("run", "RETURN COUNT(*) PATTERN SEQ(A+, B) SEMANTICS any "
+             "WHERE A.v < NEXT(B).v WITHIN 100 s", [],
+             "NEXT(B) must refer to the left variable A"),
+            ("run", "RETURN SUM(*) PATTERN A+ SEMANTICS any WITHIN 100 s", [],
+             "SUM(*) is not a thing"),
+            ("run", "RETURN COUNT(A.v) PATTERN A+ SEMANTICS any WITHIN 100 s", [],
+             "COUNT takes a variable, not an attribute"),
+            ("run", "RETURN MIN(A) PATTERN A+ SEMANTICS any WITHIN 100 s", [],
+             "MIN needs Variable.attr"),
+            ("run", "RETURN 3x PATTERN A+ SEMANTICS any WITHIN 100 s", [],
+             "bad RETURN item '3x'"),
+            ("run", "RETURN COUNT(*) PATTERN A+ SEMANTICS any "
+             "GROUP-BY v.x WITHIN 100 s", [], "bad GROUP-BY item 'v.x'"),
+            ("oracle", "RETURN COUNT(*) PATTERN A+ SEMANTICS next WITHIN 100 s",
+             ["--oracle-cap", 2], "trend enumeration exceeded cap of 2"),
+        ],
+    )
+    def test_user_errors_exit_2_with_one_line(
+        self, tmp_path, capsys, command, query, extra, message
+    ):
+        (tmp_path / "e.csv").write_text(
+            "time,type,v,s\n1,A,1,x\n2,A,2,y\n3,B,3,z\n4,A,4,w\n"
+        )
+        (tmp_path / "q.txt").write_text(query + "\n")
+        code = _run(
+            [command, "--query", tmp_path / "q.txt", "--input", tmp_path / "e.csv",
+             *extra]
+        )
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (2, "", f"error: {message}\n")
+
 
     @pytest.mark.parametrize(
         "window, offset",
@@ -675,3 +758,19 @@ def test_readme_names_only_real_subcommands():
         if isinstance(action, argparse._SubParsersAction)
     )
     assert named and named <= set(sub.choices)
+
+
+def test_readme_python_examples_run(capsys):
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```", readme, flags=re.M | re.S)
+    assert len(blocks) == 2
+    namespace = {}
+    exec(compile(blocks[0], "README.md", "exec"), namespace)
+    printed = capsys.readouterr().out.splitlines()
+    comment = re.search(r"^print\(engine\.results\(\)\) +# (.*)$", blocks[0], re.M)
+    assert printed[0] == comment.group(1) == "{'COUNT(*)': 1}"
+    # The oracle block's last line is an expression; evaluate it.
+    *statements, last = blocks[1].strip().splitlines()
+    exec(compile("\n".join(statements), "README.md", "exec"), namespace)
+    value = eval(compile(last, "README.md", "eval"), namespace)
+    assert value == namespace["engine"].results()

@@ -80,14 +80,13 @@ class TestWindowArithmetic:
         manager = WindowManager(make_query(within=f"{within} ms", slide=f"{slide} ms"))
         manager.ingest(Event(time, "A", {"v": 1}))
         first = windows_of(time, spec)
-        assert sorted(manager._keys_by_wid) == list(first)
-        assert manager._engines[()].kernel.width == len(first)
+        kernel = manager._engines[()].kernel
+        assert (kernel.base, kernel.width) == (first[0], len(first))
         # A later event before the oldest window ends opens only the rest.
         later = time + data.draw(st.integers(0, spec.end_of(first[0]) - time - 1))
         manager.ingest(Event(later, "A", {"v": 1}))
         second = windows_of(later, spec)
-        assert sorted(manager._keys_by_wid) == sorted({*first, *second})
-        assert manager._engines[()].kernel.width == len(second)
+        assert (kernel.base, kernel.width) == (first[0], len(second))
 
 
 class TestLifecycle:
@@ -557,6 +556,13 @@ def test_closed_windows_are_trimmed_at_the_next_step(data):
         counts = [_recount(kernel) for kernel in kernels]
         assert [kernel.entry_count for kernel in kernels] == counts
         assert manager.current_entries == sum(counts)
+        # The oldest open window is the least kernel base, and the next
+        # close is due at its end.
+        if kernels:
+            assert manager._first_wid == min(kernel.base for kernel in kernels)
+            assert manager._min_end == manager.spec.end_of(manager._first_wid)
+        else:
+            assert manager._min_end == float("inf")
         for kernel in kernels:
             assert kernel.time in (None, event.time)
             if kernel.time is None:  # its timestamp ended as the stream moved on
