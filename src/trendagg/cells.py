@@ -21,10 +21,11 @@ variable, one ``merge`` and one ``readout``, and builds the functions with
 methods). The source holds only integer slot indices and the ``repr`` of
 parsed names, and handles each slot in its own statement, in slot order,
 so a failure names the same slot that a slot-by-slot loop would reach
-first. ``absorb`` and a non-additive ``merge`` take a scalar branch on a
-vector of width 1 - every vector of a tumbling query, and of a sliding
-query whose key holds one open window - and a strided one, a slice per
-slot, on wider vectors. Both read the width from the vector's length.
+first. ``absorb`` works a slice per slot at every width; the kernel step
+runs its one-window lines inline and calls it only on wider vectors. A
+non-additive ``merge`` takes a scalar branch on a vector of width 1 -
+every vector of a tumbling query, and of a sliding query whose key holds
+one open window - and a strided one on wider vectors.
 
 Counts are plain Python integers and therefore unbounded - under
 skip-till-any-match they grow exponentially with window size and would
@@ -37,10 +38,11 @@ start increment):
 
     count-of-variable: pred + count           when the event matches the target
     sum:               pred + value * count
-    min/max:           lattice-merge of pred and value, but only when
-                       count > 0 - an event on zero trends contributes to
-                       no aggregate, and unlike the additive accumulators
-                       min/max are not self-guarded by the * count factor.
+    min/max:           lattice-merge of pred and value
+
+Each rule applies only where count > 0: an event on zero trends (of a
+variable other than the start, in some window) is in no trend there, so
+there it changes no slot and reads no attribute.
 
 AVG is never maintained incrementally; it is derived at read-out as
 SUM/COUNT(variable) and is null when that count is zero.
@@ -138,8 +140,10 @@ def compile_cells(accs, extractors, names, roles, start):
     window by window, given the merged cells of its predecessors in each
     window: the event extends every partial trend counted in ``pred`` and,
     when ``r`` is ``start``, opens one more. It raises ``MissingAttribute``
-    when ``attrs`` lacks an aggregated attribute, and ``AggregateOverflow``
-    when a float sum meets a trend count too large for a float.
+    when ``attrs`` lacks an aggregated attribute that it reads (a
+    variable other than ``start`` reads none on zero trends), and
+    ``AggregateOverflow`` when a float sum meets a trend count too large
+    for a float.
     ``merge(a, b)`` merges two vectors of equal length, and
     ``readout(cell)`` maps ``names`` (the aggregates' RETURN-clause
     spellings, in order) to their values in one final cell. ``additive``
@@ -148,11 +152,11 @@ def compile_cells(accs, extractors, names, roles, start):
 
     The one-window arithmetic is also handed out as source, for
     ``_kernels_py.compile_step`` to run inline: ``absorb_one[r]`` holds
-    the lines of ``absorb[r]``'s one-window branch, which read ``pred``
-    and ``attrs`` and leave the new cell's slots in the locals ``c0``,
-    ``c1``, ...; ``merge_one(x, y)`` is the expression, a list display,
-    of the merge of two cells held in the locals ``x0``, ... and ``y0``,
-    .... They are the very lines ``absorb`` and ``merge`` are built from.
+    lines that give, on one window, the cells ``absorb[r]`` gives; they
+    read ``pred`` and ``attrs`` and leave the new cell's slots in the
+    locals ``c0``, ``c1``, .... ``merge_one(x, y)`` is the expression, a
+    list display, of the merge of two cells held in the locals ``x0``,
+    ... and ``y0``, ...; ``merge``'s one-window branch is built from it.
     """
     k = len(accs) + 1
     additive = all(code in _ADDITIVE for code, _, _ in accs)
@@ -161,9 +165,10 @@ def compile_cells(accs, extractors, names, roles, start):
     lines = []
     for n, r in enumerate(roles):
         updates = event_updates(accs, r)
-        one = absorb_one[r] = _absorb_lines(updates, r == start, k, one=True)
+        absorb_one[r] = _absorb_lines(updates, r == start, k, one=True)
         many = _absorb_lines(updates, r == start, k, one=False)
-        lines += _absorb_source(f"absorb_{n}", one, many, k)
+        lines += [f"def absorb_{n}(pred, attrs):", *("    " + line for line in many)]
+        lines += ["    return cells", ""]
     lines += _merge_source(codes, k, additive)
     lines += _readout_source(names, extractors)
     source = "\n".join(lines) + "\n"
@@ -200,6 +205,9 @@ _UPDATE = {
     ACC_MIN: "{p} if {c} == 0 or {p} is not None and {p} <= {v} else {v}",
     ACC_MAX: "{p} if {c} == 0 or {p} is not None and {p} >= {v} else {v}",
 }
+# The sum of a variable other than the start, window by window: its count
+# may be 0 in some windows, where ``v * 0`` may be nan or a float.
+_GUARDED_SUM = "{p} + {v} * {c} if {c} else {p}"
 # A slot of two merged cells; ``None`` is the identity of min/max.
 _MERGE = {
     ACC_COUNT: "{x} + {y}",
@@ -212,7 +220,8 @@ _MERGE = {
 def _absorb_lines(updates, is_start, k, one):
     """The body of an absorb, without its ``return``: on a vector of one
     window (``one``), into the locals ``c0``, ...; otherwise into
-    ``cells``, a slice per slot."""
+    ``cells``, a slice per slot. Past the start variable, the updates
+    run only where the count is not zero."""
     if one:
         lines = [unpack("c", k, "pred")]
         if is_start:
@@ -226,9 +235,10 @@ def _absorb_lines(updates, is_start, k, one):
     else:
         lines = ["cells = pred.copy()", f"counts = pred[0::{k}]"]
     values = {}  # attribute -> local holding its value, read at first use
+    body = []
     for i, code, target, attr in updates:
         if code == ACC_COUNT:
-            lines.append(
+            body.append(
                 f"c{i} = " + _UPDATE[code].format(p=f"c{i}", c="c0")
                 if one
                 else f"cells[{i}::{k}] = map(add, pred[{i}::{k}], counts)"
@@ -237,7 +247,7 @@ def _absorb_lines(updates, is_start, k, one):
         if attr not in values:
             v = values[attr] = f"v{len(values)}"
             message = f"aggregate needs {target}.{attr}, absent on event"
-            lines += [
+            body += [
                 "try:",
                 f"    {v} = attrs[{attr!r}]",
                 "except KeyError:",
@@ -247,13 +257,14 @@ def _absorb_lines(updates, is_start, k, one):
         if one:
             update = f"c{i} = " + _UPDATE[code].format(p=f"c{i}", v=v, c="c0")
         else:
+            rule = _GUARDED_SUM if code == ACC_SUM and not is_start else _UPDATE[code]
             update = (
                 f"cells[{i}::{k}] = ["
-                + _UPDATE[code].format(p="p", v=v, c="c")
+                + rule.format(p="p", v=v, c="c")
                 + f" for p, c in zip(pred[{i}::{k}], counts)]"
             )
         if code == ACC_SUM:
-            lines += [
+            body += [
                 "try:",
                 "    " + update,
                 "except OverflowError as exc:",
@@ -261,20 +272,11 @@ def _absorb_lines(updates, is_start, k, one):
                 " from None",
             ]
         else:
-            lines.append(update)
-    return lines
-
-
-def _absorb_source(fn, one, many, k):
-    return [
-        f"def {fn}(pred, attrs):",
-        f"    if len(pred) == {k}:",
-        *("        " + line for line in one),
-        f"        return [{', '.join(f'c{s}' for s in range(k))}]",
-        *("    " + line for line in many),
-        "    return cells",
-        "",
-    ]
+            body.append(update)
+    if is_start or not body:
+        return lines + body
+    guard = "if c0:" if one else "if any(counts):"
+    return [*lines, guard, *("    " + line for line in body)]
 
 
 def _merge_one(codes, x, y):

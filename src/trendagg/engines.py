@@ -54,13 +54,7 @@ def compile_query(query: Query, plan: GranularityPlan | None = None) -> Compiled
     template = query.template
     roles = tuple(sorted(template.types))
     preds = {r: tuple(sorted(template.pred_types[r])) for r in roles}
-    theta = {}
-    for p in query.adjacent_predicates:
-        if p.prev_variable in template.pred_types.get(p.next_variable, ()):
-            theta.setdefault((p.prev_variable, p.next_variable), []).append(
-                (p.prev_attr, p.op.apply, p.next_attr)
-            )
-    theta = {k: tuple(v) for k, v in theta.items()}
+    theta = query.adjacency
     accs, extractors = build_accumulators(query.aggregates)
     code = compile_cells(
         accs, extractors, aggregate_names(query), roles, template.start_type

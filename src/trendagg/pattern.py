@@ -2,9 +2,10 @@
 
 A pattern is built from type atoms, Kleene plus and sequencing. Each pattern
 variable may be bound at most once, but several variables may read from the
-same stream type (``SEQ(Stock A+, Stock B+)``). Compilation derives, for
-every variable, the set of variables that may immediately precede it inside
-a match, plus the unique start and end variables.
+same stream type (``SEQ(Stock A+, Stock B+)``). One walk of the AST
+(``analyze_pattern``) derives, for every variable, the set of variables
+that may immediately precede it inside a match, plus the unique start and
+end variables and each variable's stream type.
 """
 
 from __future__ import annotations
@@ -60,66 +61,48 @@ class PatternTemplate:
         return frozenset(self.pred_types)
 
 
-def pattern_variables(pattern: Pattern) -> list[str]:
-    if isinstance(pattern, TypeAtom):
-        return [pattern.name]
-    if isinstance(pattern, Plus):
-        return pattern_variables(pattern.child)
-    return pattern_variables(pattern.left) + pattern_variables(pattern.right)
-
-
-def alias_map(pattern: Pattern) -> dict[str, str]:
-    """variable -> stream type."""
-    out = {}
+def analyze_pattern(pattern: Pattern) -> tuple[PatternTemplate, dict]:
+    """The pattern's template and its variable -> stream type map, in
+    pattern order, from one walk of the AST. Raises
+    ``DuplicateTypeInPattern`` at the first variable bound twice."""
+    follow = []  # (prev, next) pairs
+    sources = {}
 
     def walk(p):
+        """Entry and exit variable of ``p``: an atom is its own, a plus
+        keeps its child's, a sequence takes its left part's entry and its
+        right part's exit."""
         if isinstance(p, TypeAtom):
-            out[p.name] = p.source
-        elif isinstance(p, Plus):
-            walk(p.child)
-        else:
-            walk(p.left)
-            walk(p.right)
+            if p.name in sources:
+                raise DuplicateTypeInPattern(f"pattern variable {p.name} bound twice")
+            sources[p.name] = p.source
+            return p.name, p.name
+        if isinstance(p, Plus):
+            entry, exit_ = walk(p.child)
+            follow.append((exit_, entry))
+            return entry, exit_
+        entry, middle = walk(p.left)
+        after, exit_ = walk(p.right)
+        follow.append((middle, after))
+        return entry, exit_
 
-    walk(pattern)
-    return out
-
-
-def validate_pattern(pattern: Pattern):
-    names = pattern_variables(pattern)
-    seen = set()
-    for name in names:
-        if name in seen:
-            raise DuplicateTypeInPattern(f"pattern variable {name} bound twice")
-        seen.add(name)
-
-
-def _analyze(pattern: Pattern):
-    """Return (first, last, follow) where follow is a set of (prev, next)."""
-    if isinstance(pattern, TypeAtom):
-        return {pattern.name}, {pattern.name}, set()
-    if isinstance(pattern, Plus):
-        first, last, follow = _analyze(pattern.child)
-        follow = follow | {(l, f) for l in last for f in first}
-        return first, last, follow
-    f1, l1, fo1 = _analyze(pattern.left)
-    f2, l2, fo2 = _analyze(pattern.right)
-    follow = fo1 | fo2 | {(l, f) for l in l1 for f in f2}
-    return f1, l2, follow
+    start, end = walk(pattern)
+    preds = {v: frozenset(p for p, n in follow if n == v) for v in sources}
+    return PatternTemplate(start_type=start, end_type=end, pred_types=preds), sources
 
 
 def compile_template(pattern: Pattern) -> PatternTemplate:
     """Derive start/end variables and the predecessor relation."""
-    validate_pattern(pattern)
-    first, last, follow = _analyze(pattern)
-    # With single-binding atoms, sequences keep exactly one entry and one
-    # exit variable.
-    assert len(first) == 1 and len(last) == 1
-    start = next(iter(first))
-    end = next(iter(last))
-    variables = pattern_variables(pattern)
-    preds = {v: frozenset(p for (p, n) in follow if n == v) for v in variables}
-    return PatternTemplate(start_type=start, end_type=end, pred_types=preds)
+    return analyze_pattern(pattern)[0]
+
+
+def alias_map(pattern: Pattern) -> dict[str, str]:
+    """variable -> stream type, in pattern order."""
+    return analyze_pattern(pattern)[1]
+
+
+def pattern_variables(pattern: Pattern) -> list[str]:
+    return list(alias_map(pattern))
 
 
 _TOKEN = re.compile(r"\s*([A-Za-z_][A-Za-z0-9_]*|[(),+])")
@@ -143,6 +126,7 @@ class _PatternParser:
     def __init__(self, tokens):
         self.tokens = tokens
         self.i = 0
+        self.names = set()  # variables met so far (atoms come in pattern order)
 
     def peek(self):
         return self.tokens[self.i] if self.i < len(self.tokens) else None
@@ -189,6 +173,9 @@ class _PatternParser:
             nxt = self.peek()
             if nxt is not None and nxt not in "(),+" and nxt.upper() != "SEQ":
                 name = self.take()
+            if name in self.names:
+                raise DuplicateTypeInPattern(f"pattern variable {name} bound twice")
+            self.names.add(name)
             node = TypeAtom(name=name, source=source)
         if self.peek() == "+":
             self.take("+")
@@ -198,6 +185,4 @@ class _PatternParser:
 
 def parse_pattern(text: str) -> Pattern:
     """Parse pattern text such as ``(SEQ(A+, B))+`` or ``Measurement M+``."""
-    pattern = _PatternParser(_tokenize(text)).parse()
-    validate_pattern(pattern)
-    return pattern
+    return _PatternParser(_tokenize(text)).parse()

@@ -33,7 +33,7 @@ from .errors import (
     UnsupportedQuery,
 )
 from .events import Event, Schema
-from .pattern import Pattern, PatternTemplate, alias_map, compile_template, parse_pattern
+from .pattern import Pattern, PatternTemplate, analyze_pattern, parse_pattern
 
 
 class Semantics(enum.Enum):
@@ -172,6 +172,20 @@ class Query:
     @property
     def adjacent_predicates(self):
         return tuple(p for p in self.predicates if isinstance(p, Adjacent))
+
+    @property
+    def adjacency(self) -> dict:
+        """The adjacency checks of each predecessor pair, in query order:
+        ``(prev, next) -> ((prev_attr, compare, next_attr), ...)``. A
+        predicate on two variables that never sit next to each other binds
+        no pair."""
+        table = {}
+        for p in self.adjacent_predicates:
+            if p.prev_variable in self.template.pred_types.get(p.next_variable, ()):
+                table.setdefault((p.prev_variable, p.next_variable), []).append(
+                    (p.prev_attr, p.op.apply, p.next_attr)
+                )
+        return {pair: tuple(checks) for pair, checks in table.items()}
 
 
 # --------------------------------------------------------------------------
@@ -385,8 +399,7 @@ def parse_query(text: str, schema: Schema) -> Query:
     clauses = _split_clauses(text)
 
     pattern = parse_pattern(clauses["PATTERN"])
-    aliases = alias_map(pattern)
-    template = compile_template(pattern)
+    template, aliases = analyze_pattern(pattern)
     view = _SchemaView(schema, aliases)
     for variable in aliases:
         view.check_variable(variable)
@@ -485,14 +498,9 @@ def classify_and_plan(query: Query) -> GranularityPlan:
     change only which of those cells and events an event may read.
     """
     variables = frozenset(query.template.types)
-    adjacent = query.adjacent_predicates
-    if not adjacent:
+    if not query.adjacent_predicates:
         return GranularityPlan(Granularity.TYPE, frozenset(), variables)
-    event_grained = frozenset(
-        p.prev_variable
-        for p in adjacent
-        if p.prev_variable in query.template.pred_types.get(p.next_variable, ())
-    )
+    event_grained = frozenset(prev for prev, _ in query.adjacency)
     return GranularityPlan(
         Granularity.MIXED, event_grained, variables - event_grained
     )

@@ -41,14 +41,16 @@ def merge_by_slot(a, b, merges):
 def absorb_cells(pred, updates, attrs, is_start, k):
     """Cells of a fresh event, window by window, given the merged cells of
     its predecessors in each window, the event's ``event_updates`` and the
-    number ``k`` of slots per cell."""
-    if len(pred) == k:
-        return _absorb_one(pred, updates, attrs, is_start)
+    number ``k`` of slots per cell. In a window where it extends no trend,
+    an event of a variable other than the start reads no attribute and
+    changes no slot: no trend holds it there."""
     counts = pred[::k]
     cells = pred.copy()
     if is_start:
         counts = [c + 1 for c in counts]
         cells[::k] = counts
+    elif not any(counts):
+        return cells
     try:
         for i, code, target, attr in updates:
             prev = pred[i::k]
@@ -56,10 +58,8 @@ def absorb_cells(pred, updates, attrs, is_start, k):
                 cells[i::k] = map(add, prev, counts)
                 continue
             value = _value(attrs, target, attr)
-            # On zero trends the event contributes nothing; min/max must not
-            # pick up its value.
             if code == ACC_SUM:
-                cells[i::k] = [p + value * c for p, c in zip(prev, counts)]
+                cells[i::k] = [p + value * c if c else p for p, c in zip(prev, counts)]
             elif code == ACC_MIN:
                 cells[i::k] = [
                     p if c == 0 or p is not None and p <= value else value
@@ -70,29 +70,6 @@ def absorb_cells(pred, updates, attrs, is_start, k):
                     p if c == 0 or p is not None and p >= value else value
                     for p, c in zip(prev, counts)
                 ]
-    except OverflowError as exc:
-        raise AggregateOverflow(f"the sum of {target}.{attr}", exc) from None
-    return cells
-
-
-def _absorb_one(pred, updates, attrs, is_start):
-    """``absorb_cells`` on a vector of one window."""
-    count = pred[0] + 1 if is_start else pred[0]
-    cells = pred.copy()
-    cells[0] = count
-    try:
-        for i, code, target, attr in updates:
-            p = pred[i]
-            if code == ACC_COUNT:
-                cells[i] = p + count
-                continue
-            value = _value(attrs, target, attr)
-            if code == ACC_SUM:
-                cells[i] = p + value * count
-            elif code == ACC_MIN:
-                cells[i] = p if count == 0 or p is not None and p <= value else value
-            else:
-                cells[i] = p if count == 0 or p is not None and p >= value else value
     except OverflowError as exc:
         raise AggregateOverflow(f"the sum of {target}.{attr}", exc) from None
     return cells

@@ -46,10 +46,25 @@ def _code(specs=SPECS, start="A"):
     return compile_cells(accs, extractors, names, ("A", "B"), start)
 
 
-def _absorb(variable, is_start, specs=SPECS):
-    """The generated absorb of ``variable``, as the start variable or not."""
+def _absorb(variable, is_start, specs=SPECS, one=False):
+    """The generated absorb of ``variable``, as the start variable or not;
+    with ``one``, its one-window lines (the ones the kernel step inlines)
+    as a function of a one-window vector."""
     start = variable if is_start else "B" if variable == "A" else "A"
-    return _code(specs, start).absorb[variable]
+    code = _code(specs, start)
+    if not one:
+        return code.absorb[variable]
+    k = len(build_accumulators(specs)[0]) + 1
+    source = "\n".join(
+        [
+            "def absorb(pred, attrs):",
+            *("    " + line for line in code.absorb_one[variable]),
+            f"    return [{', '.join(f'c{s}' for s in range(k))}]",
+        ]
+    )
+    namespace = {"AggregateOverflow": AggregateOverflow, "MissingAttribute": MissingAttribute}
+    exec(source, namespace)
+    return namespace["absorb"]
 
 
 def test_accumulator_slots_are_shared():
@@ -120,6 +135,14 @@ def test_absorb_on_zero_trends_does_not_poison_min_max():
     pred = identity_cell(accs)
     cell = _absorb("B", False, specs)(pred, {"v": -99})
     assert cell[:3] == [0, None, 0]
+
+
+def test_absorb_on_zero_trends_in_one_window_leaves_that_window_alone():
+    # The B-event extends one trend in the second window and none in the
+    # first: inf * 0 there would be nan, and 1.5 * 0 a float 0.0.
+    absorb = _absorb("B", False, (AggSpec(AggKind.SUM, "B", "v"),))
+    for v in (float("inf"), 1.5):
+        assert repr(absorb([0, 0, 1, 0], {"v": v})) == repr([0, 0, 1, v])
 
 
 def test_absorb_missing_attribute():
@@ -195,7 +218,9 @@ def test_one_window_branch_matches_vector_path(
 ):
     """The generated width-1 scalar branch and strided branch give the same
     cells, and so do, on the additive slots alone, ``map(add)`` and the
-    slot-by-slot reference."""
+    slot-by-slot reference. The absorb of two windows fails exactly when
+    the one-window lines fail on one of them, and otherwise gives their
+    cells: an event on no trends in a window reads no attribute there."""
     merge = _code().merge
     one = combine_cells(_vector(a), _vector(b), merge)
     two = combine_cells(_vector(a, other_a), _vector(b, other_b), merge)
@@ -210,15 +235,14 @@ def test_one_window_branch_matches_vector_path(
         assert by_slot[:3] == one[:3]
 
     absorb = _absorb(variable, is_start)
+    absorb_one = _absorb(variable, is_start, one=True)
     try:
-        two = absorb(_vector(a, other_a), attrs)
+        cells = absorb_one(_vector(a), attrs) + absorb_one(_vector(other_a), attrs)
     except MissingAttribute:
         with pytest.raises(MissingAttribute):
-            absorb(_vector(a), attrs)
+            absorb(_vector(a, other_a), attrs)
         return
-    one = absorb(_vector(a), attrs)
-    assert one == two[:K]
-    assert two[K:] == absorb(_vector(other_a), attrs)
+    assert absorb(_vector(a, other_a), attrs) == cells
 
 
 _BIG = 2**1100  # a trend count no float can hold
@@ -276,8 +300,9 @@ def _outcome(fn, *args):
 def test_generated_functions_match_the_slot_by_slot_reference(aggregates, width, data):
     """The generated ``absorb``, ``merge`` and ``readout`` return what the
     slot-by-slot interpreters return, bit for bit, or raise the same
-    exception with the same message: ``MissingAttribute`` on zero counts
-    too, and ``AggregateOverflow`` naming the slot that overflows first."""
+    exception with the same message: ``MissingAttribute`` unless every
+    count of a variable other than the start is zero, and
+    ``AggregateOverflow`` naming the slot that overflows first."""
     roles, start, specs = aggregates
     accs, extractors = build_accumulators(specs)
     names = tuple(str(spec) for spec in specs)

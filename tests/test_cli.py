@@ -213,6 +213,43 @@ class TestOracle:
         assert blocks[1] == blocks[2]
         assert "(oracle)" in captured.err
 
+    @pytest.mark.parametrize(
+        "returns, rows, extra, row",
+        [
+            # inf * 0 is nan: the first B extends no trend.
+            ("COUNT(*), SUM(B.v)", "1,B,inf\n2,A,1\n3,B,2\n", [], "0,0,100000,1,2.0"),
+            # The first B lacks v, but no trend holds it.
+            ("COUNT(*), SUM(B.v)", "1,B,\n2,A,1\n3,B,2\n", [], "0,0,100000,1,2.0"),
+            # 1.5 * 0 is 0.0, not the integer 0 of an empty sum.
+            ("COUNT(*), SUM(B.v), AVG(B.v), MIN(B.v)", "1,B,1.5\n",
+             ["--emit-empty"], "0,0,100000,0,0,,"),
+        ],
+        ids=["inf", "absent", "empty"],
+    )
+    def test_an_event_on_no_trends_changes_no_aggregate(
+        self, workdir, capsys, returns, rows, extra, row
+    ):
+        (workdir / "ab.json").write_text('{"A": {"v": "float"}, "B": {"v": "float"}}')
+        (workdir / "ab.csv").write_text("time,type,v\n" + rows)
+        (workdir / "ab.txt").write_text(
+            f"RETURN {returns} PATTERN SEQ(A, B) SEMANTICS any WITHIN 100 s\n"
+        )
+        outcomes = []
+        for command in ("run", "oracle"):
+            code = _run(
+                [command, "--query", workdir / "ab.txt", "--input", workdir / "ab.csv",
+                 "--schema", workdir / "ab.json", *extra]
+            )
+            captured = capsys.readouterr()
+            # The summary line differs by design: only run reports its state.
+            err = re.sub(r"(, peak state \d+ entries| \(oracle\))\n$", "\n", captured.err)
+            outcomes.append((code, captured.out, err))
+        assert outcomes[0] == outcomes[1]
+        code, out, _ = outcomes[0]
+        assert (code, out.splitlines()) == (
+            0, [f"wid,window_start_ms,window_end_ms,{returns.replace(', ', ',')}", row]
+        )
+
     @pytest.mark.parametrize("semantics", ["any", "next", "cont"])
     def test_attributes_named_like_python_words_agree_with_run(
         self, workdir, capsys, semantics
@@ -713,6 +750,24 @@ def test_a_float_sum_past_the_float_range_reads_inf(workdir, capsys, command):
         "wid,window_start_ms,window_end_ms,COUNT(*),SUM(A.v),AVG(A.v)",
         "0,0,100000,3,inf,inf",
     ]
+
+
+class _ClosedPipe:
+    """A stdout whose reader has gone, as under ``trendagg run ... | head``."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize("command", ["run", "oracle"])
+def test_a_closed_stdout_ends_quietly(workdir, capsys, monkeypatch, command):
+    with monkeypatch.context() as patched:
+        patched.setattr(sys, "stdout", _ClosedPipe())
+        code = _run(
+            [command, "--query", workdir / "q.txt", "--input", workdir / "stream.csv"]
+        )
+    assert code == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_module_entry_point():

@@ -108,6 +108,28 @@ def test_read_rejects_bad_rows(tmp_path):
     assert err.value.row_number == 2
 
 
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        ("", []),  # no header: no events
+        ("time,type,v\n1,A,2\n\n2,A,3\n", [(1000, "A", {"v": 2}), (2000, "A", {"v": 3})]),
+        ("time,type\n1,A,v=2\n\n", [(1000, "A", {"v": 2})]),  # blank rows skip
+        ("time,type\n1\n", "row 2: need at least time and type"),
+        ("time,type\n1,A, ,v=2\n", [(1000, "A", {"v": 2})]),  # a blank cell skips
+        ("time,type\n1,A,v\n", "row 2: expected key=value, got 'v'"),
+    ],
+    ids=["empty", "blank-typed", "blank-kv", "kv-one-cell", "kv-blank-cell", "kv-no-equals"],
+)
+def test_read_edge_rows(tmp_path, text, expected):
+    """Rows at the edges of both layouts; pins today's behaviour."""
+    path = _write(tmp_path, text)
+    if isinstance(expected, str):
+        with pytest.raises(MalformedRow, match=f"^{expected}$"):
+            read_csv_stream(path)
+        return
+    assert [(e.time, e.etype, e.attrs) for e in read_csv_stream(path)] == expected
+
+
 def test_read_rejects_out_of_order(tmp_path):
     with pytest.raises(OutOfOrder) as err:
         read_csv_stream(_write(tmp_path, "time,type\n2,A\n1,B\n"))

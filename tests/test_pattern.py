@@ -8,8 +8,14 @@ from trendagg import (
     TypeAtom,
     compile_template,
     parse_pattern,
+    parse_query,
 )
-from trendagg.pattern import alias_map, pattern_variables
+from trendagg import pattern as pattern_module
+from trendagg import query as query_module
+from trendagg.engines import compile_query
+from trendagg.pattern import alias_map, analyze_pattern, pattern_variables
+
+from conftest import ABC_SCHEMA
 
 
 def test_parse_atoms_and_operators():
@@ -34,6 +40,10 @@ def test_parse_alias_atoms():
     assert parse_pattern("Measurement M+") == Plus(TypeAtom("M", "Measurement"))
 
 
+def test_trailing_whitespace_ends_the_pattern():
+    assert parse_pattern("SEQ(A, B+)  \n") == Seq(TypeAtom("A", "A"), Plus(TypeAtom("B", "B")))
+
+
 def test_parse_rejects_garbage():
     for text in ("", "SEQ(A)", "SEQ(A,)", "A B C", "(A", "A)", "SEQ A, B", "A %"):
         with pytest.raises(QuerySyntaxError):
@@ -45,6 +55,48 @@ def test_variable_bound_twice_rejected():
         parse_pattern("SEQ(A, A)")
     # ...but one stream type under two variables is fine
     parse_pattern("SEQ(Stock A, Stock B)")
+
+
+def test_the_first_variable_bound_twice_is_named_by_parser_and_walk():
+    # Pattern order is A, B, A, C, C: A repeats first, though C repeats
+    # in the innermost SEQ.
+    text = "SEQ(SEQ(A, B), SEQ(A, SEQ(C, C)))"
+    with pytest.raises(DuplicateTypeInPattern, match="^pattern variable A bound twice$"):
+        parse_pattern(text)
+    a, b, c = (TypeAtom(v, v) for v in "ABC")
+    built = Seq(Seq(a, b), Seq(a, Seq(c, c)))  # no parser checked this one
+    with pytest.raises(DuplicateTypeInPattern, match="^pattern variable A bound twice$"):
+        analyze_pattern(built)
+    with pytest.raises(DuplicateTypeInPattern, match="^pattern variable C bound twice$"):
+        compile_template(Plus(Seq(c, Plus(c))))
+
+
+def test_one_walk_gives_the_template_and_the_stream_types_in_pattern_order():
+    template, sources = analyze_pattern(parse_pattern("(SEQ(Trip T+, Stop S, Trip U))+"))
+    assert list(sources.items()) == [("T", "Trip"), ("S", "Stop"), ("U", "Trip")]
+    assert list(template.pred_types) == ["T", "S", "U"]
+    assert (template.start_type, template.end_type) == ("T", "U")
+    assert template.pred_types == {
+        "T": frozenset({"T", "U"}), "S": frozenset({"T"}), "U": frozenset({"S"})
+    }
+
+
+def test_parse_query_walks_the_pattern_once(monkeypatch):
+    walks = []
+
+    def counted(pattern):
+        walks.append(pattern)
+        return analyze_pattern(pattern)
+
+    monkeypatch.setattr(pattern_module, "analyze_pattern", counted)
+    monkeypatch.setattr(query_module, "analyze_pattern", counted)
+    query = parse_query(
+        "RETURN COUNT(*) PATTERN (SEQ(A+, B))+ SEMANTICS any "
+        "WHERE A.v < B.v AND A.v < NEXT(A).v WITHIN 1 s",
+        ABC_SCHEMA,
+    )
+    compile_query(query)  # plans from the template parse_query made
+    assert walks == [query.pattern]
 
 
 def test_str_roundtrip():

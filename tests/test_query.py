@@ -101,6 +101,25 @@ def test_predicate_forms():
     assert q.partition_attrs == ("patient",)
 
 
+@pytest.mark.parametrize(
+    "where, predicates",
+    [
+        # A bare word is a string constant.
+        ("A.name = foo", (Local("A", "name", Op.EQ, "foo"),)),
+        # An empty AND item is skipped.
+        ("A.v > 1 AND AND A.v < 5",
+         (Local("A", "v", Op.GT, 1), Local("A", "v", Op.LT, 5))),
+    ],
+    ids=["bare-word", "empty-and-item"],
+)
+def test_where_edge_items(where, predicates):
+    """WHERE items at the edges of the grammar; pins today's behaviour."""
+    q = parse_query(
+        f"RETURN COUNT(*) PATTERN A+ SEMANTICS any WHERE {where} WITHIN 1 s", SCHEMA
+    )
+    assert q.predicates == predicates
+
+
 def test_two_variable_adjacency_predicate():
     q = parse_query(
         "RETURN COUNT(*) PATTERN SEQ(A+, B) SEMANTICS any "
