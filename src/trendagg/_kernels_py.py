@@ -7,12 +7,12 @@ variable is event-grained, so the kernel keeps no events. The semantics
 differ only in which predecessors an event may read (see ``MixedKernel``).
 The kernel does no slot arithmetic of its own: it runs the query's
 generated ``absorb`` of each variable an event plays, and its ``merge``,
-through ``cells.combine_cells`` where two vectors may end at different
-windows (see ``cells.compile_cells``). Nor does it read the plan per
-event: ``compile_step`` generates each query's ``step`` once, with the
-plan's tables and flags resolved into straight-line code and, on a key
-with one open window, the absorb's and merge's one-window lines inline,
-and ``MixedKernel.step`` calls it.
+which also takes two vectors that end at different windows (see
+``cells.compile_cells``). Nor does it read the plan per event:
+``compile_step`` generates each query's ``step`` once, with the plan's
+tables and flags resolved into straight-line code and, on a key with one
+open window, the absorb's and merge's one-window lines inline, and
+``MixedKernel.step`` calls it.
 
 A kernel holds the state of one partition key over all of that key's open
 windows. Those windows are a contiguous run of window ids, ``base`` being
@@ -73,7 +73,7 @@ from collections import namedtuple
 from itertools import chain, compress, islice, repeat
 from operator import add, eq
 
-from .cells import combine_cells, unpack
+from .cells import unpack
 from .errors import AggregateOverflow, MissingAttribute
 
 BACKEND_NAME = "python"
@@ -264,9 +264,7 @@ class MixedKernel:
             if plan.consume:
                 for r, readable in shadow.items():
                     if readable:
-                        type_cells[r] = combine_cells(
-                            readable, type_cells[r], plan.merge
-                        )
+                        type_cells[r] = plan.merge(readable, type_cells[r])
             else:
                 self._end_contiguous()
             held -= sum(map(len, self.type_cells.values()))
@@ -292,9 +290,7 @@ class MixedKernel:
                 if start in plan.event_grained:
                     self._keep(self.time, start, cell, attrs)
                 elif start in type_cells:
-                    type_cells[start] = combine_cells(
-                        type_cells[start], cell, plan.merge
-                    )
+                    type_cells[start] = plan.merge(type_cells[start], cell)
                 else:
                     type_cells[start] = cell
         else:
@@ -389,9 +385,10 @@ def compile_step(plan, cells):
     absorb's one-window lines and the merge's one-window expression that
     ``cells`` (the query's ``cells.CellCode``) hands over, inline, for the
     new cell, the variable's cells and ``final_acc``; on wider vectors it
-    calls the absorb and ``combine_cells``. So a slot fails at the same
-    point, with the same error, either way. Names enter the source only
-    as ``repr()`` literals. Returns the function and its source."""
+    calls the absorb and ``merge``, which run the same lines window by
+    window. So a slot fails at the same point, with the same error, either
+    way. Names enter the source only as ``repr()`` literals. Returns the
+    function and its source."""
     k = plan.k
     has_final = not (plan.cumulative and plan.end not in plan.event_grained)
     roles = sorted(plan.type_preds)
@@ -436,7 +433,6 @@ def compile_step(plan, cells):
         "add": add,
         "AggregateOverflow": AggregateOverflow,
         "MissingAttribute": MissingAttribute,
-        "combine_cells": combine_cells,
         "merge": plan.merge,
         "identity": plan.identity,
     }
@@ -470,7 +466,7 @@ def _role_source(plan, cells, n, r, has_final):
                 "if prev is None:",
                 f"    prev = type_cells.get({p!r})",
                 "if prev:",
-                "    pred = combine_cells(pred, prev, merge) if pred else prev",
+                "    pred = merge(pred, prev) if pred else prev",
             ]
     if kept:
         lines.append(f"kept = self._predecessors({r!r}, attrs)")
@@ -500,7 +496,7 @@ def _role_source(plan, cells, n, r, has_final):
     if plan.consume:
         lines.append(f"grown -= self._consume({r!r}, {'kept' if kept else '()'})")
     # One window: the absorb's and the merge's one-window arithmetic,
-    # inline; wider vectors call the absorb and ``combine_cells``.
+    # inline; wider vectors call the absorb and ``merge``.
     one = [*cells.absorb_one[r], f"cell = [{', '.join(f'c{s}' for s in range(k))}]"]
     many = [f"cell = absorb_{n}(pred, attrs)"]
     if r in plan.event_grained:
@@ -528,7 +524,7 @@ def _role_source(plan, cells, n, r, has_final):
         ]
         many += [
             *update,
-            "new = cell if old is None else combine_cells(old, cell, merge)",
+            "new = cell if old is None else merge(old, cell)",
             *store,
         ]
     if r == plan.end and has_final:
@@ -536,7 +532,7 @@ def _role_source(plan, cells, n, r, has_final):
             unpack("f", k, "self.final_acc"),
             f"self.final_acc = {cells.merge_one('f', 'c')}",
         ]
-        many.append("self.final_acc = combine_cells(self.final_acc, cell, merge)")
+        many.append("self.final_acc = merge(self.final_acc, cell)")
     lines += [
         "if w == 1:",
         *("    " + line for line in one),

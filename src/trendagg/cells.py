@@ -19,13 +19,14 @@ writes straight-line Python source for one ``absorb`` per pattern
 variable, one ``merge`` and one ``readout``, and builds the functions with
 ``compile``/``exec`` (the way ``collections.namedtuple`` builds its
 methods). The source holds only integer slot indices and the ``repr`` of
-parsed names, and handles each slot in its own statement, in slot order,
-so a failure names the same slot that a slot-by-slot loop would reach
-first. ``absorb`` works a slice per slot at every width; the kernel step
-runs its one-window lines inline and calls it only on wider vectors. A
-non-additive ``merge`` takes a scalar branch on a vector of width 1 -
-every vector of a tumbling query, and of a sliding query whose key holds
-one open window - and a strided one on wider vectors.
+parsed names. Each slot rule is written once, as the lines that update or
+merge one window; ``absorb`` and ``merge`` run them window by window,
+oldest first, and the kernel step runs them inline on a vector of one
+window - every vector of a tumbling query, and of a sliding query whose
+key holds one open window. Within a window each slot has its own
+statement, in slot order, so an event that fails raises the first failing
+slot of the first window that fails: the order in which the windows
+close.
 
 Counts are plain Python integers and therefore unbounded - under
 skip-till-any-match they grow exponentially with window size and would
@@ -107,17 +108,6 @@ def identity_cell(accs):
     return [0, *(0 if code in _ADDITIVE else None for code, _, _ in accs)]
 
 
-def combine_cells(a, b, merge):
-    """Window-by-window merge of two cell vectors that start at the same
-    window, by a query's ``merge`` of two vectors of equal length. One
-    vector may end before the other: past its end it holds the identity,
-    so there the other's cells are taken as they are."""
-    if len(a) != len(b):
-        n = min(len(a), len(b))
-        return merge(a[:n], b[:n]) + (a[n:] or b[n:])
-    return merge(a, b)
-
-
 def event_updates(accs, variable):
     """The slots an event of ``variable`` changes, as
     ``(slot, code, variable, attr)``; the trend count aside."""
@@ -143,12 +133,13 @@ def compile_cells(accs, extractors, names, roles, start):
     when ``attrs`` lacks an aggregated attribute that it reads (a
     variable other than ``start`` reads none on zero trends), and
     ``AggregateOverflow`` when a float sum meets a trend count too large
-    for a float.
-    ``merge(a, b)`` merges two vectors of equal length, and
-    ``readout(cell)`` maps ``names`` (the aggregates' RETURN-clause
-    spellings, in order) to their values in one final cell. ``additive``
-    says that every slot merges with ``add``; ``source`` is the generated
-    text.
+    for a float; it raises for the first window that fails.
+    ``merge(a, b)`` merges two vectors that start at the same window; one
+    may end before the other, and past its end the other's cells are
+    taken as they are. ``readout(cell)`` maps ``names`` (the aggregates'
+    RETURN-clause spellings, in order) to their values in one final cell.
+    ``additive`` says that every slot merges with ``add``; ``source`` is
+    the generated text.
 
     The one-window arithmetic is also handed out as source, for
     ``_kernels_py.compile_step`` to run inline: ``absorb_one[r]`` holds
@@ -156,7 +147,8 @@ def compile_cells(accs, extractors, names, roles, start):
     read ``pred`` and ``attrs`` and leave the new cell's slots in the
     locals ``c0``, ``c1``, .... ``merge_one(x, y)`` is the expression, a
     list display, of the merge of two cells held in the locals ``x0``,
-    ... and ``y0``, ...; ``merge``'s one-window branch is built from it.
+    ... and ``y0``, .... ``absorb`` and ``merge`` run these same lines on
+    each window.
     """
     k = len(accs) + 1
     additive = all(code in _ADDITIVE for code, _, _ in accs)
@@ -164,11 +156,18 @@ def compile_cells(accs, extractors, names, roles, start):
     absorb_one = {}
     lines = []
     for n, r in enumerate(roles):
-        updates = event_updates(accs, r)
-        absorb_one[r] = _absorb_lines(updates, r == start, k, one=True)
-        many = _absorb_lines(updates, r == start, k, one=False)
-        lines += [f"def absorb_{n}(pred, attrs):", *("    " + line for line in many)]
-        lines += ["    return cells", ""]
+        body = _absorb_lines(event_updates(accs, r), r == start)
+        absorb_one[r] = [unpack("c", k, "pred"), *body]
+        lines += [
+            f"def absorb_{n}(pred, attrs):",
+            "    cells = []",
+            "    p = iter(pred)",
+            f"    for {_target('c', k)} in {_windows('p', k)}:",
+            *("        " + line for line in body),
+            f"        cells += [{', '.join(f'c{s}' for s in range(k))}]",
+            "    return cells",
+            "",
+        ]
     lines += _merge_source(codes, k, additive)
     lines += _readout_source(names, extractors)
     source = "\n".join(lines) + "\n"
@@ -190,10 +189,22 @@ def compile_cells(accs, extractors, names, roles, start):
     )
 
 
+def _target(prefix, k):
+    """The locals ``prefix0``, ``prefix1``, ... of ``k`` slots, as the
+    target of an assignment or a ``for``."""
+    return f"{', '.join(f'{prefix}{s}' for s in range(k))},"
+
+
+def _windows(slots, k):
+    """The iterable of the cells of each window, as tuples of ``k`` slots,
+    given the name ``slots`` of an iterator over a vector's slots."""
+    return f"zip({', '.join([slots] * k)})"
+
+
 def unpack(prefix, k, vector):
     """The statement that unpacks the ``k`` slots of a one-window
     ``vector`` into the locals ``prefix0``, ``prefix1``, ...."""
-    return f"{', '.join(f'{prefix}{s}' for s in range(k))}, = {vector}"
+    return f"{_target(prefix, k)} = {vector}"
 
 
 # A slot's new value from its old value ``p``, the event's value ``v`` and
@@ -205,9 +216,6 @@ _UPDATE = {
     ACC_MIN: "{p} if {c} == 0 or {p} is not None and {p} <= {v} else {v}",
     ACC_MAX: "{p} if {c} == 0 or {p} is not None and {p} >= {v} else {v}",
 }
-# The sum of a variable other than the start, window by window: its count
-# may be 0 in some windows, where ``v * 0`` may be nan or a float.
-_GUARDED_SUM = "{p} + {v} * {c} if {c} else {p}"
 # A slot of two merged cells; ``None`` is the identity of min/max.
 _MERGE = {
     ACC_COUNT: "{x} + {y}",
@@ -217,32 +225,15 @@ _MERGE = {
 }
 
 
-def _absorb_lines(updates, is_start, k, one):
-    """The body of an absorb, without its ``return``: on a vector of one
-    window (``one``), into the locals ``c0``, ...; otherwise into
-    ``cells``, a slice per slot. Past the start variable, the updates
-    run only where the count is not zero."""
-    if one:
-        lines = [unpack("c", k, "pred")]
-        if is_start:
-            lines.append("c0 = c0 + 1")
-    elif is_start:
-        lines = [
-            "cells = pred.copy()",
-            f"counts = [c + 1 for c in pred[0::{k}]]",
-            f"cells[0::{k}] = counts",
-        ]
-    else:
-        lines = ["cells = pred.copy()", f"counts = pred[0::{k}]"]
+def _absorb_lines(updates, is_start):
+    """The lines that absorb an event into one window's cell, held in the
+    locals ``c0``, ...; past the start variable, the updates run only
+    where the count is not zero."""
     values = {}  # attribute -> local holding its value, read at first use
     body = []
     for i, code, target, attr in updates:
         if code == ACC_COUNT:
-            body.append(
-                f"c{i} = " + _UPDATE[code].format(p=f"c{i}", c="c0")
-                if one
-                else f"cells[{i}::{k}] = map(add, pred[{i}::{k}], counts)"
-            )
+            body.append(f"c{i} = " + _UPDATE[code].format(p=f"c{i}", c="c0"))
             continue
         if attr not in values:
             v = values[attr] = f"v{len(values)}"
@@ -253,16 +244,7 @@ def _absorb_lines(updates, is_start, k, one):
                 "except KeyError:",
                 f"    raise MissingAttribute({message!r}) from None",
             ]
-        v = values[attr]
-        if one:
-            update = f"c{i} = " + _UPDATE[code].format(p=f"c{i}", v=v, c="c0")
-        else:
-            rule = _GUARDED_SUM if code == ACC_SUM and not is_start else _UPDATE[code]
-            update = (
-                f"cells[{i}::{k}] = ["
-                + rule.format(p="p", v=v, c="c")
-                + f" for p, c in zip(pred[{i}::{k}], counts)]"
-            )
+        update = f"c{i} = " + _UPDATE[code].format(p=f"c{i}", v=values[attr], c="c0")
         if code == ACC_SUM:
             body += [
                 "try:",
@@ -273,10 +255,9 @@ def _absorb_lines(updates, is_start, k, one):
             ]
         else:
             body.append(update)
-    if is_start or not body:
-        return lines + body
-    guard = "if c0:" if one else "if any(counts):"
-    return [*lines, guard, *("    " + line for line in body)]
+    if is_start:
+        return ["c0 = c0 + 1", *body]
+    return ["if c0:", *("    " + line for line in body)] if body else []
 
 
 def _merge_one(codes, x, y):
@@ -285,26 +266,29 @@ def _merge_one(codes, x, y):
 
 
 def _merge_source(codes, k, additive):
-    if additive:
-        return ["def merge(a, b):", "    return list(map(add, a, b))", ""]
-    many = [
-        f"cells[{s}::{k}] = map(add, a[{s}::{k}], b[{s}::{k}])"
-        if code in _ADDITIVE
-        else f"cells[{s}::{k}] = ["
-        + _MERGE[code].format(x="x", y="y")
-        + f" for x, y in zip(a[{s}::{k}], b[{s}::{k}])]"
-        for s, code in enumerate(codes)
+    """``merge``: the longer vector's windows past the shorter one's end
+    are taken as they are."""
+    tail = [
+        "    if len(a) != len(b):",
+        "        cells += a[len(b):] or b[len(a):]",
+        "    return cells",
+        "",
     ]
+    if additive:
+        return ["def merge(a, b):", "    cells = list(map(add, a, b))", *tail]
     return [
         "def merge(a, b):",
-        f"    if len(a) == {k}:",
+        f"    if len(a) == {k} == len(b):",
         "        " + unpack("a", k, "a"),
         "        " + unpack("b", k, "b"),
         f"        return {_merge_one(codes, 'a', 'b')}",
-        "    cells = a.copy()",
-        *("    " + line for line in many),
-        "    return cells",
-        "",
+        "    cells = []",
+        "    p = iter(a)",
+        "    q = iter(b)",
+        f"    for ({_target('a', k)}), ({_target('b', k)}) in "
+        f"zip({_windows('p', k)}, {_windows('q', k)}):",
+        f"        cells += {_merge_one(codes, 'a', 'b')}",
+        *tail,
     ]
 
 

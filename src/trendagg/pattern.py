@@ -96,15 +96,6 @@ def compile_template(pattern: Pattern) -> PatternTemplate:
     return analyze_pattern(pattern)[0]
 
 
-def alias_map(pattern: Pattern) -> dict[str, str]:
-    """variable -> stream type, in pattern order."""
-    return analyze_pattern(pattern)[1]
-
-
-def pattern_variables(pattern: Pattern) -> list[str]:
-    return list(alias_map(pattern))
-
-
 _TOKEN = re.compile(r"\s*([A-Za-z_][A-Za-z0-9_]*|[(),+])")
 
 

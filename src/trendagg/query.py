@@ -191,10 +191,14 @@ class Query:
 # --------------------------------------------------------------------------
 # Parsing
 
+# A quoted string, or a keyword in group 1: keywords split the text only
+# outside quotes.
+_QUOTED = r"'[^']*'|\"[^\"]*\""
 _CLAUSE_RE = re.compile(
-    r"\b(RETURN|PATTERN|SEMANTICS|WHERE|GROUP-BY|WITHIN|SLIDE)\b",
+    rf"{_QUOTED}|\b(RETURN|PATTERN|SEMANTICS|WHERE|GROUP-BY|WITHIN|SLIDE)\b",
     re.IGNORECASE,
 )
+_AND_RE = re.compile(rf"{_QUOTED}|\b(AND)\b", re.IGNORECASE)
 
 _DURATION_RE = re.compile(
     r"^\s*(\d+)\s*"
@@ -220,8 +224,19 @@ def parse_duration_ms(text: str) -> int:
     return int(m.group(1)) * _UNIT_MS[unit]
 
 
+def _split_unquoted(keywords, text: str) -> list[str]:
+    """``text`` split on the keywords that ``keywords`` matches outside
+    quotes: the pieces, with each keyword between the two it separates."""
+    parts, start = [], 0
+    for m in keywords.finditer(text):
+        if m.group(1) is not None:
+            parts += [text[start : m.start()], m.group(1)]
+            start = m.end()
+    return [*parts, text[start:]]
+
+
 def _split_clauses(text: str) -> dict[str, str]:
-    parts = _CLAUSE_RE.split(text)
+    parts = _split_unquoted(_CLAUSE_RE, text)
     if parts[0].strip():
         raise QuerySyntaxError(f"unexpected text before first clause: {parts[0].strip()!r}")
     clauses = {}
@@ -311,7 +326,7 @@ def _check_comparable(left_kind, right_kind, item):
 
 def _parse_where(body: str, view: _SchemaView) -> list[Predicate]:
     predicates = []
-    for item in re.split(r"\bAND\b", body, flags=re.IGNORECASE):
+    for item in _split_unquoted(_AND_RE, body)[::2]:
         item = item.strip()
         if not item:
             continue

@@ -27,14 +27,15 @@ _MERGE = {ACC_COUNT: add, ACC_SUM: add, ACC_MIN: _merge_min, ACC_MAX: _merge_max
 
 
 def merge_by_slot(a, b, merges):
-    """Window-by-window merge of two cell vectors of equal length, one
-    ``merges`` function per slot."""
+    """Window-by-window merge of two cell vectors that start at the same
+    window, one ``merges`` function per slot. One may end before the
+    other: past its end it holds the identity, and the other's cells are
+    taken as they are."""
     k = len(merges)
-    if len(a) == k:
-        return [m(x, y) for m, x, y in zip(merges, a, b)]
-    cells = a.copy()
+    n = min(len(a), len(b))
+    cells = a.copy() if len(a) > len(b) else b.copy()
     for s, m in enumerate(merges):
-        cells[s::k] = map(m, a[s::k], b[s::k])
+        cells[s:n:k] = map(m, a[s:n:k], b[s:n:k])
     return cells
 
 
@@ -43,35 +44,29 @@ def absorb_cells(pred, updates, attrs, is_start, k):
     its predecessors in each window, the event's ``event_updates`` and the
     number ``k`` of slots per cell. In a window where it extends no trend,
     an event of a variable other than the start reads no attribute and
-    changes no slot: no trend holds it there."""
-    counts = pred[::k]
+    changes no slot: no trend holds it there. The windows are taken oldest
+    first, so an event that fails raises for the first window that fails."""
     cells = pred.copy()
-    if is_start:
-        counts = [c + 1 for c in counts]
-        cells[::k] = counts
-    elif not any(counts):
-        return cells
-    try:
+    for j in range(0, len(pred), k):
+        count = pred[j] + 1 if is_start else pred[j]
+        if count == 0:
+            continue
+        cells[j] = count
         for i, code, target, attr in updates:
-            prev = pred[i::k]
+            prev = pred[j + i]
             if code == ACC_COUNT:
-                cells[i::k] = map(add, prev, counts)
+                cells[j + i] = prev + count
                 continue
             value = _value(attrs, target, attr)
             if code == ACC_SUM:
-                cells[i::k] = [p + value * c if c else p for p, c in zip(prev, counts)]
+                try:
+                    cells[j + i] = prev + value * count
+                except OverflowError as exc:
+                    raise AggregateOverflow(f"the sum of {target}.{attr}", exc) from None
             elif code == ACC_MIN:
-                cells[i::k] = [
-                    p if c == 0 or p is not None and p <= value else value
-                    for p, c in zip(prev, counts)
-                ]
+                cells[j + i] = prev if prev is not None and prev <= value else value
             else:
-                cells[i::k] = [
-                    p if c == 0 or p is not None and p >= value else value
-                    for p, c in zip(prev, counts)
-                ]
-    except OverflowError as exc:
-        raise AggregateOverflow(f"the sum of {target}.{attr}", exc) from None
+                cells[j + i] = prev if prev is not None and prev >= value else value
     return cells
 
 

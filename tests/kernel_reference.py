@@ -6,7 +6,6 @@ need; everything but ``step`` is ``MixedKernel``'s own."""
 from operator import add
 
 from trendagg._kernels_py import MixedKernel
-from trendagg.cells import combine_cells
 
 
 class ReferenceKernel(MixedKernel):
@@ -45,7 +44,7 @@ class ReferenceKernel(MixedKernel):
                     prev = type_cells.get(p)
                 self.pred_accesses += 1
                 if prev:
-                    pred = prev if pred is None else combine_cells(pred, prev, merge)
+                    pred = prev if pred is None else merge(pred, prev)
             kept = self._predecessors(r, attrs) if plan.kept_preds[r] else ()
             if pred is None:
                 pred = plan.identity * self.width
@@ -79,11 +78,11 @@ class ReferenceKernel(MixedKernel):
                     shadow[r] = () if old is None else old
                     if not cumulative:
                         old = None
-                new = cell if old is None else combine_cells(old, cell, merge)
+                new = cell if old is None else merge(old, cell)
                 type_cells[r] = new
                 grown += len(new)
             if r == plan.end and self.final_acc is not None:
-                self.final_acc = combine_cells(self.final_acc, cell, merge)
+                self.final_acc = merge(self.final_acc, cell)
             out.append((r, cell))
         if grown:
             self.entry_count += grown // k

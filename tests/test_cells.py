@@ -9,7 +9,6 @@ from trendagg.cells import (
     ACC_MIN,
     ACC_SUM,
     build_accumulators,
-    combine_cells,
     compile_cells,
     event_updates,
     identity_cell,
@@ -96,12 +95,12 @@ def test_combine_adds_counts_and_merges_lattice():
     merge = _code().merge
     a = _vector([2, 3, 10, 1, 7])
     b = _vector([1, 1, 4, 2, 5])
-    merged = combine_cells(a, b, merge)
+    merged = merge(a, b)
     assert merged[:K] == [3, 4, 14, 1, 7]
     ident = identity_cell(accs)
-    assert combine_cells(a, ident, merge) == a
-    assert combine_cells(ident, a, merge) == a
-    assert combine_cells(merged, ident, merge) == merged
+    assert merge(a, ident) == a
+    assert merge(ident, a) == a
+    assert merge(merged, ident) == merged
 
 
 def test_absorb_start_event():
@@ -183,7 +182,7 @@ def test_counts_are_arbitrary_precision():
     # 128 doublings of a start-variable cell: 2^128 dwarfs any fixed width
     for _ in range(128):
         absorbed = code.absorb["A"](cells, {})
-        cells = combine_cells(cells, absorbed, code.merge)
+        cells = code.merge(cells, absorbed)
     assert cells[0] == 2**128 - 1
 
 
@@ -216,22 +215,23 @@ def _cells(draw):
 def test_one_window_branch_matches_vector_path(
     a, b, other_a, other_b, variable, attrs, is_start
 ):
-    """The generated width-1 scalar branch and strided branch give the same
-    cells, and so do, on the additive slots alone, ``map(add)`` and the
-    slot-by-slot reference. The absorb of two windows fails exactly when
-    the one-window lines fail on one of them, and otherwise gives their
-    cells: an event on no trends in a window reads no attribute there."""
+    """The generated merge's one-window branch and its loop over windows
+    give the same cells, and so do, on the additive slots alone,
+    ``map(add)`` and the slot-by-slot reference. The absorb of two windows
+    fails exactly when the one-window lines fail on one of them, and
+    otherwise gives their cells: an event on no trends in a window reads
+    no attribute there."""
     merge = _code().merge
-    one = combine_cells(_vector(a), _vector(b), merge)
-    two = combine_cells(_vector(a, other_a), _vector(b, other_b), merge)
+    one = merge(_vector(a), _vector(b))
+    two = merge(_vector(a, other_a), _vector(b, other_b))
     assert one == two[:K]
-    assert two[K:] == combine_cells(_vector(other_a), _vector(other_b), merge)
+    assert two[K:] == merge(_vector(other_a), _vector(other_b))
     additive = SPECS[:3]  # COUNT(*), COUNT(A) and SUM(A.v) merge with add
     merges = merge_functions(build_accumulators(additive)[0])
     x, y = _vector(a[:3], other_a[:3]), _vector(b[:3], other_b[:3])
     for n in (3, 6):  # one window, two windows
         by_slot = merge_by_slot(x[:n], y[:n], merges)
-        assert combine_cells(x[:n], y[:n], _code(additive).merge) == by_slot
+        assert _code(additive).merge(x[:n], y[:n]) == by_slot
         assert by_slot[:3] == one[:3]
 
     absorb = _absorb(variable, is_start)
@@ -296,13 +296,21 @@ def _outcome(fn, *args):
 
 
 @settings(max_examples=300, deadline=None)
-@given(aggregates=_aggregates(), width=st.integers(1, 4), data=st.data())
-def test_generated_functions_match_the_slot_by_slot_reference(aggregates, width, data):
+@given(
+    aggregates=_aggregates(),
+    width=st.integers(1, 4),
+    other_width=st.integers(1, 4),
+    data=st.data(),
+)
+def test_generated_functions_match_the_slot_by_slot_reference(
+    aggregates, width, other_width, data
+):
     """The generated ``absorb``, ``merge`` and ``readout`` return what the
     slot-by-slot interpreters return, bit for bit, or raise the same
     exception with the same message: ``MissingAttribute`` unless every
     count of a variable other than the start is zero, and
-    ``AggregateOverflow`` naming the slot that overflows first."""
+    ``AggregateOverflow`` naming the slot that overflows first, in the
+    first window that fails. ``merge`` takes vectors of unequal length."""
     roles, start, specs = aggregates
     accs, extractors = build_accumulators(specs)
     names = tuple(str(spec) for spec in specs)
@@ -318,7 +326,7 @@ def test_generated_functions_match_the_slot_by_slot_reference(aggregates, width,
             absorb_cells, pred, event_updates(accs, r), attrs, r == start, k
         )
     assert pred == held  # absorb returns new cells
-    other = data.draw(_vectors(accs, width))
+    other = data.draw(_vectors(accs, other_width))
     assert _outcome(code.merge, pred, other) == _outcome(
         merge_by_slot, pred, other, merge_functions(accs)
     )
@@ -392,3 +400,11 @@ def test_float_sum_over_a_count_beyond_the_float_range_names_the_aggregate():
             code.absorb["A"]([2**1100, 0, 0] * width, {"v": 0.5})
     with pytest.raises(AggregateOverflow, match=r"^AVG\(A\.v\) exceeds"):
         code.readout([1, float("inf"), 2**1100])
+
+
+def test_a_failing_event_raises_for_the_first_window_that_fails():
+    # Window 0 lacks A.w; window 1's count overflows the sum of A.v first.
+    specs = (AggSpec(AggKind.SUM, "A", "v"), AggSpec(AggKind.SUM, "A", "w"))
+    absorb = _code(specs).absorb["A"]
+    with pytest.raises(MissingAttribute, match=r"^aggregate needs A\.w"):
+        absorb([0, 0, 0, 2**1100, 0, 0], {"v": 1.0})

@@ -250,6 +250,27 @@ class TestOracle:
             0, [f"wid,window_start_ms,window_end_ms,{returns.replace(', ', ',')}", row]
         )
 
+    @pytest.mark.parametrize("command", ["run", "oracle"])
+    def test_a_quoted_constant_may_hold_and_or_a_clause_keyword(
+        self, workdir, capsys, command
+    ):
+        (workdir / "s.json").write_text('{"A": {"v": "float", "s": "str"}}')
+        (workdir / "s.csv").write_text(
+            "time,type,v,s\n1,A,1.5,x AND y\n2,A,2.0,within\n3,A,4.0,x AND y\n"
+        )
+        (workdir / "s.txt").write_text(
+            "RETURN COUNT(*), SUM(A.v) PATTERN A+ SEMANTICS any "
+            "WHERE A.s = 'x AND y' AND A.s != 'within' WITHIN 100 s\n"
+        )
+        assert _run(
+            [command, "--query", workdir / "s.txt", "--input", workdir / "s.csv",
+             "--schema", workdir / "s.json"]
+        ) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "wid,window_start_ms,window_end_ms,COUNT(*),SUM(A.v)",
+            "0,0,100000,3,11.0",
+        ]
+
     @pytest.mark.parametrize("semantics", ["any", "next", "cont"])
     def test_attributes_named_like_python_words_agree_with_run(
         self, workdir, capsys, semantics

@@ -13,7 +13,7 @@ from trendagg import (
 from trendagg import pattern as pattern_module
 from trendagg import query as query_module
 from trendagg.engines import compile_query
-from trendagg.pattern import alias_map, analyze_pattern, pattern_variables
+from trendagg.pattern import analyze_pattern
 
 from conftest import ABC_SCHEMA
 
@@ -36,7 +36,7 @@ def test_parse_nary_seq_folds_right():
 def test_parse_alias_atoms():
     # Two identifiers in a row: stream type, then the variable reading it.
     p = parse_pattern("SEQ(Stock S+, Stock T+)")
-    assert alias_map(p) == {"S": "Stock", "T": "Stock"}
+    assert analyze_pattern(p)[1] == {"S": "Stock", "T": "Stock"}
     assert parse_pattern("Measurement M+") == Plus(TypeAtom("M", "Measurement"))
 
 
@@ -144,4 +144,4 @@ def test_template_nested_plus():
 
 
 def test_pattern_variables_in_order():
-    assert pattern_variables(parse_pattern("SEQ(B, A+, C)")) == ["B", "A", "C"]
+    assert list(analyze_pattern(parse_pattern("SEQ(B, A+, C)"))[1]) == ["B", "A", "C"]

@@ -109,8 +109,13 @@ def test_predicate_forms():
         # An empty AND item is skipped.
         ("A.v > 1 AND AND A.v < 5",
          (Local("A", "v", Op.GT, 1), Local("A", "v", Op.LT, 5))),
+        # Text in quotes splits neither on AND nor on a clause keyword.
+        ("A.name = 'x AND y' AND A.v < 5",
+         (Local("A", "name", Op.EQ, "x AND y"), Local("A", "v", Op.LT, 5))),
+        ('A.name = "within" and A.name != \'Slide\'',
+         (Local("A", "name", Op.EQ, "within"), Local("A", "name", Op.NE, "Slide"))),
     ],
-    ids=["bare-word", "empty-and-item"],
+    ids=["bare-word", "empty-and-item", "quoted-and", "quoted-keyword"],
 )
 def test_where_edge_items(where, predicates):
     """WHERE items at the edges of the grammar; pins today's behaviour."""
