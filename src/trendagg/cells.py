@@ -268,20 +268,11 @@ def _merge_one(codes, x, y):
 def _merge_source(codes, k, additive):
     """``merge``: the longer vector's windows past the shorter one's end
     are taken as they are."""
-    tail = [
-        "    if len(a) != len(b):",
-        "        cells += a[len(b):] or b[len(a):]",
-        "    return cells",
-        "",
-    ]
+    tail = ["    cells += a[len(b):] or b[len(a):]", "    return cells", ""]
     if additive:
         return ["def merge(a, b):", "    cells = list(map(add, a, b))", *tail]
     return [
         "def merge(a, b):",
-        f"    if len(a) == {k} == len(b):",
-        "        " + unpack("a", k, "a"),
-        "        " + unpack("b", k, "b"),
-        f"        return {_merge_one(codes, 'a', 'b')}",
         "    cells = []",
         "    p = iter(a)",
         "    q = iter(b)",

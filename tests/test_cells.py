@@ -215,12 +215,12 @@ def _cells(draw):
 def test_one_window_branch_matches_vector_path(
     a, b, other_a, other_b, variable, attrs, is_start
 ):
-    """The generated merge's one-window branch and its loop over windows
-    give the same cells, and so do, on the additive slots alone,
-    ``map(add)`` and the slot-by-slot reference. The absorb of two windows
-    fails exactly when the one-window lines fail on one of them, and
-    otherwise gives their cells: an event on no trends in a window reads
-    no attribute there."""
+    """The generated merge of two windows gives, window by window, the
+    cells it gives on each window alone, and so do, on the additive slots
+    alone, ``map(add)`` and the slot-by-slot reference. The absorb of two
+    windows fails exactly when the one-window lines that the kernel step
+    inlines fail on one of them, and otherwise gives their cells: an event
+    on no trends in a window reads no attribute there."""
     merge = _code().merge
     one = merge(_vector(a), _vector(b))
     two = merge(_vector(a, other_a), _vector(b, other_b))
