@@ -24,32 +24,29 @@ closes another.
 
 The step contract:
 
-    step(time_ms, roles, attrs, width=1) -> list of (role, cells)
+    step(time_ms, group, width=1) -> list of (role, cells, attrs)
 
-``roles`` are the pattern variables the event may play, already filtered by
-local predicates; an empty tuple marks an event that cannot match (which
-only contiguous semantics cares about). ``width`` is the number
-of windows the event falls into. Every window the kernel holds is one of
-them, oldest first, so the kernel opens ``width - self.width`` new windows
-at the back before it applies the event; a width not above the current one
-opens none. Windows open only at the first event of a timestamp, since
-events with equal timestamps fall into the same windows. ``final_cell``
-reads the oldest window and ``drop_front`` closes it; closing a window
-ends the current timestamp. Otherwise closing is bookkeeping only: the
-closed windows stay at the front of the vectors, and the kept events that
-hold no open window stay at the front of the kept events, until the next
-``step`` trims them off in one pass. A kernel whose last window closes is
-discarded rather than trimmed. Events must arrive in non-decreasing time
-order.
+``group`` holds the key's events at one timestamp, in arrival order, as
+``(roles, attrs)`` pairs; each timestamp of the key is stepped once, in
+time order. ``roles`` are the pattern variables an event may play,
+already filtered by local predicates; an empty tuple marks an event that
+cannot match (which only contiguous semantics cares about). ``width`` is
+the number of windows the timestamp falls into. Every window the kernel
+holds is one of them, oldest first, so the kernel opens ``width -
+self.width`` new windows at the back before it applies the events; a
+width not above the current one opens none. The result has one entry per
+event and variable it plays, in order: the new cell vector.
+``final_cell`` reads the oldest window and ``drop_front`` closes it.
+Closing is bookkeeping only: the closed windows stay at the front of the
+vectors, and the kept events that hold no open window stay at the front
+of the kept events, until the next ``step`` trims them off in one pass. A
+kernel whose last window closes is discarded rather than trimmed.
 
 Events with equal timestamps can never sit next to each other inside a
-trend, so all events sharing a timestamp are evaluated against the state as
-it stood before the first of them ("shadow" copies keep the pre-batch cells
-of every variable already updated in the current batch). A shadow lives
-only while its timestamp lasts: ``end_timestamp()`` ends the timestamp,
-and the caller calls it as soon as the stream moves past that timestamp.
-A kernel that steps at a later time, or closes a window, without it ends
-the timestamp itself first.
+trend, so every event of a group reads the state as it stood before the
+timestamp, and the group's new cells are written only after all of its
+events have read. So the kernel holds no state for a timestamp once its
+step returns.
 
 A type-grained variable with no readable trends holds no cell: a new
 kernel holds none, and a variable whose trends are consumed or cut off
@@ -59,12 +56,11 @@ updated in. An absent cell, and the windows past the end of a vector,
 read as the identity cell, and merging the identity changes nothing:
 counts add 0, sums never hold -0.0, and MIN and MAX skip ``None``.
 
-``entry_count`` counts one entry per held cell vector (type cells and
-shadows) per open window it reaches, and one per kept event per open
-window that holds it, as if every window kept its own state; closed
-windows not yet trimmed count for nothing. ``step``, ``end_timestamp``
-and ``drop_front`` keep it current. ``snapshot()`` reads the trend counts
-of the oldest open window and the entry count.
+``entry_count`` counts one entry per type cell vector per open window it
+reaches, and one per kept event per open window that holds it, as if
+every window kept its own state; closed windows not yet trimmed count for
+nothing. ``step`` and ``drop_front`` keep it current. ``snapshot()``
+reads the trend counts of the oldest open window and the entry count.
 """
 
 from __future__ import annotations
@@ -127,20 +123,18 @@ class MixedKernel:
 
     * skip-till-any-match: everything before the event's timestamp. A
       variable's cells then hold all of its trends, and the end variable's
-      cells are the final ones.
+      cells are the final ones. An event of a variable other than the
+      start that is on no trend in any window is not kept: it can pass
+      nothing on.
     * skip-till-next-match: an open chain must take the first event that
       can extend it, so a predecessor leaves the readable state once an
-      event reads it. Chains whose tips play the same variable, or end at
-      the same kept event, continue alike, so one cell per tip is exact.
+      event reads it, also for the later events of the same timestamp.
+      Chains whose tips play the same variable, or end at the same kept
+      event, continue alike, so one cell per tip is exact.
     * contiguous: only the events at the key's immediately preceding
-      timestamp, unmatched ones included. When that timestamp held more
-      than one event, no trend can pass through it, so its events pass on
-      only the trends they start.
-
-    Under the last two, while a timestamp lasts, a type-grained variable's
-    shadow holds its readable cells and its own cells only what the
-    timestamp added; when the timestamp ends the two are merged (``next``)
-    or the shadow is dropped (``cont``).
+      timestamp, unmatched ones included. When a timestamp holds more than
+      one event, no trend can pass through it, so its events pass on only
+      the trends they start.
     """
 
     def __init__(self, plan):
@@ -148,7 +142,6 @@ class MixedKernel:
         self._step = plan.step
         self.width = 1
         self.base = 0  # window id of the oldest open window
-        self.time = None  # the current timestamp; None once it has ended
         self.type_cells = {}  # type-grained variable -> cells, if any
         self.events = []  # (time, role, first window, cells) in arrival order
         self.roles = []  # role of each kept event
@@ -166,17 +159,12 @@ class MixedKernel:
         self.entry_count = 0
         self._stale = 0  # closed windows still at the front of the vectors
         self._dead = 0  # leading kept events that hold no open window
-        # Type-grained variable updated this timestamp -> its readable cells,
-        # or () where it has none.
-        self._shadow = {}
-        self._batch = []  # contiguous: (roles, attrs) of this timestamp's events
-        self._watermark = 0
         self.pred_accesses = 0
 
     def _predecessors(self, r, attrs):
-        """Positions of the kept events, up to the current timestamp, that
+        """Positions of the kept events, all from earlier timestamps, that
         may directly precede an ``r``-event with ``attrs``; ascending."""
-        n = self._watermark
+        n = len(self.events)
         picked = []
         for p, checks in self.plan.kept_preds[r]:
             if self._one_role:
@@ -203,10 +191,10 @@ class MixedKernel:
             return picked[0]
         return sorted(chain.from_iterable(picked))
 
-    def step(self, time, roles, attrs, width=1):
-        """Apply one event, as the step contract above says, through the
-        query's generated step (``compile_step``)."""
-        return self._step(self, time, roles, attrs, width)
+    def step(self, time, group, width=1):
+        """Apply one timestamp's events, as the step contract above says,
+        through the query's generated step (``compile_step``)."""
+        return self._step(self, time, group, width)
 
     def _keep(self, time, r, cell, attrs):
         self.events.append((time, r, self.base, cell))
@@ -224,85 +212,9 @@ class MixedKernel:
             for column in self.columns.values():
                 del column[i]
 
-    def _consume(self, r, kept):
-        """Skip-till-next-match: the chains an ``r``-event just read now
-        end at it, so their former tips become unreadable. Returns the
-        slots of the cells it drops."""
-        gone = 0
-        shadow = self._shadow
-        for p in self.plan.type_preds[r]:
-            if p in shadow:
-                gone += len(shadow[p])
-                shadow[p] = ()
-            else:
-                cells = self.type_cells.pop(p, None)
-                if cells is not None:
-                    gone += len(cells)
-        if kept:
-            self._forget(kept)
-            self._watermark -= len(kept)
-        return gone
-
-    def end_timestamp(self):
-        """End the current timestamp, once no event at it can come any
-        more: drop the shadows (skip-till-any-match), merge them back into
-        the cells (skip-till-next-match), or keep only what the timestamp
-        passes on (contiguous). Returns the number of entries freed."""
-        shadow = self._shadow
-        if not shadow and not self._batch:  # no tie state to end
-            self._watermark = len(self.events)
-            self.time = None
-            return 0
-        plan = self.plan
-        before = self.entry_count
-        if plan.cumulative:  # the shadows go
-            for cells in shadow.values():
-                self.entry_count -= len(cells) // plan.k
-        else:
-            type_cells = self.type_cells
-            held = sum(map(len, chain(shadow.values(), type_cells.values())))
-            if plan.consume:
-                for r, readable in shadow.items():
-                    if readable:
-                        type_cells[r] = plan.merge(readable, type_cells[r])
-            else:
-                self._end_contiguous()
-            held -= sum(map(len, self.type_cells.values()))
-            self.entry_count -= held // plan.k
-        shadow.clear()
-        self._watermark = len(self.events)
-        self.time = None
-        return before - self.entry_count
-
-    def _end_contiguous(self):
-        """Contiguous semantics: only the timestamp just ended stays
-        readable, and only the trends its events start when it held more
-        than one event."""
-        plan = self.plan
-        if len(self._batch) > 1:
-            self._forget(range(len(self.events)))
-            type_cells = self.type_cells = {}
-            start = plan.start
-            for roles, attrs in self._batch:
-                if start not in roles:
-                    continue
-                cell = plan.absorb[start](plan.identity * self.width, attrs)
-                if start in plan.event_grained:
-                    self._keep(self.time, start, cell, attrs)
-                elif start in type_cells:
-                    type_cells[start] = plan.merge(type_cells[start], cell)
-                else:
-                    type_cells[start] = cell
-        else:
-            self._forget(range(self._watermark))
-            shadow = self._shadow
-            self.type_cells = {r: c for r, c in self.type_cells.items() if r in shadow}
-        self._batch.clear()
-
     def drop_front(self):
-        """End the current timestamp and close the oldest open window;
-        ``_trim`` cuts it off later. Returns the number of entries freed."""
-        freed = self.end_timestamp() if self.time is not None else 0
+        """Close the oldest open window; ``_trim`` cuts it off later.
+        Returns the number of entries freed."""
         k = self.plan.k
         at = self._stale * k  # where the closing window sits in the vectors
         self.width -= 1
@@ -312,7 +224,7 @@ class MixedKernel:
         dead = self._dead
         # Every live kept event holds the window just closed. Their last
         # windows never decrease in arrival order, so the dead ones lead.
-        freed += len(events) - dead
+        freed = len(events) - dead
         base = self.base
         for _, _, first, cells in islice(events, dead, None):
             if first + len(cells) // k > base:
@@ -343,7 +255,6 @@ class MixedKernel:
             del self.events[:dead], self.roles[:dead]
             for column in self.columns.values():
                 del column[:dead]
-            self._watermark = max(0, self._watermark - dead)
 
     def final_cell(self):
         k = self.plan.k
@@ -374,58 +285,89 @@ class MixedKernel:
 def compile_step(plan, cells):
     """The kernel step of one compiled query, as a generated function.
 
-    ``step(kernel, time, roles, attrs, width)`` does what the step
-    contract above says, with the plan's tables and flags resolved once:
-    each pattern variable gets a block that reads its type-grained
-    predecessors one by one, calls ``_predecessors`` only when it has
-    kept ones, merges kept cells additively or by ``merge``, calls
-    ``_consume`` only under skip-till-next-match, then keeps the event or
-    updates the variable's cells and shadow, and feeds ``final_acc`` only
-    where the plan has one. On a vector of one window the block runs the
-    absorb's one-window lines and the merge's one-window expression that
-    ``cells`` (the query's ``cells.CellCode``) hands over, inline, for the
-    new cell, the variable's cells and ``final_acc``; on wider vectors it
-    calls the absorb and ``merge``, which run the same lines window by
-    window. So a slot fails at the same point, with the same error, either
-    way. Names enter the source only as ``repr()`` literals. Returns the
-    function and its source."""
+    ``step(kernel, time, group, width)`` does what the step contract above
+    says, with the plan's tables and flags resolved once. It runs in two
+    passes. The first reads: for each event of the group and variable it
+    plays, a block per pattern variable reads its type-grained
+    predecessors one by one, calls ``_predecessors`` only when it has kept
+    ones, merges kept cells additively or by ``merge``, drops what it read
+    only under skip-till-next-match, absorbs the event and feeds
+    ``final_acc`` only where the plan has one. The second writes the new
+    cells: it keeps each new event of an event-grained variable, and
+    merges the others into their variable's cells, in arrival order;
+    under skip-till-next-match the readable cells left over are merged in
+    front of them, and under contiguous semantics nothing older stays. On
+    a vector of one window the blocks run the absorb's one-window lines
+    and the merge's one-window expression that ``cells`` (the query's
+    ``cells.CellCode``) hands over, inline; on wider vectors they call the
+    absorb and ``merge``, which run the same lines window by window. So a
+    slot fails at the same point, with the same error, either way. Names
+    enter the source only as ``repr()`` literals. Returns the function and
+    its source."""
     k = plan.k
     has_final = not (plan.cumulative and plan.end not in plan.event_grained)
     roles = sorted(plan.type_preds)
+    typed = any(r not in plan.event_grained for r in roles)
     lines = [
-        "def step(self, time, roles, attrs, width):",
+        "def step(self, time, group, width):",
         "    if self._stale:",
         "        self._trim()",
-        "    if time != self.time:",
-        "        if self.time is not None:  # the caller did not end it",
-        "            self.end_timestamp()",
-        "        self.time = time",
+        "    w = self.width",
+        "    if width > w:",
     ]
-    if plan.cont:
-        lines.append("    self._batch.append((roles, attrs))")
-    lines += ["    w = self.width", "    if width > w:"]
     if has_final:
         lines.append("        self.final_acc += identity * (width - w)")
     lines.append("        self.width = w = width")
     if any(plan.type_preds.values()):
         lines.append(f"    size = w * {k}")
-    typed = any(r not in plan.event_grained for r in roles)
     if typed:
-        lines += ["    type_cells = self.type_cells", "    shadow = self._shadow"]
-    grows = typed or plan.consume
-    if grows:
-        lines.append("    grown = 0  # slots added to the type cells and shadows")
-    lines += ["    out = []", "    for r in roles:"]
-    for n, r in enumerate(roles):
-        indent = " " * 8
-        if len(roles) > 1:  # roles hold only the query's variables
-            if n == len(roles) - 1:
-                lines.append(indent + "else:")
-            else:
-                lines.append(indent + f"{'elif' if n else 'if'} r == {r!r}:")
-            indent += " " * 4
-        lines += [indent + line for line in _role_source(plan, cells, n, r, has_final)]
-    if grows:
+        lines += [
+            "    type_cells = self.type_cells",
+            "    grown = 0  # slots added to the type cells",
+        ]
+    lines += ["    out = []", "    for roles, attrs in group:", "        for r in roles:"]
+    lines += _by_role(
+        roles, 12, lambda n, r: _read_source(plan, cells, n, r, has_final)
+    )
+    # Every event has read: write the group's new cells.
+    writes = "out"
+    if plan.cont:
+        writes = "writes"
+        start = roles.index(plan.start)
+        lines += [
+            "    writes = out",
+            "    if self.events:",
+            "        self._forget(range(len(self.events)))",
+        ]
+        if typed:
+            lines += [
+                "    if type_cells:",
+                "        grown -= sum(map(len, type_cells.values()))",
+                "        self.type_cells = type_cells = {}",
+            ]
+        lines += [
+            "    if len(group) > 1:  # no trend passes through this timestamp",
+            "        writes = [",
+            f"            ({plan.start!r}, absorb_{start}(identity * w, attrs), attrs)",
+            "            for roles, attrs in group",
+            f"            if {plan.start!r} in roles",
+            "        ]",
+        ]
+    elif plan.consume and typed:
+        lines += ["    readable = type_cells", "    self.type_cells = type_cells = {}"]
+    lines.append(f"    for r, cell, attrs in {writes}:")
+    lines += _by_role(roles, 8, lambda n, r: _write_source(plan, cells, r))
+    if plan.consume and typed:
+        lines += [
+            "    for r, old in readable.items():  # what the timestamp left readable",
+            "        new = type_cells.get(r)",
+            "        if new is None:",
+            "            type_cells[r] = old",
+            "        else:",
+            "            merged = type_cells[r] = merge(old, new)",
+            "            grown += len(merged) - len(old) - len(new)",
+        ]
+    if typed:
         lines += ["    if grown:", f"        self.entry_count += grown // {k}"]
     lines += ["    return out", ""]
     source = "\n".join(lines)
@@ -441,9 +383,26 @@ def compile_step(plan, cells):
     return namespace["step"], source
 
 
-def _role_source(plan, cells, n, r, has_final):
-    """The lines that apply an ``r``-event, ``r`` being the ``n``-th
-    variable in name order."""
+def _by_role(roles, depth, block):
+    """The lines of ``block(n, r)`` for each variable ``r``, the ``n``-th
+    in name order, each under its branch on the local ``r``, indented by
+    ``depth``."""
+    indent = " " * depth
+    if len(roles) == 1:  # roles hold only the query's variables
+        return [indent + line for line in block(0, roles[0])]
+    lines = []
+    for n, r in enumerate(roles):
+        if n == len(roles) - 1:
+            lines.append(indent + "else:")
+        else:
+            lines.append(indent + f"{'elif' if n else 'if'} r == {r!r}:")
+        lines += [indent + "    " + line for line in block(n, r)]
+    return lines
+
+
+def _read_source(plan, cells, n, r, has_final):
+    """The lines that read the predecessors of an ``r``-event and absorb
+    it, ``r`` being the ``n``-th variable in name order."""
     k = plan.k
     type_preds = plan.type_preds[r]
     kept = bool(plan.kept_preds[r])
@@ -455,16 +414,10 @@ def _role_source(plan, cells, n, r, has_final):
         # and a vector's windows past its end, are the identity.
         lines.append(f"self.pred_accesses += {len(type_preds)}")
         first, *rest = type_preds
-        lines += [
-            f"pred = shadow.get({first!r})",
-            "if pred is None:",
-            f"    pred = type_cells.get({first!r})",
-        ]
+        lines.append(f"pred = type_cells.get({first!r})")
         for p in rest:
             lines += [
-                f"prev = shadow.get({p!r})",
-                "if prev is None:",
-                f"    prev = type_cells.get({p!r})",
+                f"prev = type_cells.get({p!r})",
                 "if prev:",
                 "    pred = merge(pred, prev) if pred else prev",
             ]
@@ -493,54 +446,62 @@ def _role_source(plan, cells, n, r, has_final):
             if plan.additive
             else "        pred[:len(c)] = merge(pred[:len(c)], c)",
         ]
-    if plan.consume:
-        lines.append(f"grown -= self._consume({r!r}, {'kept' if kept else '()'})")
+    if plan.consume:  # the chains just read now end at this event
+        for p in type_preds:
+            lines += [
+                f"gone = type_cells.pop({p!r}, None)",
+                "if gone:",
+                "    grown -= len(gone)",
+            ]
+        if kept:
+            lines += ["if kept:", "    self._forget(kept)"]
     # One window: the absorb's and the merge's one-window arithmetic,
     # inline; wider vectors call the absorb and ``merge``.
     one = [*cells.absorb_one[r], f"cell = [{', '.join(f'c{s}' for s in range(k))}]"]
     many = [f"cell = absorb_{n}(pred, attrs)"]
-    if r in plan.event_grained:
-        one.append(f"self._keep(time, {r!r}, cell, attrs)")
-        many.append(f"self._keep(time, {r!r}, cell, attrs)")
-    else:
-        update = [
-            f"old = type_cells.get({r!r})",
-            f"if {r!r} in shadow:  # updated earlier in this timestamp",
-            "    grown -= len(old)",
-            "else:  # its readable cells move to the shadow",
-            f"    shadow[{r!r}] = () if old is None else old",
-        ]
-        if not plan.cumulative:
-            update.append("    old = None")
-        store = [f"type_cells[{r!r}] = new", "grown += len(new)"]
-        one += [
-            *update,
-            "if old is None:",
-            "    new = cell",
-            "else:",
-            "    " + unpack("o", k, "old"),
-            f"    new = {cells.merge_one('o', 'c')}",
-            *store,
-        ]
-        many += [
-            *update,
-            "new = cell if old is None else merge(old, cell)",
-            *store,
-        ]
     if r == plan.end and has_final:
         one += [
             unpack("f", k, "self.final_acc"),
             f"self.final_acc = {cells.merge_one('f', 'c')}",
         ]
         many.append("self.final_acc = merge(self.final_acc, cell)")
-    lines += [
+    return [
+        *lines,
         "if w == 1:",
         *("    " + line for line in one),
         "else:",
         *("    " + line for line in many),
-        f"out.append(({r!r}, cell))",
+        f"out.append(({r!r}, cell, attrs))",
     ]
-    return lines
+
+
+def _write_source(plan, cells, r):
+    """The lines that write an ``r``-event's new ``cell``. Under
+    skip-till-any-match, a cell of a variable other than the start that
+    counts no trend in any window is the identity and passes nothing on,
+    so it is neither kept nor stored as a variable's first cell."""
+    k = plan.k
+    event_grained = r in plan.event_grained
+    if event_grained:
+        store = [f"self._keep(time, {r!r}, cell, attrs)"]
+    else:
+        store = [f"type_cells[{r!r}] = cell", "grown += len(cell)"]
+    if plan.cumulative and r != plan.start:
+        store = [f"if any(cell[::{k}]):", *("    " + line for line in store)]
+    if event_grained:
+        return store
+    return [
+        f"old = type_cells.get({r!r})",
+        "if old is None:",
+        *("    " + line for line in store),
+        "elif w == 1:",
+        "    " + unpack("o", k, "old"),
+        "    " + unpack("c", k, "cell"),
+        f"    type_cells[{r!r}] = {cells.merge_one('o', 'c')}",
+        "else:",
+        f"    new = type_cells[{r!r}] = merge(old, cell)",
+        "    grown += len(new) - len(old)",
+    ]
 
 
 # The benchmark's tracer (``e2ebench/tracing.py``) wraps kernel classes by

@@ -7,17 +7,20 @@ straight-line functions (``cells.compile_cells``: one ``absorb`` per
 pattern variable, one ``merge`` and one ``readout``;
 ``_kernels_py.compile_step``: one ``step``). An Engine owns one kernel
 instance - the incremental state of one partition key over its open
-windows - plus the read-out of a window's aggregates. The kernel's
-``snapshot()`` shows that state.
+windows - plus the read-out of a window's aggregates. It is fed one
+timestamp at a time: all of the key's events at that time in one step, as
+``WindowManager`` feeds it, or a whole stream through ``run``, which
+groups the events by time. The kernel's ``snapshot()`` shows that state.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
+from itertools import groupby
+from operator import attrgetter
 
 from ._kernels_py import MixedKernel, compile_step
 from .cells import build_accumulators, compile_cells, identity_cell
-from .events import Event
 from .query import (
     GranularityPlan,
     Query,
@@ -106,25 +109,29 @@ class Engine:
         self.kernel = MixedKernel(self.compiled)
         self.peak_entries = self.kernel.entry_count
 
-    def step(self, event: Event):
-        """Feed one event; returns the cells created for it in the oldest
-        open window, one per variable it plays, and tracks
-        ``peak_entries``. An event with a later time first ends the
-        previous timestamp (the kernel does so as it steps)."""
-        out = self.step_with_roles(event, self.compiled.probe(event))
+    def step(self, events):
+        """Feed the events of one timestamp, a non-empty list, as one
+        step; returns the cells created for them in the oldest open
+        window, one ``(role, cell)`` per event and variable it plays, in
+        order, and tracks ``peak_entries``."""
+        probe = self.compiled.probe
+        group = [(probe(event), event.attrs) for event in events]
+        out = self.step_with_roles(events[0].time, group)
         entries = self.kernel.entry_count
         if entries > self.peak_entries:
             self.peak_entries = entries
-        return [(r, cells[: self.compiled.k]) for r, cells in out]
+        return [(r, cells[: self.compiled.k]) for r, cells, _ in out]
 
-    def step_with_roles(self, event: Event, roles, width: int = 1):
-        """Feed one event that falls into ``width`` windows, the open ones
-        first; returns the cell vectors created for it."""
-        return self.kernel.step(event.time, roles, event.attrs, width)
+    def step_with_roles(self, time: int, group, width: int = 1):
+        """Feed the events at ``time``, as ``(roles, attrs)`` pairs, that
+        fall into ``width`` windows, the open ones first; returns what the
+        kernel step returns."""
+        return self.kernel.step(time, group, width)
 
     def run(self, events):
-        for event in events:
-            self.step(event)
+        """Feed a time-ordered stream, one timestamp per step."""
+        for _, tied in groupby(events, attrgetter("time")):
+            self.step(list(tied))
         return self
 
     def results(self, cell=None) -> dict:

@@ -5,20 +5,26 @@ covers all of the key's open windows. Window ids are derived
 arithmetically from the event time: window ``w`` covers
 ``[w * slide, w * slide + within)`` milliseconds, so an event at time
 ``t`` falls into a contiguous run of ids, ``windows_of(t, spec)``.
-``WindowManager.ingest`` computes that run's first id and length inline:
-``t // slide`` and 1 on a tumbling window (``slide == within``),
-otherwise from ``t // slide`` and ``(t - within) // slide + 1``, clamped
+``WindowManager`` computes that run's first id and length once per
+timestamp, from ``t // slide`` and ``(t - within) // slide + 1``, clamped
 at 0. Windows close as soon as an event at or past their end boundary
 arrives (the stream is time-ordered), or when the stream ends. Closing a
 window only reads each key's aggregates for it: a key's state is trimmed
 of its closed windows at the key's next step, and a key with no open
-window left loses its engine. Before that, as soon as an event with a
-later time arrives, every key that stepped at the previous time ends that
-timestamp, which frees its tie state.
+window left loses its engine.
 
-Since windows close before a later event is routed, the windows a key
-holds are always the oldest of the windows the key's next event falls
-into. The event is applied once per key; the engine opens the missing
+Each event is routed as it arrives, and held with the other events of its
+key at its timestamp. When the stream moves past the timestamp (an event
+with a later time, a ``close_expired`` past it, or ``finish``), each key's
+events at it are applied in one step, keys in the order they first
+arrived at that time, before any window closes. So an error that a step
+raises (``MissingAttribute``, ``AggregateOverflow``) surfaces at that
+later call, and the state and entry counts read between two calls do not
+yet hold the current timestamp's events.
+
+Since windows close before a later timestamp is stepped, the windows a
+key holds are always the oldest of the windows its next timestamp falls
+into. The events are applied once per key; the engine opens the missing
 windows at the back. A key's kernel numbers its windows by window id,
 its ``base`` being the oldest. The open window ids of all keys together
 are contiguous, so closing visits only the windows that end, and closing
@@ -35,8 +41,8 @@ enumerating oracle (``cli.oracle_rows``):
   windows already open for the key only - they cannot start anything, and
   a window opened later only sees events after the gap anyway. If the
   partition key cannot be extracted the event is dropped. A key whose
-  engine opens later at the gap's own timestamp still counts the gap
-  among that timestamp's events (see ``_kernels_py``).
+  engine opens at the gap's own timestamp counts the gap among that
+  timestamp's events.
 * Everything else that matches nothing is ignored.
 
 The manager relies on time order and raises ``OutOfOrder`` when an
@@ -150,14 +156,13 @@ class WindowManager:
         self.spec = WindowSpec(query.within_ms, query.slide_ms)
         self._within = query.within_ms
         self._slide = query.slide_ms
-        self._tumbling = query.slide_ms == query.within_ms
         self.compiled = compile_query(query)
         self._cont = query.semantics is Semantics.CONT
         self._key_of = key_getter(query.partition_attrs)
         self._probe = self.compiled.probe
         self._engines = {}  # key -> Engine over the key's open windows
-        self._stepped = []  # kernels that stepped at the last timestamp
-        self._gaps = {}  # key without an engine -> its gap event at this time
+        # key -> (roles, attrs) of its events at the last time, not stepped yet
+        self._pending = {}
         self._first_wid = 0  # oldest open window id
         self._min_end = float("inf")
         self._last_time = 0
@@ -170,69 +175,55 @@ class WindowManager:
         """Feed one event; returns rows for windows that just closed.
 
         Raises ``OutOfOrder`` when the event is older than the one before,
-        naming its position among the events fed so far.
+        naming its position among the events fed so far. An event with a
+        later time first steps the events held at the last one.
         """
         time = event.time
         if time != self._last_time:
             if time < self._last_time:
                 raise OutOfOrder(self.events_ingested + 1, self._last_time, time)
+            if self._pending:
+                self._step_pending()
             self._last_time = time
-            if self._stepped:  # before any window closes
-                self._end_timestamp()
-            if self._gaps:
-                self._gaps.clear()
         rows = self.close_expired(time) if time >= self._min_end else []
         self.events_ingested += 1
         routed = route(event, self._probe, self._key_of, self._cont)
-        if routed is None:
-            return rows
-        roles, key = routed
-        engine = self._engines.get(key)
-        if roles:
-            # The event's windows are ``lo`` to ``lo + width - 1``, as
-            # ``windows_of`` gives them.
-            if self._tumbling:
-                lo = time // self._slide
-                width = 1
-            else:
-                hi = time // self._slide
-                lo = (time - self._within) // self._slide + 1
-                if lo < 0:
-                    lo = 0
-                width = hi - lo + 1
-            if engine is None:
-                if not self._engines:
-                    self._first_wid = lo
-                    self._min_end = self.spec.end_of(lo)
-                engine = self._engines[key] = Engine(self.query, self.compiled)
-                engine.kernel.base = lo  # its windows are numbered by id
-                gap = self._gaps.pop(key, None)
-                if gap is not None:  # it shares this timestamp with the event
-                    self._stepped.append(engine.kernel)
-                    engine.step_with_roles(gap, (), 0)
-        elif engine is None:
-            self._gaps[key] = event
-            return rows
-        else:
-            width = 0
-        kernel = engine.kernel
-        if kernel.time is None:  # its first step at this time
-            self._stepped.append(kernel)
-        before = kernel.entry_count
-        engine.step_with_roles(event, roles, width)
-        self.current_entries += kernel.entry_count - before
-        if self.current_entries > self.peak_entries:
-            self.peak_entries = self.current_entries
+        if routed is not None:
+            roles, key = routed
+            self._pending.setdefault(key, []).append((roles, event.attrs))
         return rows
 
-    def _end_timestamp(self):
-        """End the last timestamp in every kernel that stepped at it: the
-        stream has moved past it, or ended."""
-        freed = 0
-        for kernel in self._stepped:
-            freed += kernel.end_timestamp()
-        self.current_entries -= freed
-        self._stepped.clear()
+    def _step_pending(self):
+        """Step each key's events held at the last time, one step per key,
+        keys in the order they first arrived."""
+        pending, self._pending = self._pending, {}
+        time = self._last_time
+        # The timestamp's windows are ``lo`` to ``lo + width - 1``, as
+        # ``windows_of`` gives them.
+        lo = (time - self._within) // self._slide + 1
+        if lo < 0:
+            lo = 0
+        width = time // self._slide - lo + 1
+        engines = self._engines
+        for key, group in pending.items():
+            engine = engines.get(key)
+            span = width
+            if self._cont and not any(roles for roles, _ in group):  # gaps only
+                if engine is None:  # the key holds no window for them
+                    continue
+                span = 0
+            if engine is None:
+                if not engines:
+                    self._first_wid = lo
+                    self._min_end = self.spec.end_of(lo)
+                engine = engines[key] = Engine(self.query, self.compiled)
+                engine.kernel.base = lo  # its windows are numbered by id
+            kernel = engine.kernel
+            before = kernel.entry_count
+            engine.step_with_roles(time, group, span)
+            self.current_entries += kernel.entry_count - before
+            if self.current_entries > self.peak_entries:
+                self.peak_entries = self.current_entries
 
     def run(self, events):
         """Feed a whole stream and yield result rows as windows close."""
@@ -242,8 +233,8 @@ class WindowManager:
 
     def close_expired(self, now_ms: int):
         """Emit and drop every window that ended at or before ``now_ms``."""
-        if now_ms > self._last_time and self._stepped:  # the stream is past it
-            self._end_timestamp()
+        if now_ms > self._last_time and self._pending:  # the stream is past them
+            self._step_pending()
         rows = []
         while now_ms >= self._min_end:
             self._close_oldest(rows)
@@ -251,7 +242,7 @@ class WindowManager:
 
     def finish(self):
         """Emit everything still open, in (window id, key) order."""
-        self._end_timestamp()
+        self._step_pending()
         rows = []
         while self._engines:
             self._close_oldest(rows)

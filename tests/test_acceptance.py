@@ -53,10 +53,9 @@ def transport_runs():
 
     20 passengers, one Trip per passenger per 30 s, tumbling 600 s windows
     grouped by passenger: every window holds ~400 events spread over all
-    20 keys, so live state is 20 engines of one cell each, plus the shadows
-    of the keys that stepped at the current timestamp, no matter how long
-    the stream is. Each run also records the most keys that share one
-    timestamp.
+    20 keys, so live state is 20 engines of one cell each, no matter how
+    long the stream is, or how many keys share one timestamp. Each run also
+    records the most keys that share one timestamp.
     """
     query = parse_query(
         "RETURN COUNT(*) PATTERN Trip T+ SEMANTICS any "
@@ -104,7 +103,7 @@ def test_criterion_2_state_traces(capsys):
         # Type-grained, skip-till-any-match.
         engine = build_engine(make_query())
         counts = [
-            (cells[0][1][0] if (cells := engine.step(e)) else None)
+            (cells[0][1][0] if (cells := engine.step([e])) else None)
             for e in SHOWCASE
         ]
         assert counts == [1, 1, 3, 6, None, 10, 22, 32]
@@ -116,7 +115,7 @@ def test_criterion_2_state_traces(capsys):
         # Mixed granularity with B.v < A.v.
         engine = build_engine(make_query(where="B.v < A.v"))
         counts = [
-            (cells[0][1][0] if (cells := engine.step(e)) else None)
+            (cells[0][1][0] if (cells := engine.step([e])) else None)
             for e in SHOWCASE
         ]
         assert counts[6] == 12  # a7 extends b2 but not b6
@@ -125,7 +124,7 @@ def test_criterion_2_state_traces(capsys):
         # Skip-till-next-match.
         engine = build_engine(make_query(semantics="next"))
         counts = [
-            (cells[0][1][0] if (cells := engine.step(e)) else None)
+            (cells[0][1][0] if (cells := engine.step([e])) else None)
             for e in SHOWCASE
         ]
         assert counts[6] == 4  # a7
@@ -134,7 +133,7 @@ def test_criterion_2_state_traces(capsys):
         # Contiguous: c5 severs the open chains, so b6 extends none.
         engine = build_engine(make_query(semantics="cont"))
         counts = [
-            (cells[0][1][0] if (cells := engine.step(e)) else None)
+            (cells[0][1][0] if (cells := engine.step([e])) else None)
             for e in SHOWCASE
         ]
         assert counts[4:7] == [None, 0, 1]  # c5, b6, a7
@@ -249,12 +248,11 @@ def test_criterion_4_granularity_plan(capsys):
 def test_criterion_5_space_bounds(capsys, transport_runs):
     with verdict(capsys, "criterion 5 (space bounds as invariants)"):
         # Type-grained: the README's bound of one cell per variable, key and
-        # window, plus the tie state of the current timestamp (one shadow
-        # per variable for each key that stepped at it), at ten thousand
-        # and at a million events.
+        # window, met exactly, with nothing kept for timestamp ties, at ten
+        # thousand and at a million events.
         for target in (10_000, 1_000_000):
             _, peak, tied = transport_runs[target]
-            assert 20 * 1 <= peak <= 20 * 1 + tied * 1, (target, peak, tied)
+            assert peak == 20 * 1, (target, peak, tied)
 
         # Mixed: state tracks the event-grained (B) count only.
         def mixed_peak(n_a, n_b):
@@ -270,11 +268,12 @@ def test_criterion_5_space_bounds(capsys, transport_runs):
             ]
             engine = build_engine(query)
             engine.run(events)
-            assert len(engine.kernel.snapshot().stored) == n_b
+            # The first B, before any A, is on no trend and is not kept.
+            assert len(engine.kernel.snapshot().stored) == n_b - 1
             return engine.peak_entries
 
-        assert mixed_peak(500, 20) == mixed_peak(5000, 20) == 1 + 20 + 1
-        assert mixed_peak(500, 40) == 1 + 40 + 1
+        assert mixed_peak(500, 20) == mixed_peak(5000, 20) == 1 + 19
+        assert mixed_peak(500, 40) == 1 + 39
 
         # Next and cont without adjacency predicates: type-grained, so the
         # peak does not grow with the stream.

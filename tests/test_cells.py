@@ -386,7 +386,7 @@ def test_stored_predecessor_merges_match_one_window_kernels(data):
                 finals.append(engine.kernel.final_cell())
                 engine.kernel.drop_front()
             width = i // slide - engine.kernel.base + 1
-            engine.step_with_roles(event, compiled.probe(event), width)
+            engine.step_with_roles(event.time, [(compiled.probe(event), event.attrs)], width)
         while engine.kernel.width:
             finals.append(engine.kernel.final_cell())
             engine.kernel.drop_front()

@@ -34,12 +34,11 @@ def _run(args):
 class TestRun:
     def test_showcase_counts(self, workdir, capsys):
         # Type-grained under every semantics, one cell per variable with
-        # readable trends. any: cells for A and B, plus A's shadow while a3's
-        # timestamp lasts. next: an event consumes the cell it reads, so one
-        # cell is held at a time. cont: the cell the last timestamp passed on
-        # and the current timestamp's.
+        # readable trends. any: cells for A and B. next: an event consumes
+        # the cell it reads, so one cell is held at a time. cont: only the
+        # cell the last timestamp passed on.
         for semantics, expected, peak in (
-            ("any", 43, 3), ("next", 8, 1), ("cont", 2, 2)
+            ("any", 43, 2), ("next", 8, 1), ("cont", 2, 1)
         ):
             out = workdir / f"out_{semantics}.csv"
             code = _run(
@@ -248,6 +247,43 @@ class TestOracle:
         code, out, _ = outcomes[0]
         assert (code, out.splitlines()) == (
             0, [f"wid,window_start_ms,window_end_ms,{returns.replace(', ', ',')}", row]
+        )
+
+    @pytest.mark.parametrize(
+        "pattern, where, rows",
+        [
+            # The first B has no A before it; the second lacks v.
+            ("SEQ(A, B+)", "B.v < NEXT(B).v", "1,B,1\n2,B,\n3,A,1\n"),
+            ("SEQ(A, B, C)", "B.v < C.v", "1,B,1\n2,C,\n"),
+        ],
+        ids=["kleene", "seq"],
+    )
+    def test_a_stored_event_on_no_trend_is_never_checked(
+        self, workdir, capsys, pattern, where, rows
+    ):
+        # Under any, an event of a variable other than the start that is on
+        # no trend is not kept, so no later event is checked against it, as
+        # in the oracle, which checks only events that extend a trend.
+        schema = '{"A": {"v": "float"}, "B": {"v": "float"}, "C": {"v": "float"}}'
+        (workdir / "abc.json").write_text(schema)
+        (workdir / "abc.csv").write_text("time,type,v\n" + rows)
+        (workdir / "abc.txt").write_text(
+            f"RETURN COUNT(*) PATTERN {pattern} SEMANTICS any WHERE {where} "
+            "WITHIN 100 s\n"
+        )
+        outcomes = []
+        for command in ("run", "oracle"):
+            code = _run(
+                [command, "--query", workdir / "abc.txt", "--input", workdir / "abc.csv",
+                 "--schema", workdir / "abc.json", "--emit-empty"]
+            )
+            captured = capsys.readouterr()
+            err = re.sub(r"(, peak state \d+ entries| \(oracle\))\n$", "\n", captured.err)
+            outcomes.append((code, captured.out, err))
+        assert outcomes[0] == outcomes[1]
+        code, out, _ = outcomes[0]
+        assert (code, out.splitlines()) == (
+            0, ["wid,window_start_ms,window_end_ms,COUNT(*)", "0,0,100000,0"]
         )
 
     @pytest.mark.parametrize("command", ["run", "oracle"])

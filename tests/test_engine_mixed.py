@@ -41,7 +41,7 @@ class TestShowcaseTrace:
         assert engine.plan.event_grained == frozenset({"B"})
         counts = []
         for e in SHOWCASE:
-            cells = engine.step(e)
+            cells = engine.step([e])
             counts.append(cells[0][1][0] if cells else None)
         assert counts == [1, 1, 3, 6, None, 10, 12, 22]
 
@@ -49,7 +49,7 @@ class TestShowcaseTrace:
         engine = build_engine(_mixed_query())
         a_counts, finals = [], []
         for e in SHOWCASE:
-            engine.step(e)
+            engine.step([e])
             snapshot = engine.kernel.snapshot()
             a_counts.append(snapshot.counts.get("A", 0))
             finals.append(snapshot.final)
@@ -161,8 +161,10 @@ class TestStateFootprint:
         peak_large, stored_large = self._run(400, 5)
         assert stored_small == stored_large
         assert peak_small == peak_large
-        # One A type cell, every B stored, plus one in-batch shadow copy.
-        assert peak_small == 1 + stored_small + 1
+        # One A type cell and every B on a trend stored; the first B,
+        # before any A, is on none and is not kept.
+        assert stored_small == 4
+        assert peak_small == 1 + stored_small
 
     def test_entries_grow_with_event_grained_count(self):
         peak_5, _ = self._run(100, 5)
@@ -226,14 +228,16 @@ class TestMissingPredicateAttribute:
     def test_kept_event_lacks_the_attribute(self):
         manager = WindowManager(make_query(**self.QUERY))
         manager.ingest(Event(1000, "A", {}))  # kept, nothing to compare yet
+        manager.ingest(Event(2000, "A", {"v": 1}))  # held while 2 s lasts
         with pytest.raises(MissingAttribute, match="attribute v"):
-            manager.ingest(Event(2000, "A", {"v": 1}))
+            manager.finish()
 
     def test_new_event_lacks_the_attribute(self):
         manager = WindowManager(make_query(**self.QUERY))
         manager.ingest(Event(1000, "A", {"v": 1}))
+        manager.ingest(Event(2000, "A", {}))  # held while 2 s lasts
         with pytest.raises(MissingAttribute, match="attribute v"):
-            manager.ingest(Event(2000, "A", {}))
+            manager.ingest(Event(3000, "A", {"v": 2}))
 
     def test_unchecked_events_may_lack_it(self):
         # Tied events are never compared, and a kept event that an earlier

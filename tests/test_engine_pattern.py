@@ -14,7 +14,7 @@ from conftest import SHOWCASE, make_query, stream_strategy
 def _trace(engine, events):
     counts, finals = [], []
     for e in events:
-        cells = engine.step(e)
+        cells = engine.step([e])
         counts.append(cells[0][1][0] if cells else None)
         finals.append(engine.kernel.snapshot().final)
     return counts, finals
@@ -118,12 +118,11 @@ class TestEdgeBehaviour:
         query = make_query(semantics="cont")
         engine = build_engine(query)
         idle = engine.kernel.snapshot().entries
-        engine.step(Event(1000, "A", {"v": 1}))
+        engine.step([Event(1000, "A", {"v": 1})])
         assert engine.kernel.snapshot().entries > idle
-        engine.step(Event(2000, "C", {"v": 0}))
-        engine.kernel.end_timestamp()  # the stream moves past the gap
+        engine.step([Event(2000, "C", {"v": 0})])  # the gap severs the chain
         assert engine.kernel.snapshot().entries == idle
-        assert engine.step(Event(3000, "B", {"v": 0}))[0][1][0] == 0
+        assert engine.step([Event(3000, "B", {"v": 0})])[0][1][0] == 0
 
     @pytest.mark.parametrize("semantics", ["next"])
     def test_aliases_rejected(self, semantics):

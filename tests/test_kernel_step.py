@@ -1,7 +1,8 @@
 """The generated kernel step (``_kernels_py.compile_step``) against the
 interpreted one in ``kernel_reference``. Both kernels share one compiled
-query and are driven with the same steps, timestamp ends and window
-closes; after each, their results, exceptions and state must agree."""
+query and are driven with the same steps, each of one timestamp's events,
+and window closes; after each, their results, exceptions and state must
+agree."""
 
 import pytest
 from hypothesis import given, settings
@@ -68,24 +69,25 @@ def _queries(draw, pump):
 
 @st.composite
 def _ops(draw, types, floats, time):
+    """Steps of one to three tied events (gap events of contiguous
+    semantics among them, since any type may match nothing), each at a
+    later time than the one before, and window closes."""
     ops = []
     for _ in range(draw(st.integers(0, 20))):
-        op = draw(st.sampled_from(("step", "step", "step", "end", "close")))
-        if op == "step":
-            if ops and ops[-1][0] != "step":  # past the ended timestamp
-                time += 1000 * draw(st.integers(1, 2))
-            else:
-                time += 1000 * draw(st.integers(0, 2))
+        if draw(st.integers(0, 3)) == 0:
+            ops.append(("close",))
+            continue
+        time += 1000 * draw(st.integers(1, 2))
+        tied = []
+        for _ in range(draw(st.sampled_from((1, 1, 2, 3)))):
             value = draw(st.integers(0, 5))
             attrs = (
                 {}
                 if draw(st.integers(0, 7)) == 0
                 else {"v": value + 0.5 if floats else value}
             )
-            etype = draw(st.sampled_from(types))
-            ops.append(("step", time, etype, attrs, draw(st.integers(1, 4))))
-        else:
-            ops.append((op,))
+            tied.append((draw(st.sampled_from(types)), attrs))
+        ops.append(("step", time, tied, draw(st.integers(1, 4))))
     return ops
 
 
@@ -93,11 +95,9 @@ def _state(kernel):
     return repr(
         (
             kernel.type_cells,
-            kernel._shadow,
             kernel.events,
             kernel.final_acc,
             kernel.width,
-            kernel.time,
             kernel.final_cell(),
         )
     )
@@ -108,13 +108,15 @@ def _apply(kernel, op, probe, cont):
     whether the run goes on."""
     try:
         if op[0] == "step":
-            _, time, etype, attrs, width = op
-            roles = probe(Event(time, etype, attrs))
-            if not roles and not cont:
-                return None, True  # the manager drops it
-            return kernel.step(time, roles, attrs, width if roles else 0), True
-        if op[0] == "end":
-            return (kernel.end_timestamp() if kernel.time is not None else None), True
+            _, time, tied, width = op
+            group = [(probe(Event(time, etype, attrs)), attrs) for etype, attrs in tied]
+            if not cont:  # the manager drops what matches nothing
+                group = [(roles, attrs) for roles, attrs in group if roles]
+            if not group:
+                return None, True
+            if not any(roles for roles, _ in group):  # gaps reach no new window
+                width = 0
+            return kernel.step(time, group, width), True
         return (kernel.drop_front() if kernel.width > 1 else None), True
     except (MissingAttribute, AggregateOverflow) as exc:
         return (type(exc).__name__, str(exc)), False
@@ -140,7 +142,7 @@ def _drive(compiled, ops):
 
 
 def _pump():
-    return [("step", 1000 * t, "A", {"v": 1.5}, 1 + t % 2) for t in range(1, _PUMP)]
+    return [("step", 1000 * t, [("A", {"v": 1.5})], 1 + t % 2) for t in range(1, _PUMP)]
 
 
 @settings(max_examples=300, deadline=None)
@@ -171,9 +173,9 @@ def test_merging_kept_cells_leaves_the_variable_cells_alone(semantics, width):
     # are merged into a copy, not into the cells that B still holds.
     query = make_query(pattern="SEQ(A+, B+)", where="A.v < B.v", semantics=semantics,
                        returns="COUNT(*), SUM(B.v), MAX(A.v)")
-    ops = [("step", 1000, "A", {"v": 0}, width), ("step", 2000, "B", {"v": 3}, width),
-           ("step", 3000, "B", {"v": 4}, width), ("end",), ("close",),
-           ("step", 4000, "A", {"v": 1}, width), ("step", 5000, "B", {"v": 2}, width)]
+    ops = [("step", 1000, [("A", {"v": 0})], width), ("step", 2000, [("B", {"v": 3})], width),
+           ("step", 3000, [("B", {"v": 4})], width), ("close",),
+           ("step", 4000, [("A", {"v": 1})], width), ("step", 5000, [("B", {"v": 2})], width)]
     assert _drive(compile_query(query), ops) is None
 
 
@@ -187,8 +189,7 @@ def test_a_tie_of_signed_zeros_keeps_the_older_min_and_max(semantics, first, sec
                        returns="COUNT(*), MIN(A.v), MAX(A.v)",
                        schema=Schema({"A": {"v": "float"}}))
     for width in (1, 2):
-        ops = [("step", 1000, "A", {"v": first}, width),
-               ("step", 1000, "A", {"v": second}, width), ("end",)]
+        ops = [("step", 1000, [("A", {"v": first}), ("A", {"v": second})], width)]
         assert _drive(compile_query(query), ops) is None
     engine = Engine(query).run([Event(1000, "A", {"v": first}),
                                 Event(1000, "A", {"v": second})])
@@ -203,8 +204,8 @@ def test_an_overflow_comes_before_a_later_slots_missing_attribute(width):
     # later slot reads: the slot that fails first names the error.
     query = make_query(pattern="A+", returns="SUM(A.v), SUM(A.w)",
                        schema=Schema({"A": {"v": "float", "w": "float"}}))
-    ops = [("step", 1000 * t, "A", {"v": 1, "w": 1}, width) for t in range(1, _PUMP)]
-    ops.append(("step", 1000 * _PUMP, "A", {"v": 1.5}, width))
+    ops = [("step", 1000 * t, [("A", {"v": 1, "w": 1})], width) for t in range(1, _PUMP)]
+    ops.append(("step", 1000 * _PUMP, [("A", {"v": 1.5})], width))
     assert _drive(compile_query(query), ops) == (
         "AggregateOverflow",
         "the sum of A.v exceeds the float range: int too large to convert to float",

@@ -22,9 +22,13 @@ from trendagg import (
 )
 from trendagg._kernels_py import MixedKernel
 from trendagg.cli import oracle_rows
-from trendagg.errors import MissingGroupAttribute, OutOfOrder
+from trendagg.errors import (
+    AggregateOverflow,
+    MissingAttribute,
+    MissingGroupAttribute,
+    OutOfOrder,
+)
 from trendagg.query import RoleProbe
-from trendagg.windows import route
 
 from conftest import fine_manager, make_query, row_tuples
 from query_reference import matchable_variables
@@ -79,12 +83,14 @@ class TestWindowArithmetic:
         time = data.draw(st.integers(0, 3 * within) | st.integers(0, 10**12), label="time")
         manager = WindowManager(make_query(within=f"{within} ms", slide=f"{slide} ms"))
         manager.ingest(Event(time, "A", {"v": 1}))
+        manager._step_pending()  # as the stream moving past ``time`` would
         first = windows_of(time, spec)
         kernel = manager._engines[()].kernel
         assert (kernel.base, kernel.width) == (first[0], len(first))
         # A later event before the oldest window ends opens only the rest.
         later = time + data.draw(st.integers(0, spec.end_of(first[0]) - time - 1))
         manager.ingest(Event(later, "A", {"v": 1}))
+        manager._step_pending()
         second = windows_of(later, spec)
         assert (kernel.base, kernel.width) == (first[0], len(second))
 
@@ -174,6 +180,8 @@ class TestLifecycle:
         assert snapshot.entries == 1  # the kept event of 2 s, in window 2
         assert len(kernel.final_acc) == 3 * kernel.plan.k
         rows += manager.ingest(events[3])
+        assert (kernel._stale, kernel._dead) == (2, 1)  # 4.5 s is not stepped yet
+        rows += manager.close_expired(4501)  # the stream is past 4.5 s
         assert (kernel._stale, kernel._dead) == (0, 0)
         assert [t for t, _, _ in kernel.snapshot().stored] == [2000, 4500]
         assert len(kernel.final_acc) == kernel.width * kernel.plan.k
@@ -181,14 +189,16 @@ class TestLifecycle:
         assert row_tuples(rows) == row_tuples(oracle_rows(query, events))
 
     def test_closing_ahead_of_the_stream_ends_the_timestamp(self):
-        # A key dropped by an explicit close while its timestamp lasted must
-        # not have its tie state freed a second time later.
+        # An explicit close past the last timestamp steps its events before
+        # it closes their windows, and drops the key it empties.
         manager = WindowManager(make_query(pattern="A+", within="10 s"))
         manager.ingest(_ev(1000, "A"))
         manager.ingest(_ev(2000, "A"))
         assert [r.values for r in manager.close_expired(20000)] == [{"COUNT(*)": 3}]
         assert manager.current_entries == 0
         manager.ingest(_ev(20000, "A"))
+        assert manager.current_entries == 0  # held while its timestamp lasts
+        assert manager.close_expired(20001) == []
         assert manager.current_entries == 1  # the cell of 20 s
 
     def test_rows_are_frozen_dataclasses(self):
@@ -505,12 +515,11 @@ def test_the_fine_plan_follows_past_the_oracle():
 
 
 def _recount(kernel):
-    """A kernel's entries counted from its state: each type cell and shadow
-    once per open window it reaches, each kept event once per open window
-    that holds it."""
+    """A kernel's entries counted from its state: each type cell once per
+    open window it reaches, each kept event once per open window that
+    holds it."""
     k = kernel.plan.k
-    vectors = [*kernel.type_cells.values(), *kernel._shadow.values()]
-    cells = sum(max(0, len(v) // k - kernel._stale) for v in vectors)
+    cells = sum(max(0, len(v) // k - kernel._stale) for v in kernel.type_cells.values())
     held = sum(max(0, f + len(c) // k - kernel.base) for _, _, f, c in kernel.events)
     return cells + held
 
@@ -519,9 +528,9 @@ def _recount(kernel):
 @given(data=st.data())
 def test_closed_windows_are_trimmed_at_the_next_step(data):
     """Keys left idle across several closes keep their closed windows until
-    their next step; the entry count stays logical all along, each kernel
-    keeps its own count current, and only the kernels that stepped at the
-    current timestamp hold a shadow."""
+    their next step; the entry count stays logical all along, and each
+    kernel keeps its own count current. A timestamp's events are held
+    until the stream moves past it, and each key's are stepped at once."""
     semantics, pattern, where, returns = data.draw(st.sampled_from(_WINDOWED_FAMILIES))
     slide = data.draw(st.sampled_from((1000, 1500)))
     within = slide * data.draw(st.integers(2, 5)) + data.draw(st.sampled_from((0, 500)))
@@ -550,7 +559,32 @@ def test_closed_windows_are_trimmed_at_the_next_step(data):
     manager = WindowManager(query, emit_empty=emit_empty)
     k = manager.compiled.k
     got = []
+
+    def step_held():
+        """Step the held timestamp, as ``ingest`` would first do, and check
+        the kernels that stepped: nothing stale, vectors within bounds."""
+        stepped = list(manager._pending)
+        manager._step_pending()
+        assert not manager._pending
+        for key in stepped:
+            engine = manager._engines.get(key)
+            if engine is None:  # a gap alone, for a key with no window
+                continue
+            kernel = engine.kernel
+            assert kernel._stale == 0
+            # A type cell reaches from the oldest open window to at most
+            # the newest; past its end it reads as the identity.
+            assert all(0 < len(v) <= kernel.width * k for v in kernel.type_cells.values())
+            if kernel.final_acc is not None:
+                assert len(kernel.final_acc) == kernel.width * k
+            held = [f + len(c) // k - kernel.base for _, _, f, c in kernel.events]
+            assert all(n > 0 for n in held)  # no kept event outlived its windows
+            assert kernel.roles == [r for _, r, _, _ in kernel.events]
+            assert {len(c) for c in kernel.columns.values()} <= {len(kernel.events)}
+
     for event in events:
+        if event.time != manager._last_time:
+            step_held()
         got += manager.ingest(event)
         kernels = [e.kernel for e in manager._engines.values()]
         counts = [_recount(kernel) for kernel in kernels]
@@ -563,25 +597,7 @@ def test_closed_windows_are_trimmed_at_the_next_step(data):
             assert manager._min_end == manager.spec.end_of(manager._first_wid)
         else:
             assert manager._min_end == float("inf")
-        for kernel in kernels:
-            assert kernel.time in (None, event.time)
-            if kernel.time is None:  # its timestamp ended as the stream moved on
-                assert not kernel._shadow
-        routed = route(event, manager._probe, manager._key_of, manager._cont)
-        if routed is None or routed[1] not in manager._engines:
-            continue
-        kernel = manager._engines[routed[1]].kernel  # it just stepped: nothing stale
-        assert kernel._stale == 0
-        # A type cell or shadow reaches from the oldest open window to at
-        # most the newest; past its end it reads as the identity.
-        assert all(0 < len(v) <= kernel.width * k for v in kernel.type_cells.values())
-        assert all(len(v) <= kernel.width * k for v in kernel._shadow.values())
-        if kernel.final_acc is not None:
-            assert len(kernel.final_acc) == kernel.width * k
-        held = [f + len(c) // k - kernel.base for _, _, f, c in kernel.events]
-        assert all(n > 0 for n in held)  # no kept event outlived its windows
-        assert kernel.roles == [r for _, r, _, _ in kernel.events]
-        assert {len(c) for c in kernel.columns.values()} <= {len(kernel.events)}
+    step_held()
     got += manager.finish()
     assert manager.current_entries == 0
     want = oracle_rows(query, events, emit_empty=emit_empty)
@@ -615,11 +631,21 @@ def test_snapshot_after_a_close_reads_the_new_oldest_window(where, data):
         if engine is not None and engine.kernel._stale:
             wid = manager._first_wid
             start, end = spec.start_of(wid), spec.end_of(wid)
-            reference = Engine(query).run(e for e in events if start <= e.time < end)
-            reference.kernel.end_timestamp()
+            # The events at ``t`` are held, not stepped, until the stream
+            # moves past ``t``.
+            reference = Engine(query).run(
+                e for e in events if start <= e.time < min(end, t)
+            )
             got, want = engine.kernel.snapshot(), reference.kernel.snapshot()
             assert got.final == want.final
-            assert got.counts == want.counts
+            # A cell that counts no trend in a window is the identity there,
+            # as no cell is. Under any, a variable on no trend in every
+            # window holds no cell, while a key's vector may hold a zero in
+            # some of its windows.
+            def trends(counts):
+                return {r: n for r, n in counts.items() if n}
+
+            assert trends(got.counts) == trends(want.counts)
             assert got.stored == want.stored
         manager.ingest(event)
         events.append(event)
@@ -639,7 +665,6 @@ def test_gap_before_a_key_opens_counts_in_its_timestamp():
     manager.close_expired(2000)
     kernel = manager._engines[()].kernel
     reference = Engine(query).run([_ev(1000, "C"), _ev(1000, "B")])
-    reference.kernel.end_timestamp()
     assert kernel.snapshot().counts == reference.kernel.snapshot().counts == {}
     assert manager.current_entries == kernel.entry_count == 0
 
@@ -681,3 +706,67 @@ def test_traced_entry_points_stay_in_the_path(monkeypatch, semantics):
     assert len(calls["RoleProbe"]) == manager.events_ingested == len(events)
     assert sum(1 for roles in calls["RoleProbe"] if roles) == matched
     assert len(calls["Engine"]) == len(calls["MixedKernel"]) == matched
+
+
+class TestHeldTimestamp:
+    """What a library caller sees while the manager holds the events of the
+    current timestamp: they are stepped, key by key, only once the stream
+    moves past it."""
+
+    VW_SCHEMA = Schema({"A": {"v": "float", "w": "float", "g": "int"}})
+
+    @pytest.mark.parametrize("then", ["ingest", "close_expired", "finish"])
+    def test_a_missing_attribute_surfaces_once_the_stream_moves_on(self, then):
+        query = make_query(pattern="A+", returns="COUNT(*), SUM(A.v)", schema=FLOAT_SCHEMA)
+        manager = WindowManager(query)
+        assert manager.ingest(Event(1000, "A", {})) == []  # lacks v: held
+        assert manager.ingest(Event(1000, "A", {"v": 1.0})) == []  # a tie: held too
+        with pytest.raises(MissingAttribute, match=r"A\.v"):
+            if then == "ingest":
+                manager.ingest(Event(2000, "A", {"v": 2.0}))
+            elif then == "close_expired":
+                manager.close_expired(1001)
+            else:
+                manager.finish()
+
+    def test_an_overflow_surfaces_at_the_next_later_ingest(self):
+        # Each A doubles the trend count; at about 2^1024 trends the float
+        # sum of A.v overflows. The event that overflows fails when the
+        # event after it arrives.
+        query = make_query(pattern="A+", returns="SUM(A.v)", within="2000 s",
+                           schema=FLOAT_SCHEMA)
+        events = [Event(1000 * t, "A", {"v": 1.5}) for t in range(1, 1100)]
+        manager = WindowManager(query, emit_empty=True)
+        with pytest.raises(AggregateOverflow):
+            for event in events:
+                manager.ingest(event)
+        failed = manager.events_ingested  # the events fed before the raise
+        Engine(query).run(events[: failed - 1])
+        with pytest.raises(AggregateOverflow):
+            Engine(query).run(events[:failed])
+
+    def test_errors_come_one_key_group_at_a_time(self):
+        # Key 2's event lacks v and arrives before key 1's second event,
+        # which lacks w. Key 1 arrived first at this time, so its events
+        # are stepped first, and its error is the one raised.
+        query = make_query(pattern="A+", returns="g, SUM(A.v), SUM(A.w)",
+                           group_by="g", schema=self.VW_SCHEMA)
+        manager = WindowManager(query)
+        for attrs in ({"v": 1.0, "w": 1.0, "g": 1}, {"w": 1.0, "g": 2},
+                      {"v": 1.0, "g": 1}):
+            manager.ingest(Event(1000, "A", attrs))
+        with pytest.raises(MissingAttribute, match=r"A\.w"):
+            manager.finish()
+
+    def test_state_read_after_an_ingest_leaves_out_its_timestamp(self):
+        query = make_query(pattern="A+", schema=FLOAT_SCHEMA)
+        manager = WindowManager(query)
+        manager.ingest(Event(1000, "A", {"v": 1.0}))
+        assert (manager.current_entries, manager._engines) == (0, {})
+        manager.ingest(Event(2000, "A", {"v": 1.0}))
+        kernel = manager._engines[()].kernel
+        assert manager.current_entries == 1
+        assert kernel.snapshot() == (1, {"A": 1}, [], 1)  # a1 only
+        manager.ingest(Event(2000, "A", {"v": 1.0}))
+        assert kernel.snapshot() == (1, {"A": 1}, [], 1)
+        assert [r.values for r in manager.finish()] == [{"COUNT(*)": 5}]
