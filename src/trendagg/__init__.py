@@ -47,7 +47,6 @@ from .pattern import (
     Plus,
     Seq,
     TypeAtom,
-    compile_template,
     parse_pattern,
 )
 from .query import (
@@ -55,8 +54,6 @@ from .query import (
     AggKind,
     AggSpec,
     Equivalence,
-    Granularity,
-    GranularityPlan,
     Local,
     Op,
     Query,
@@ -79,8 +76,6 @@ __all__ = [
     "Equivalence",
     "Event",
     "ExplosionGuard",
-    "Granularity",
-    "GranularityPlan",
     "InputError",
     "Local",
     "MalformedRow",
@@ -107,7 +102,6 @@ __all__ = [
     "aggregate_trends",
     "build_engine",
     "classify_and_plan",
-    "compile_template",
     "enumerate_any",
     "enumerate_cont",
     "enumerate_next",

@@ -124,8 +124,8 @@ class MixedKernel:
     * skip-till-any-match: everything before the event's timestamp. A
       variable's cells then hold all of its trends, and the end variable's
       cells are the final ones. An event of a variable other than the
-      start that is on no trend in any window is not kept: it can pass
-      nothing on.
+      start that is on no trend in any open window can pass nothing on:
+      it is not kept, or no longer (see ``_trim``).
     * skip-till-next-match: an open chain must take the first event that
       can extend it, so a predecessor leaves the readable state once an
       event reads it, also for the later events of the same timestamp.
@@ -146,15 +146,17 @@ class MixedKernel:
         self.events = []  # (time, role, first window, cells) in arrival order
         self.roles = []  # role of each kept event
         self._one_role = len(plan.event_grained) == 1
-        self.columns = {a: [] for checks in plan.theta.values() for a, _, _ in checks}
+        # The variables whose state is dropped once it counts no trend in
+        # any open window (see ``_trim``).
+        self._fading = set(plan.type_preds) - {plan.start} if plan.cumulative else set()
+        self.columns = {
+            a: [] for kept in plan.kept_preds.values() for _, checks in kept
+            for a, _, _ in checks
+        }
         self._absent = {a: _Absent(a) for a in self.columns}
         # The end variable's trends: in its type cells under
         # skip-till-any-match, otherwise merged here as they finish.
-        self.final_acc = (
-            None
-            if plan.cumulative and plan.end not in plan.event_grained
-            else plan.identity.copy()
-        )
+        self.final_acc = plan.identity.copy() if plan.final else None
         # (cell vector or kept event, open window) pairs.
         self.entry_count = 0
         self._stale = 0  # closed windows still at the front of the vectors
@@ -240,13 +242,22 @@ class MixedKernel:
     def _trim(self):
         """Cut the windows closed since the last step off the vectors, and
         the kept events that hold none of the open ones. A type cell that
-        ends in a closed window goes."""
-        cut = self._stale * self.plan.k
+        ends in a closed window goes. Under skip-till-any-match, so does
+        the state of a variable other than the start that counts no trend
+        in any open window: such a type cell reads like an absent one, and
+        such a kept event never changes, and every later event falls into
+        the open windows, so it can pass nothing on."""
+        k = self.plan.k
+        cut = self._stale * k
         self._stale = 0
+        fading = self._fading
         if self.type_cells:
-            self.type_cells = {
+            self.type_cells = cells = {
                 r: c[cut:] for r, c in self.type_cells.items() if len(c) > cut
             }
+            for r in fading.intersection(cells):
+                if not any(cells[r][::k]):
+                    self.entry_count -= len(cells.pop(r)) // k
         if self.final_acc is not None:  # never handed out: cut in place
             del self.final_acc[:cut]
         dead = self._dead
@@ -255,6 +266,12 @@ class MixedKernel:
             del self.events[:dead], self.roles[:dead]
             for column in self.columns.values():
                 del column[:dead]
+        if fading and self.events:
+            base = self.base
+            self._forget([
+                i for i, (_, r, first, c) in enumerate(self.events)
+                if r in fading and not any(c[(base - first) * k :: k])
+            ])
 
     def final_cell(self):
         k = self.plan.k
@@ -305,7 +322,6 @@ def compile_step(plan, cells):
     enter the source only as ``repr()`` literals. Returns the function and
     its source."""
     k = plan.k
-    has_final = not (plan.cumulative and plan.end not in plan.event_grained)
     roles = sorted(plan.type_preds)
     typed = any(r not in plan.event_grained for r in roles)
     lines = [
@@ -315,7 +331,7 @@ def compile_step(plan, cells):
         "    w = self.width",
         "    if width > w:",
     ]
-    if has_final:
+    if plan.final:
         lines.append("        self.final_acc += identity * (width - w)")
     lines.append("        self.width = w = width")
     if any(plan.type_preds.values()):
@@ -326,9 +342,7 @@ def compile_step(plan, cells):
             "    grown = 0  # slots added to the type cells",
         ]
     lines += ["    out = []", "    for roles, attrs in group:", "        for r in roles:"]
-    lines += _by_role(
-        roles, 12, lambda n, r: _read_source(plan, cells, n, r, has_final)
-    )
+    lines += _by_role(roles, 12, lambda n, r: _read_source(plan, cells, n, r))
     # Every event has read: write the group's new cells.
     writes = "out"
     if plan.cont:
@@ -400,7 +414,7 @@ def _by_role(roles, depth, block):
     return lines
 
 
-def _read_source(plan, cells, n, r, has_final):
+def _read_source(plan, cells, n, r):
     """The lines that read the predecessors of an ``r``-event and absorb
     it, ``r`` being the ``n``-th variable in name order."""
     k = plan.k
@@ -459,7 +473,7 @@ def _read_source(plan, cells, n, r, has_final):
     # inline; wider vectors call the absorb and ``merge``.
     one = [*cells.absorb_one[r], f"cell = [{', '.join(f'c{s}' for s in range(k))}]"]
     many = [f"cell = absorb_{n}(pred, attrs)"]
-    if r == plan.end and has_final:
+    if r == plan.end and plan.final:
         one += [
             unpack("f", k, "self.final_acc"),
             f"self.final_acc = {cells.merge_one('f', 'c')}",

@@ -22,7 +22,6 @@ from operator import attrgetter
 from ._kernels_py import MixedKernel, compile_step
 from .cells import build_accumulators, compile_cells, identity_cell
 from .query import (
-    GranularityPlan,
     Query,
     RoleProbe,
     Semantics,
@@ -34,17 +33,20 @@ from .query import (
 
 CompiledQuery = namedtuple(
     "CompiledQuery",
-    "plan probe start end theta event_grained cumulative consume cont "
+    "probe start end event_grained final cumulative consume cont "
     "absorb merge readout additive source k identity type_preds kept_preds step",
 )
 
 
-def compile_query(query: Query, plan: GranularityPlan | None = None) -> CompiledQuery:
+def compile_query(query: Query, event_grained: frozenset | None = None) -> CompiledQuery:
     """Plan a query once; every engine of a run shares the result.
 
-    ``plan`` overrides the coarsest granularity that ``classify_and_plan``
-    picks. The fields past ``probe`` are what the kernel reads:
-    ``absorb``, ``merge``, ``readout`` and ``additive`` come from
+    ``event_grained``, the variables whose events are kept individually,
+    overrides the coarsest granularity that ``classify_and_plan`` picks.
+    The fields past ``probe`` are what the kernel reads: ``final`` says
+    whether the end variable's trends need cells of their own (its type
+    cells hold them only under skip-till-any-match); ``absorb``,
+    ``merge``, ``readout`` and ``additive`` come from
     ``cells.compile_cells``; ``type_preds`` and ``kept_preds`` split
     each variable's predecessors by granularity, and ``kept_preds`` pairs
     each event-grained one with its adjacency checks. A cell has ``k``
@@ -52,8 +54,8 @@ def compile_query(query: Query, plan: GranularityPlan | None = None) -> Compiled
     generates from the other fields and the cells' one-window lines;
     ``source`` is the generated text of the cell functions and the step."""
     check_supported(query)
-    if plan is None:
-        plan = classify_and_plan(query)
+    if event_grained is None:
+        event_grained = classify_and_plan(query)
     template = query.template
     roles = tuple(sorted(template.types))
     preds = {r: tuple(sorted(template.pred_types[r])) for r in roles}
@@ -62,15 +64,14 @@ def compile_query(query: Query, plan: GranularityPlan | None = None) -> Compiled
     code = compile_cells(
         accs, extractors, aggregate_names(query), roles, template.start_type
     )
-    event_grained = plan.event_grained
+    cumulative = query.semantics is Semantics.ANY
     compiled = CompiledQuery(
-        plan=plan,
         probe=RoleProbe(query),
         start=template.start_type,
         end=template.end_type,
-        theta=theta,
         event_grained=event_grained,
-        cumulative=query.semantics is Semantics.ANY,
+        final=not (cumulative and template.end_type not in event_grained),
+        cumulative=cumulative,
         consume=query.semantics is Semantics.NEXT,
         cont=query.semantics is Semantics.CONT,
         absorb=code.absorb,
@@ -105,7 +106,6 @@ class Engine:
 
     def __init__(self, query: Query, compiled: CompiledQuery | None = None):
         self.compiled = compiled if compiled is not None else compile_query(query)
-        self.plan = self.compiled.plan
         self.kernel = MixedKernel(self.compiled)
         self.peak_entries = self.kernel.entry_count
 

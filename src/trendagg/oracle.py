@@ -40,7 +40,7 @@ from __future__ import annotations
 from collections import Counter, namedtuple
 
 from .errors import ExplosionGuard, MissingAttribute, UnsupportedQuery
-from .query import AggKind, Query, RoleProbe, Semantics, check_adjacent
+from .query import AggKind, Query, RoleProbe, Semantics
 
 DEFAULT_CAP = 1_000_000
 
@@ -56,15 +56,28 @@ def _matchable(events, query):
     return out
 
 
-def _adjacent(query, prev: Occurrence, nxt: Occurrence) -> bool:
-    return check_adjacent(
-        query.template,
-        query.predicates,
-        prev.event,
-        nxt.event,
-        prev_variable=prev.variable,
-        next_variable=nxt.variable,
-    )
+def _adjacency(query):
+    """May occurrence ``nxt`` directly follow ``prev`` inside a trend? The
+    predecessor relation must allow the pair, time must strictly increase,
+    and each of the pair's checks in ``Query.adjacency`` must hold."""
+    preds, table = query.template.pred_types, query.adjacency
+
+    def adjacent(prev: Occurrence, nxt: Occurrence) -> bool:
+        if prev.variable not in preds[nxt.variable] or prev.event.time >= nxt.event.time:
+            return False
+        for prev_attr, op, next_attr in table.get((prev.variable, nxt.variable), ()):
+            try:
+                a, b = prev.event.attrs[prev_attr], nxt.event.attrs[next_attr]
+            except KeyError as exc:
+                raise MissingAttribute(
+                    f"adjacency predicate needs attribute {exc.args[0]}, "
+                    "absent on event"
+                ) from None
+            if not op(a, b):
+                return False
+        return True
+
+    return adjacent
 
 
 def _search(events, query: Query, cap: int, contiguous: bool):
@@ -75,6 +88,7 @@ def _search(events, query: Query, cap: int, contiguous: bool):
     times = sorted({ev.time for ev in events})
     following = dict(zip(times, times[1:]))
     ties = Counter(ev.time for ev in events)
+    adjacent = _adjacency(query)
 
     def may_follow(trend, occ):
         if not trend:
@@ -85,7 +99,7 @@ def _search(events, query: Query, cap: int, contiguous: bool):
             or len(trend) > 1 and ties[last.event.time] > 1
         ):
             return False
-        return _adjacent(query, last, occ)
+        return adjacent(last, occ)
 
     n = len(candidates)
     found = 0
@@ -124,13 +138,14 @@ def enumerate_next(events, query: Query, cap: int = DEFAULT_CAP):
         raise UnsupportedQuery(
             "skip-till-next-match needs an unambiguous variable per event"
         )
+    adjacent = _adjacency(query)
     found = 0
     for k, first in enumerate(candidates):
         if first.variable != template.start_type:
             continue
         chain = []
         for occ in candidates[k:]:
-            if chain and not _adjacent(query, chain[-1], occ):
+            if chain and not adjacent(chain[-1], occ):
                 continue
             chain.append(occ)
             if occ.variable == template.end_type:

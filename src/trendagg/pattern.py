@@ -91,11 +91,6 @@ def analyze_pattern(pattern: Pattern) -> tuple[PatternTemplate, dict]:
     return PatternTemplate(start_type=start, end_type=end, pred_types=preds), sources
 
 
-def compile_template(pattern: Pattern) -> PatternTemplate:
-    """Derive start/end variables and the predecessor relation."""
-    return analyze_pattern(pattern)[0]
-
-
 _TOKEN = re.compile(r"\s*([A-Za-z_][A-Za-z0-9_]*|[(),+])")
 
 

@@ -21,12 +21,11 @@ from __future__ import annotations
 import enum
 import operator
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Union
 
 from .errors import (
     InputError,
-    MissingAttribute,
     QuerySyntaxError,
     UnknownAttribute,
     UnknownType,
@@ -130,18 +129,6 @@ class AggSpec:
         if self.kind is AggKind.COUNT:
             return f"COUNT({self.variable})"
         return f"{self.kind.value}({self.variable}.{self.attr})"
-
-
-class Granularity(enum.Enum):
-    TYPE = "type"
-    MIXED = "mixed"
-
-
-@dataclass(frozen=True)
-class GranularityPlan:
-    mode: Granularity
-    event_grained: frozenset  # variables whose events must be kept
-    type_grained: frozenset   # variables folded into one cell each
 
 
 @dataclass(frozen=True)
@@ -503,8 +490,9 @@ def check_supported(query: Query) -> None:
         )
 
 
-def classify_and_plan(query: Query) -> GranularityPlan:
-    """Choose the coarsest exact aggregation granularity.
+def classify_and_plan(query: Query) -> frozenset:
+    """Choose the coarsest exact aggregation granularity: the variables
+    whose events are kept individually. An empty set is type granularity.
 
     The rule is the same under all three semantics. Whole variables fold
     into per-variable cells - unless an adjacency predicate forces
@@ -512,55 +500,7 @@ def classify_and_plan(query: Query) -> GranularityPlan:
     future successor must be checked against each of them. The semantics
     change only which of those cells and events an event may read.
     """
-    variables = frozenset(query.template.types)
-    if not query.adjacent_predicates:
-        return GranularityPlan(Granularity.TYPE, frozenset(), variables)
-    event_grained = frozenset(prev for prev, _ in query.adjacency)
-    return GranularityPlan(
-        Granularity.MIXED, event_grained, variables - event_grained
-    )
-
-
-# --------------------------------------------------------------------------
-# Runtime adjacency check
-
-def check_adjacent(
-    template: PatternTemplate,
-    predicates,
-    prev: Event,
-    nxt: Event,
-    prev_variable: Optional[str] = None,
-    next_variable: Optional[str] = None,
-) -> bool:
-    """May ``nxt`` directly follow ``prev`` inside a trend?
-
-    True iff the predecessor relation allows the pair, time strictly
-    increases, and every adjacency predicate bound to this variable pair
-    holds. Variables default to the events' types for unaliased patterns.
-    """
-    pv = prev_variable if prev_variable is not None else prev.etype
-    nv = next_variable if next_variable is not None else nxt.etype
-    if pv not in template.pred_types.get(nv, ()):
-        return False
-    if not prev.time < nxt.time:
-        return False
-    for p in predicates:
-        if (
-            isinstance(p, Adjacent)
-            and p.prev_variable == pv
-            and p.next_variable == nv
-        ):
-            try:
-                a = prev.attrs[p.prev_attr]
-                b = nxt.attrs[p.next_attr]
-            except KeyError as exc:
-                raise MissingAttribute(
-                    f"adjacency predicate needs attribute {exc.args[0]}, "
-                    "absent on event"
-                ) from None
-            if not p.op.apply(a, b):
-                return False
-    return True
+    return frozenset(prev for prev, _ in query.adjacency)
 
 
 class RoleProbe:

@@ -232,9 +232,13 @@ class WindowManager:
         yield from self.finish()
 
     def close_expired(self, now_ms: int):
-        """Emit and drop every window that ended at or before ``now_ms``."""
-        if now_ms > self._last_time and self._pending:  # the stream is past them
-            self._step_pending()
+        """Emit and drop every window that ended at or before ``now_ms``.
+        The stream is then at ``now_ms``: a later event before it raises
+        ``OutOfOrder``."""
+        if now_ms > self._last_time:  # the stream is past the held events
+            if self._pending:
+                self._step_pending()
+            self._last_time = now_ms
         rows = []
         while now_ms >= self._min_end:
             self._close_oldest(rows)

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import strategies as st
 
-from trendagg import Event, Granularity, GranularityPlan, Schema, WindowManager, parse_query
+from trendagg import Event, Schema, WindowManager, parse_query
 from trendagg.engines import compile_query
 
 # A/B/C event types, one int attribute each. The showcase stream below is
@@ -65,10 +65,7 @@ def fine_manager(query, emit_empty=False):
     the coarse plan and polynomial, so it is a second reference where the
     enumerating oracle cannot follow."""
     manager = WindowManager(query, emit_empty=emit_empty)
-    fine = GranularityPlan(
-        Granularity.MIXED, frozenset(query.template.types), frozenset()
-    )
-    manager.compiled = compile_query(query, fine)
+    manager.compiled = compile_query(query, frozenset(query.template.types))
     return manager
 
 

@@ -18,7 +18,6 @@ import pytest
 
 from trendagg import (
     Event,
-    Granularity,
     Schema,
     WindowManager,
     WindowSpec,
@@ -223,26 +222,24 @@ def test_criterion_3_oracle_equivalence(capsys):
 def test_criterion_4_granularity_plan(capsys):
     with verdict(capsys, "criterion 4 (granularity-plan conformance)"):
         grid = [
-            # semantics, pattern, where, expected mode, event-grained set
-            ("any", "(SEQ(A+, B))+", None, Granularity.TYPE, set()),
-            ("any", "(SEQ(A+, B))+", "A.v > 3", Granularity.TYPE, set()),
-            ("any", "(SEQ(A+, B))+", "B.v < A.v", Granularity.MIXED, {"B"}),
-            ("any", "(SEQ(A+, B))+", "A.v <= B.v", Granularity.MIXED, {"A"}),
-            ("any", "(SEQ(A+, B))+", "B.v < A.v AND A.v <= B.v",
-             Granularity.MIXED, {"A", "B"}),
-            ("any", "A+", "A.v < NEXT(A).v", Granularity.MIXED, {"A"}),
-            ("next", "(SEQ(A+, B))+", None, Granularity.TYPE, set()),
-            ("next", "(SEQ(A+, B))+", "B.v < A.v", Granularity.MIXED, {"B"}),
-            ("next", "A+", None, Granularity.TYPE, set()),
-            ("cont", "(SEQ(A+, B))+", None, Granularity.TYPE, set()),
-            ("cont", "(SEQ(A+, B))+", "A.v <= B.v", Granularity.MIXED, {"A"}),
-            ("cont", "SEQ(A, B)", None, Granularity.TYPE, set()),
+            # semantics, pattern, where, event-grained set (empty: type granularity)
+            ("any", "(SEQ(A+, B))+", None, set()),
+            ("any", "(SEQ(A+, B))+", "A.v > 3", set()),
+            ("any", "(SEQ(A+, B))+", "B.v < A.v", {"B"}),
+            ("any", "(SEQ(A+, B))+", "A.v <= B.v", {"A"}),
+            ("any", "(SEQ(A+, B))+", "B.v < A.v AND A.v <= B.v", {"A", "B"}),
+            ("any", "A+", "A.v < NEXT(A).v", {"A"}),
+            ("next", "(SEQ(A+, B))+", None, set()),
+            ("next", "(SEQ(A+, B))+", "B.v < A.v", {"B"}),
+            ("next", "A+", None, set()),
+            ("cont", "(SEQ(A+, B))+", None, set()),
+            ("cont", "(SEQ(A+, B))+", "A.v <= B.v", {"A"}),
+            ("cont", "SEQ(A, B)", None, set()),
         ]
-        for semantics, pattern, where, mode, grained in grid:
+        for semantics, pattern, where, grained in grid:
             query = make_query(pattern=pattern, semantics=semantics, where=where)
             plan = classify_and_plan(query)
-            assert plan.mode is mode, (semantics, pattern, where)
-            assert plan.event_grained == frozenset(grained), (semantics, pattern, where)
+            assert plan == frozenset(grained), (semantics, pattern, where)
 
 
 def test_criterion_5_space_bounds(capsys, transport_runs):

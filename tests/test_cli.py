@@ -250,26 +250,31 @@ class TestOracle:
         )
 
     @pytest.mark.parametrize(
-        "pattern, where, rows",
+        "pattern, where, window, rows, out",
         [
             # The first B has no A before it; the second lacks v.
-            ("SEQ(A, B+)", "B.v < NEXT(B).v", "1,B,1\n2,B,\n3,A,1\n"),
-            ("SEQ(A, B, C)", "B.v < C.v", "1,B,1\n2,C,\n"),
+            ("SEQ(A, B+)", "B.v < NEXT(B).v", "WITHIN 100 s",
+             "1,B,1\n2,B,\n3,A,1\n", ["0,0,100000,0"]),
+            ("SEQ(A, B, C)", "B.v < C.v", "WITHIN 100 s", "1,B,1\n2,C,\n", ["0,0,100000,0"]),
+            # B@6 s is on a trend in window 0 only, which closes at 10 s;
+            # B@12 s lacks v.
+            ("SEQ(A, B+)", "B.v < NEXT(B).v", "WITHIN 10 s SLIDE 5 s",
+             "1,A,1\n6,B,1\n12,B,\n", ["0,0,10000,1", "1,5000,15000,0", "2,10000,20000,0"]),
         ],
-        ids=["kleene", "seq"],
+        ids=["kleene", "seq", "sliding"],
     )
     def test_a_stored_event_on_no_trend_is_never_checked(
-        self, workdir, capsys, pattern, where, rows
+        self, workdir, capsys, pattern, where, window, rows, out
     ):
         # Under any, an event of a variable other than the start that is on
-        # no trend is not kept, so no later event is checked against it, as
-        # in the oracle, which checks only events that extend a trend.
+        # no trend in any open window is not kept, or no longer, so no later
+        # event is checked against it, as in the oracle, which checks only
+        # events that extend a trend.
         schema = '{"A": {"v": "float"}, "B": {"v": "float"}, "C": {"v": "float"}}'
         (workdir / "abc.json").write_text(schema)
         (workdir / "abc.csv").write_text("time,type,v\n" + rows)
         (workdir / "abc.txt").write_text(
-            f"RETURN COUNT(*) PATTERN {pattern} SEMANTICS any WHERE {where} "
-            "WITHIN 100 s\n"
+            f"RETURN COUNT(*) PATTERN {pattern} SEMANTICS any WHERE {where} {window}\n"
         )
         outcomes = []
         for command in ("run", "oracle"):
@@ -281,10 +286,9 @@ class TestOracle:
             err = re.sub(r"(, peak state \d+ entries| \(oracle\))\n$", "\n", captured.err)
             outcomes.append((code, captured.out, err))
         assert outcomes[0] == outcomes[1]
-        code, out, _ = outcomes[0]
-        assert (code, out.splitlines()) == (
-            0, ["wid,window_start_ms,window_end_ms,COUNT(*)", "0,0,100000,0"]
-        )
+        assert outcomes[0][:2] == (0, "".join(
+            f"{line}\r\n" for line in ["wid,window_start_ms,window_end_ms,COUNT(*)", *out]
+        ))
 
     @pytest.mark.parametrize("command", ["run", "oracle"])
     def test_a_quoted_constant_may_hold_and_or_a_clause_keyword(

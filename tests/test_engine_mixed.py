@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from trendagg import (
     Event,
-    Granularity,
     MissingAttribute,
     Schema,
     WindowManager,
@@ -37,8 +36,7 @@ class TestShowcaseTrace:
 
     def test_per_event_cell_counts(self):
         engine = build_engine(_mixed_query())
-        assert engine.plan.mode is Granularity.MIXED
-        assert engine.plan.event_grained == frozenset({"B"})
+        assert engine.compiled.event_grained == frozenset({"B"})
         counts = []
         for e in SHOWCASE:
             cells = engine.step([e])
@@ -103,8 +101,7 @@ class TestMergedPredecessors:
     def test_one_window_matches_oracle(self):
         query = self._query()
         engine = build_engine(query).run(self.EVENTS)
-        assert engine.plan.mode is Granularity.MIXED
-        assert engine.plan.event_grained == frozenset({"A"})
+        assert engine.compiled.event_grained == frozenset({"A"})
         expected = aggregate_trends(enumerate_trends(self.EVENTS, query), query.aggregates)
         assert expected["COUNT(*)"] > 0
         assert engine.results() == expected
@@ -127,8 +124,7 @@ class TestSelfAdjacency:
         ]
         query = make_query(pattern="A+", where="A.v < NEXT(A).v")
         engine = build_engine(query).run(events)
-        assert engine.plan.mode is Granularity.MIXED
-        assert engine.plan.event_grained == frozenset({"A"})
+        assert engine.compiled.event_grained == frozenset({"A"})
         # a1; a2; a3; (a1,a2) -- value 1 is not < 1, so (a1,a3) is out.
         assert engine.kernel.snapshot().final == 4
         assert len(list(enumerate_trends(events, query))) == 4

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trendagg import Event, Granularity, build_engine
+from trendagg import Event, build_engine
 from trendagg.errors import UnsupportedQuery
 from trendagg.oracle import aggregate_trends, enumerate_trends
 
@@ -32,7 +32,7 @@ class TestShowcaseTraces:
 
     def test_next_trace(self):
         engine = build_engine(make_query(semantics="next"))
-        assert engine.plan.mode is Granularity.TYPE
+        assert engine.compiled.event_grained == frozenset()
         counts, finals = _trace(engine, SHOWCASE)
         assert counts == [1, 1, 2, 3, None, 3, 4, 4]
         assert finals == [0, 1, 1, 1, 1, 4, 4, 8]

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trendagg import Event, Granularity, build_engine
+from trendagg import Event, build_engine
 from trendagg.oracle import aggregate_trends, enumerate_trends
 
 from conftest import SHOWCASE, make_query, stream_strategy
@@ -33,7 +33,7 @@ class TestShowcaseTrace:
 
     def test_per_event_cell_counts(self):
         engine = build_engine(make_query())
-        assert engine.plan.mode is Granularity.TYPE
+        assert engine.compiled.event_grained == frozenset()
         assert _counts(engine, SHOWCASE) == [1, 1, 3, 6, None, 10, 22, 32]
 
     def test_variable_cell_progression(self):
@@ -195,4 +195,4 @@ def test_random_any_matches_oracle(data):
             assert got[name] == pytest.approx(want, rel=1e-9)
         else:
             assert got[name] == want
-    assert engine.plan.mode is Granularity.TYPE
+    assert engine.compiled.event_grained == frozenset()

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trendagg import Engine, Event, Granularity, GranularityPlan, Schema
+from trendagg import Engine, Event, Schema
 from trendagg._kernels_py import MixedKernel
 from trendagg.engines import compile_query
 from trendagg.errors import AggregateOverflow, MissingAttribute, UnsupportedQuery
@@ -37,9 +37,10 @@ _PUMP = 1030
 
 @st.composite
 def _queries(draw, pump):
-    """A query, a plan (``None`` for the coarsest one) and the event types
-    to draw. A query for a pump runs ``A+`` start events on a type-grained
-    ``A`` under skip-till-any-match and sums ``A.v``."""
+    """A query, its event-grained variables (``None`` for the coarsest
+    plan) and the event types to draw. A query for a pump runs ``A+``
+    start events on a type-grained ``A`` under skip-till-any-match and
+    sums ``A.v``."""
     starts = ("A+", "SEQ(A+", "(SEQ(A+") if pump else ("",)
     pattern = draw(st.sampled_from(sorted(p for p in _PATTERNS if p.startswith(starts))))
     wheres, types = _PATTERNS[pattern]
@@ -59,12 +60,7 @@ def _queries(draw, pump):
         pattern=pattern, semantics=semantics, where=where, returns=", ".join(returns)
     )
     fine = not pump and draw(st.integers(0, 2)) == 0  # every variable event-grained
-    plan = (
-        GranularityPlan(Granularity.MIXED, frozenset(query.template.types), frozenset())
-        if fine
-        else None
-    )
-    return query, plan, types
+    return query, frozenset(query.template.types) if fine else None, types
 
 
 @st.composite
@@ -149,9 +145,9 @@ def _pump():
 @given(data=st.data())
 def test_generated_step_matches_the_interpreted_one(data):
     pump = data.draw(st.integers(0, 9)) == 0
-    query, plan, types = data.draw(_queries(pump))
+    query, event_grained, types = data.draw(_queries(pump))
     try:
-        compiled = compile_query(query, plan)
+        compiled = compile_query(query, event_grained)
     except UnsupportedQuery:  # an aliased pattern under next
         return
     floats = pump or data.draw(st.booleans())

@@ -21,9 +21,7 @@ from trendagg import (
     generate_transport_stream,
     parse_query,
 )
-from trendagg.query import check_adjacent
-
-from query_reference import matchable_variables
+from query_reference import check_adjacent, matchable_variables
 
 SCHEMA = Schema({"A": {"v": "int"}, "B": {"v": "int"}, "C": {"v": "int"}})
 

@@ -6,7 +6,6 @@ from trendagg import (
     QuerySyntaxError,
     Seq,
     TypeAtom,
-    compile_template,
     parse_pattern,
     parse_query,
 )
@@ -16,6 +15,10 @@ from trendagg.engines import compile_query
 from trendagg.pattern import analyze_pattern
 
 from conftest import ABC_SCHEMA
+
+
+def template_of(text):
+    return analyze_pattern(parse_pattern(text))[0]
 
 
 def test_parse_atoms_and_operators():
@@ -68,7 +71,7 @@ def test_the_first_variable_bound_twice_is_named_by_parser_and_walk():
     with pytest.raises(DuplicateTypeInPattern, match="^pattern variable A bound twice$"):
         analyze_pattern(built)
     with pytest.raises(DuplicateTypeInPattern, match="^pattern variable C bound twice$"):
-        compile_template(Plus(Seq(c, Plus(c))))
+        analyze_pattern(Plus(Seq(c, Plus(c))))
 
 
 def test_one_walk_gives_the_template_and_the_stream_types_in_pattern_order():
@@ -106,20 +109,20 @@ def test_str_roundtrip():
 
 
 def test_template_single_plus():
-    t = compile_template(parse_pattern("A+"))
+    t = template_of("A+")
     assert t.start_type == "A" and t.end_type == "A"
     assert t.pred_types == {"A": frozenset({"A"})}
 
 
 def test_template_seq():
-    t = compile_template(parse_pattern("SEQ(A, B)"))
+    t = template_of("SEQ(A, B)")
     assert t.start_type == "A" and t.end_type == "B"
     assert t.pred_types == {"A": frozenset(), "B": frozenset({"A"})}
 
 
 def test_template_kleene_of_seq():
     # The outer plus loops the end variable back to the start variable.
-    t = compile_template(parse_pattern("(SEQ(A+, B))+"))
+    t = template_of("(SEQ(A+, B))+")
     assert t.start_type == "A" and t.end_type == "B"
     assert t.pred_types == {
         "A": frozenset({"A", "B"}),
@@ -128,7 +131,7 @@ def test_template_kleene_of_seq():
 
 
 def test_template_three_variables():
-    t = compile_template(parse_pattern("SEQ(A+, B, C+)"))
+    t = template_of("SEQ(A+, B, C+)")
     assert t.start_type == "A" and t.end_type == "C"
     assert t.pred_types == {
         "A": frozenset({"A"}),
@@ -139,7 +142,7 @@ def test_template_three_variables():
 
 
 def test_template_nested_plus():
-    t = compile_template(parse_pattern("(A+)+"))
+    t = template_of("(A+)+")
     assert t.pred_types == {"A": frozenset({"A"})}
 
 

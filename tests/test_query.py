@@ -17,9 +17,9 @@ from trendagg import (
     UnknownType,
     parse_query,
 )
-from trendagg.query import RoleProbe, check_adjacent, parse_duration_ms
+from trendagg.query import RoleProbe, parse_duration_ms
 
-from query_reference import matchable_variables, passes_local
+from query_reference import check_adjacent, matchable_variables, passes_local
 
 SCHEMA = Schema(
     {

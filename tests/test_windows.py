@@ -494,6 +494,28 @@ def test_windowed_rows_match_the_fine_plan(data):
     assert coarse.peak_entries <= fine.peak_entries
 
 
+def test_state_on_no_open_trend_is_dropped_in_both_plans():
+    # B@6 s and C@7 s count trends only in window 0, through A@1 s. Once
+    # it closes, their cells and stored events count no trend in an open
+    # window; both plans drop them, and B@12 s and C@13 s, on no trend
+    # either, are not stored. So the coarse plan holds no more state than
+    # the fine one; with the B and C cells of window 1 kept, it held 6
+    # entries at A@14.5 s against the fine plan's 5.
+    query = make_query(pattern="SEQ(A+, B, C+)", where="A.v > 0", within="10 s",
+                       slide="5 s", schema=FLOAT_SCHEMA)
+    events = [_ev(t, etype, v=1.0) for t, etype in (
+        (1000, "A"), (6000, "B"), (7000, "C"), (12000, "B"), (13000, "C"),
+        (14000, "A"), (14500, "A"),
+    )]
+    want = row_tuples(oracle_rows(query, events))
+    for manager in (WindowManager(query), fine_manager(query)):
+        rows = [row for event in events[:5] for row in manager.ingest(event)]
+        assert manager.current_entries == 0  # B@12 s stepped, C@13 s held
+        rows += [row for event in events[5:] for row in manager.ingest(event)]
+        assert row_tuples(rows + manager.finish()) == want
+        assert manager.peak_entries == 5
+
+
 def test_the_fine_plan_follows_past_the_oracle():
     # 400 A events over 40 s finish 2^400 - 1 trends of A+ in window 0 and
     # 2^200 - 1 in window 1, which holds the last 200: far past
@@ -744,6 +766,22 @@ class TestHeldTimestamp:
         Engine(query).run(events[: failed - 1])
         with pytest.raises(AggregateOverflow):
             Engine(query).run(events[:failed])
+
+    @pytest.mark.parametrize("now, then, rows", [(1500, 1000, []), (20000, 5000, [1])])
+    def test_close_expired_moves_the_stream_to_its_time(self, now, then, rows):
+        # After ``close_expired(now)`` an event before ``now`` is out of
+        # order. Unchecked, A@1 s after a close at 1.5 s made a tie with
+        # the held A@1 s (a count of 3 for two events), and A@5 s after a
+        # close at 20 s emitted window 0 a second time.
+        query = make_query(pattern="A+", within="10 s", schema=FLOAT_SCHEMA)
+        manager = WindowManager(query)
+        manager.ingest(_ev(1000, "A"))
+        assert [r.values["COUNT(*)"] for r in manager.close_expired(now)] == rows
+        with pytest.raises(
+            OutOfOrder, match=rf"^row 2: time went backwards \({then} ms after {now} ms\)$"
+        ):
+            manager.ingest(_ev(then, "A"))
+        assert [r.values["COUNT(*)"] for r in manager.finish()] == [1][len(rows):]
 
     def test_errors_come_one_key_group_at_a_time(self):
         # Key 2's event lacks v and arrives before key 1's second event,
