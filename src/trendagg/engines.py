@@ -44,15 +44,15 @@ def compile_query(query: Query, event_grained: frozenset | None = None) -> Compi
     ``event_grained``, the variables whose events are kept individually,
     overrides the coarsest granularity that ``classify_and_plan`` picks.
     The fields past ``probe`` are what the kernel reads: ``final`` says
-    whether the end variable's trends need cells of their own (its type
-    cells hold them only under skip-till-any-match); ``absorb``,
-    ``merge``, ``readout`` and ``additive`` come from
-    ``cells.compile_cells``; ``type_preds`` and ``kept_preds`` split
-    each variable's predecessors by granularity, and ``kept_preds`` pairs
-    each event-grained one with its adjacency checks. A cell has ``k``
-    slots. ``step`` is the kernel step that ``_kernels_py.compile_step``
-    generates from the other fields and the cells' one-window lines;
-    ``source`` is the generated text of the cell functions and the step."""
+    whether finished trends need cells of their own (under
+    skip-till-any-match a type-grained end variable's cells hold them);
+    ``absorb``, ``merge``, ``readout`` and ``additive`` come from
+    ``cells.compile_cells``; ``type_preds`` and ``kept_preds`` split each
+    variable's predecessors by granularity, and ``kept_preds`` pairs each
+    event-grained one with its adjacency checks. A cell has ``k`` slots.
+    ``step`` is the kernel step that ``_kernels_py.compile_step`` generates
+    from the other fields and the cells' one-window lines; ``source`` is
+    the generated text of the cell functions and the step."""
     check_supported(query)
     if event_grained is None:
         event_grained = classify_and_plan(query)

@@ -499,8 +499,8 @@ def test_state_on_no_open_trend_is_dropped_in_both_plans():
     # it closes, their cells and stored events count no trend in an open
     # window; both plans drop them, and B@12 s and C@13 s, on no trend
     # either, are not stored. So the coarse plan holds no more state than
-    # the fine one; with the B and C cells of window 1 kept, it held 6
-    # entries at A@14.5 s against the fine plan's 5.
+    # the fine one: were the B and C cells of window 1 kept, it would hold
+    # 6 entries at A@14.5 s against the fine plan's 5.
     query = make_query(pattern="SEQ(A+, B, C+)", where="A.v > 0", within="10 s",
                        slide="5 s", schema=FLOAT_SCHEMA)
     events = [_ev(t, etype, v=1.0) for t, etype in (
@@ -767,8 +767,10 @@ class TestHeldTimestamp:
         with pytest.raises(AggregateOverflow):
             Engine(query).run(events[:failed])
 
-    @pytest.mark.parametrize("now, then, rows", [(1500, 1000, []), (20000, 5000, [1])])
-    def test_close_expired_moves_the_stream_to_its_time(self, now, then, rows):
+    @pytest.mark.parametrize(
+        "now, then, closed, left", [(1500, 1000, [], [1]), (20000, 5000, [1], [])]
+    )
+    def test_close_expired_moves_the_stream_to_its_time(self, now, then, closed, left):
         # After ``close_expired(now)`` an event before ``now`` is out of
         # order. Unchecked, A@1 s after a close at 1.5 s made a tie with
         # the held A@1 s (a count of 3 for two events), and A@5 s after a
@@ -776,12 +778,12 @@ class TestHeldTimestamp:
         query = make_query(pattern="A+", within="10 s", schema=FLOAT_SCHEMA)
         manager = WindowManager(query)
         manager.ingest(_ev(1000, "A"))
-        assert [r.values["COUNT(*)"] for r in manager.close_expired(now)] == rows
+        assert [r.values["COUNT(*)"] for r in manager.close_expired(now)] == closed
         with pytest.raises(
             OutOfOrder, match=rf"^row 2: time went backwards \({then} ms after {now} ms\)$"
         ):
             manager.ingest(_ev(then, "A"))
-        assert [r.values["COUNT(*)"] for r in manager.finish()] == [1][len(rows):]
+        assert [r.values["COUNT(*)"] for r in manager.finish()] == left
 
     def test_errors_come_one_key_group_at_a_time(self):
         # Key 2's event lacks v and arrives before key 1's second event,
