@@ -37,9 +37,12 @@ self.width`` new windows at the back before it applies the events; a
 width not above the current one opens none. The result has one entry per
 event and variable it plays, in order: the new cell vector.
 ``final_cell`` reads the oldest window and ``drop_front`` closes it.
-Closing is bookkeeping only: the closed windows stay at the front of the
-vectors, and the kept events that hold no open window stay at the front
-of the kept events, until the next ``step`` trims them off in one pass. A
+Closing is bookkeeping only, and walks none of the kept events: the
+closed windows stay at the front of the vectors, and the kept events that
+hold no open window stay at the front of the kept events, until the next
+``step`` trims them off in one pass. A kept event's end, the window id
+past its last window, never decreases in arrival order, so a close finds
+the newly dead events with one bisection of the ``ends`` column. A
 kernel whose last window closes is discarded rather than trimmed.
 
 Events with equal timestamps can never sit next to each other inside a
@@ -65,6 +68,7 @@ reads the trend counts of the oldest open window and the entry count.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import namedtuple
 from itertools import chain, compress, islice, repeat
 from operator import add, eq
@@ -106,9 +110,9 @@ class MixedKernel:
     Windows are numbered by window id; a kernel built alone starts at 0.
     So a kept event's first window stays valid as older windows close.
 
-    Beside the kept events, the kernel keeps their variables and the
-    left-hand operand of every adjacency check in columns, in arrival
-    order. A new event selects its predecessors column by column:
+    Beside the kept events, the kernel keeps their variables, their ends
+    and the left-hand operand of every adjacency check in columns, in
+    arrival order. A new event selects its predecessors column by column:
     ``compress`` over the kept positions with ``map(op, column,
     repeat(value))`` as selector, one check after another, so that a kept
     event meets a check only if it passed the earlier ones. The selected
@@ -145,6 +149,7 @@ class MixedKernel:
         self.type_cells = {}  # type-grained variable -> cells, if any
         self.events = []  # (time, role, first window, cells) in arrival order
         self.roles = []  # role of each kept event
+        self.ends = []  # window id past the last window of each kept event
         self._one_role = len(plan.event_grained) == 1
         # The variables whose state is dropped once it counts no trend in
         # any open window (see ``_trim``).
@@ -201,6 +206,7 @@ class MixedKernel:
     def _keep(self, time, r, cell, attrs):
         self.events.append((time, r, self.base, cell))
         self.roles.append(r)
+        self.ends.append(self.base + self.width)
         for a, column in self.columns.items():
             column.append(attrs.get(a, self._absent[a]))
         self.entry_count += self.width
@@ -208,31 +214,25 @@ class MixedKernel:
     def _forget(self, positions):
         """Drop the kept events at ``positions``, given in ascending order."""
         for i in reversed(positions):
-            _, _, first, cells = self.events[i]
-            self.entry_count -= first + len(cells) // self.plan.k - self.base
-            del self.events[i], self.roles[i]
+            self.entry_count -= self.ends[i] - self.base
+            del self.events[i], self.roles[i], self.ends[i]
             for column in self.columns.values():
                 del column[i]
 
     def drop_front(self):
         """Close the oldest open window; ``_trim`` cuts it off later.
-        Returns the number of entries freed."""
-        k = self.plan.k
-        at = self._stale * k  # where the closing window sits in the vectors
+        Returns the number of entries freed. A kept event is kept with its
+        end, ``base + width`` at the time, and neither closing a window nor
+        opening one ever lowers ``base + width``; so the kept events that
+        hold no open window are those up to the first whose end is past
+        the new ``base``, and one bisection of ``ends`` finds them."""
+        at = self._stale * self.plan.k  # where the closing window sits in the vectors
         self.width -= 1
         self.base += 1
         self._stale += 1
-        events = self.events
-        dead = self._dead
-        # Every live kept event holds the window just closed. Their last
-        # windows never decrease in arrival order, so the dead ones lead.
-        freed = len(events) - dead
-        base = self.base
-        for _, _, first, cells in islice(events, dead, None):
-            if first + len(cells) // k > base:
-                break
-            dead += 1
-        self._dead = dead
+        # Every live kept event holds the window just closed.
+        freed = len(self.events) - self._dead
+        self._dead = bisect_right(self.ends, self.base, self._dead)
         for cells in self.type_cells.values():
             if len(cells) > at:  # it reaches the window just closed
                 freed += 1
@@ -263,7 +263,7 @@ class MixedKernel:
         dead = self._dead
         if dead:
             self._dead = 0
-            del self.events[:dead], self.roles[:dead]
+            del self.events[:dead], self.roles[:dead], self.ends[:dead]
             for column in self.columns.values():
                 del column[:dead]
         if fading and self.events:

@@ -209,19 +209,21 @@ def unpack(prefix, k, vector):
 
 # A slot's new value from its old value ``p``, the event's value ``v`` and
 # the trend count ``c``; on zero trends the event contributes nothing, and
-# min/max must not pick up its value.
+# min/max must not pick up its value. Min/max hold a ``nan`` once they have
+# met one, as sums do: a ``nan`` compares false either way, and only it is
+# unequal to itself.
 _UPDATE = {
     ACC_COUNT: "{p} + {c}",
     ACC_SUM: "{p} + {v} * {c}",
-    ACC_MIN: "{p} if {c} == 0 or {p} is not None and {p} <= {v} else {v}",
-    ACC_MAX: "{p} if {c} == 0 or {p} is not None and {p} >= {v} else {v}",
+    ACC_MIN: "{p} if {c} == 0 or {p} is not None and {p} <= {v} or {p} != {p} else {v}",
+    ACC_MAX: "{p} if {c} == 0 or {p} is not None and {p} >= {v} or {p} != {p} else {v}",
 }
 # A slot of two merged cells; ``None`` is the identity of min/max.
 _MERGE = {
     ACC_COUNT: "{x} + {y}",
     ACC_SUM: "{x} + {y}",
-    ACC_MIN: "{x} if {y} is None or {x} is not None and {x} <= {y} else {y}",
-    ACC_MAX: "{x} if {y} is None or {x} is not None and {x} >= {y} else {y}",
+    ACC_MIN: "{x} if {y} is None or {x} is not None and {x} <= {y} or {x} != {x} else {y}",
+    ACC_MAX: "{x} if {y} is None or {x} is not None and {x} >= {y} or {x} != {x} else {y}",
 }
 
 

@@ -199,8 +199,10 @@ def aggregate_trends(trends, specs) -> dict:
                         f"absent on event"
                     ) from None
                 fold[1] += value
-                fold[2] = value if fold[2] is None else min(fold[2], value)
-                fold[3] = value if fold[3] is None else max(fold[3], value)
+                # The older of two equal values stays, and so does a nan.
+                low, high = fold[2], fold[3]
+                fold[2] = low if low is not None and low <= value or low != low else value
+                fold[3] = high if high is not None and high >= value or high != high else value
     out = {}
     for spec, (count, total, low, high) in zip(specs, folds):
         if spec.kind is AggKind.COUNT_STAR:

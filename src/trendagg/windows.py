@@ -30,6 +30,12 @@ its ``base`` being the oldest. The open window ids of all keys together
 are contiguous, so closing visits only the windows that end, and closing
 one reads the kernels whose oldest window is the closing id.
 
+A close visits the keys in order, so that rows come out in (window id,
+key) order. The sorted keys are kept from one close to the next: a new
+engine makes them stale, and they are sorted again at the next close
+only then, while a close that drops engines keeps the rest in order. So
+a close costs a sort only after a new key has arrived.
+
 Routing rules, applied by ``route`` for both this manager and the
 enumerating oracle (``cli.oracle_rows``):
 
@@ -161,6 +167,7 @@ class WindowManager:
         self._key_of = key_getter(query.partition_attrs)
         self._probe = self.compiled.probe
         self._engines = {}  # key -> Engine over the key's open windows
+        self._keys = []  # the keys of ``_engines`` in order, or None if stale
         # key -> (roles, attrs) of its events at the last time, not stepped yet
         self._pending = {}
         self._first_wid = 0  # oldest open window id
@@ -217,6 +224,7 @@ class WindowManager:
                     self._first_wid = lo
                     self._min_end = self.spec.end_of(lo)
                 engine = engines[key] = Engine(self.query, self.compiled)
+                self._keys = None
                 engine.kernel.base = lo  # its windows are numbered by id
             kernel = engine.kernel
             before = kernel.entry_count
@@ -261,9 +269,12 @@ class WindowManager:
         start = self.spec.start_of(wid)
         end = self.spec.end_of(wid)
         engines = self._engines
+        keys = self._keys
+        if keys is None:
+            keys = sorted(engines)
         emitted = len(rows)
         freed = 0
-        for key in sorted(engines):
+        for key in keys:
             engine = engines[key]
             kernel = engine.kernel
             if kernel.base > wid:  # it opened after this window
@@ -276,6 +287,9 @@ class WindowManager:
                 freed += kernel.entry_count
             else:
                 freed += kernel.drop_front()
+        if len(keys) > len(engines):  # carry the survivors forward, in order
+            keys = [key for key in keys if key in engines] if engines else []
+        self._keys = keys
         self._first_wid = wid + 1
         self._min_end = self.spec.end_of(wid + 1) if engines else float("inf")
         self.current_entries -= freed

@@ -11,16 +11,16 @@ from trendagg.errors import AggregateOverflow, MissingAttribute
 
 def merge_functions(accs):
     """One binary merge per cell slot: counts and sums add, min/max
-    lattice-merge with ``None`` as the identity."""
+    lattice-merge with ``None`` as the identity and ``nan`` absorbing."""
     return (add, *(_MERGE[code] for code, _, _ in accs))
 
 
 def _merge_min(x, y):
-    return x if y is None or x is not None and x <= y else y
+    return x if y is None or x is not None and x <= y or x != x else y
 
 
 def _merge_max(x, y):
-    return x if y is None or x is not None and x >= y else y
+    return x if y is None or x is not None and x >= y or x != x else y
 
 
 _MERGE = {ACC_COUNT: add, ACC_SUM: add, ACC_MIN: _merge_min, ACC_MAX: _merge_max}
@@ -63,10 +63,10 @@ def absorb_cells(pred, updates, attrs, is_start, k):
                     cells[j + i] = prev + value * count
                 except OverflowError as exc:
                     raise AggregateOverflow(f"the sum of {target}.{attr}", exc) from None
-            elif code == ACC_MIN:
-                cells[j + i] = prev if prev is not None and prev <= value else value
+            elif code == ACC_MIN:  # a nan, once met, stays
+                cells[j + i] = prev if prev is not None and prev <= value or prev != prev else value
             else:
-                cells[j + i] = prev if prev is not None and prev >= value else value
+                cells[j + i] = prev if prev is not None and prev >= value or prev != prev else value
     return cells
 
 

@@ -2,8 +2,13 @@
 by ``_kernels_py.compile_step`` is tested against. It reads the plan's
 tables and flags on every event, walks every branch that any plan may
 need, and counts the type cells' entries from their lengths rather than
-slot by slot; everything but ``step`` is ``MixedKernel``'s own."""
+slot by slot. Its ``drop_front`` finds the kept events that a close
+leaves dead by walking them, from their first windows and cells, where
+``MixedKernel`` bisects its ``ends`` column; everything else is
+``MixedKernel``'s own. ``recount`` counts a kernel's entries from its
+state."""
 
+from itertools import islice
 from operator import add
 
 from trendagg._kernels_py import MixedKernel
@@ -13,7 +18,34 @@ def _slots(type_cells):
     return sum(map(len, type_cells.values()))
 
 
+def recount(kernel):
+    """A kernel's entries counted from its state: each type cell once per
+    open window it reaches, each kept event once per open window that
+    holds it."""
+    k = kernel.plan.k
+    cells = sum(max(0, len(v) // k - kernel._stale) for v in kernel.type_cells.values())
+    held = sum(max(0, f + len(c) // k - kernel.base) for _, _, f, c in kernel.events)
+    return cells + held
+
+
 class ReferenceKernel(MixedKernel):
+    def drop_front(self):
+        k = self.plan.k
+        at = self._stale * k
+        self.width -= 1
+        self.base += 1
+        self._stale += 1
+        dead = self._dead
+        freed = len(self.events) - dead
+        for _, _, first, cells in islice(self.events, dead, None):
+            if first + len(cells) // k > self.base:
+                break
+            dead += 1
+        self._dead = dead
+        freed += sum(len(cells) > at for cells in self.type_cells.values())
+        self.entry_count -= freed
+        return freed
+
     def step(self, time, group, width=1):
         if self._stale:
             self._trim()

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -126,6 +128,21 @@ def test_absorb_other_variable_propagates_untouched():
     assert cell[:K] == [3, 2, 10, 4, 9]
 
 
+@pytest.mark.parametrize("old, new", [(math.nan, 6.0), (6.0, math.nan)], ids=["held", "new"])
+@pytest.mark.parametrize("one", [False, True], ids=["vector", "one-window"])
+def test_min_and_max_hold_a_nan_once_met(old, new, one):
+    # A nan compares false either way: without a rule of its own, a held
+    # nan would give way to the next value.
+    cell = _absorb("A", False, one=one)(_vector([3, 2, 10, old, old]), {"v": new})
+    assert repr(cell[3:K]) == "[nan, nan]"
+    merge = _code().merge
+    for a, b in ((old, new), (new, old)):
+        merged = merge(_vector([1, 1, 1, a, a], [1, 1, 1, 1.0, 1.0]),
+                       _vector([1, 1, 1, b, b]))
+        assert repr(merged[3:K]) == "[nan, nan]"
+        assert merged[K:] == [1, 1, 1, 1.0, 1.0]
+
+
 def test_absorb_on_zero_trends_does_not_poison_min_max():
     # An end-variable event with no predecessors sits on zero trends; its
     # value must not leak into MIN/MAX (sums are self-guarded by the factor).
@@ -249,7 +266,7 @@ _BIG = 2**1100  # a trend count no float can hold
 _VALUES = st.one_of(
     st.integers(-5, 5),
     st.floats(-5, 5, allow_nan=False, allow_subnormal=False),
-    st.sampled_from((0.5, -0.0, 1e308, -1e308, 10**400)),
+    st.sampled_from((0.5, -0.0, 1e308, -1e308, 10**400, math.nan)),
 )
 _COUNTS = st.one_of(st.integers(0, 3), st.just(_BIG))
 

@@ -290,6 +290,39 @@ class TestOracle:
             f"{line}\r\n" for line in ["wid,window_start_ms,window_end_ms,COUNT(*)", *out]
         ))
 
+    @pytest.mark.parametrize(
+        "rows, window, out",
+        [
+            ("1,A,1\n2,A,nan\n3,A,2\n", "WITHIN 10 s", ["0,0,10000,7,nan,nan"]),
+            ("1,A,nan\n2,A,inf\n3,A,1\n", "WITHIN 10 s", ["0,0,10000,7,nan,nan"]),
+            ("1,A,1\n2,A,nan\n3,A,2\n", "WITHIN 2 s SLIDE 1 s",
+             ["0,0,2000,1,1.0,1.0", "1,1000,3000,3,nan,nan",
+              "2,2000,4000,3,nan,nan", "3,3000,5000,1,2.0,2.0"]),
+            ("1,A,nan\n2,A,inf\n3,A,1\n", "WITHIN 2 s SLIDE 1 s",
+             ["0,0,2000,1,nan,nan", "1,1000,3000,3,nan,nan",
+              "2,2000,4000,3,1.0,inf", "3,3000,5000,1,1.0,1.0"]),
+        ],
+        ids=["middle-tumbling", "first-tumbling", "middle-sliding", "first-sliding"],
+    )
+    def test_min_and_max_read_nan_once_a_value_is_nan(
+        self, workdir, capsys, rows, window, out
+    ):
+        # As a sum does: a nan compares false either way, so without a rule
+        # of its own a min or max would keep it or drop it by arrival order.
+        (workdir / "a.json").write_text('{"A": {"v": "float"}}')
+        (workdir / "a.csv").write_text("time,type,v\n" + rows)
+        (workdir / "a.txt").write_text(
+            f"RETURN COUNT(*), MIN(A.v), MAX(A.v) PATTERN A+ SEMANTICS any {window}\n"
+        )
+        for command in ("run", "oracle"):
+            code = _run(
+                [command, "--query", workdir / "a.txt", "--input", workdir / "a.csv",
+                 "--schema", workdir / "a.json"]
+            )
+            assert (code, capsys.readouterr().out.splitlines()) == (
+                0, ["wid,window_start_ms,window_end_ms,COUNT(*),MIN(A.v),MAX(A.v)", *out]
+            ), command
+
     @pytest.mark.parametrize("command", ["run", "oracle"])
     def test_a_quoted_constant_may_hold_and_or_a_clause_keyword(
         self, workdir, capsys, command

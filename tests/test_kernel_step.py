@@ -2,7 +2,9 @@
 interpreted one in ``kernel_reference``. Both kernels share one compiled
 query and are driven with the same steps, each of one timestamp's events,
 and window closes; after each, their results, exceptions and state must
-agree."""
+agree, each kept event's end must be the one its cells give, the dead
+kept events must be those that the reference's walk finds, and the entry
+count must be the one that the state gives."""
 
 import pytest
 from hypothesis import given, settings
@@ -14,7 +16,7 @@ from trendagg.engines import compile_query
 from trendagg.errors import AggregateOverflow, MissingAttribute, UnsupportedQuery
 
 from conftest import make_query
-from kernel_reference import ReferenceKernel
+from kernel_reference import ReferenceKernel, recount
 
 # Pattern -> adjacency predicates that may go with it, and its event types.
 _PATTERNS = {
@@ -132,8 +134,14 @@ def _drive(compiled, ops):
         assert generated.entry_count == reference.entry_count
         assert generated.pred_accesses == reference.pred_accesses
         assert _state(generated) == _state(reference)
-        if not going:
+        assert generated._dead == reference._dead
+        k = compiled.k
+        for kernel in kernels:
+            assert kernel.ends == [f + len(c) // k for _, _, f, c in kernel.events]
+        if not going:  # a step that raised may leave its count behind
             return got
+        for kernel in kernels:
+            assert kernel.entry_count == recount(kernel)
     return None
 
 

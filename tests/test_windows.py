@@ -1,6 +1,7 @@
 """Sliding-window routing, partitioning and lifecycle."""
 
 import dataclasses
+import itertools
 import math
 import random
 
@@ -31,6 +32,7 @@ from trendagg.errors import (
 from trendagg.query import RoleProbe
 
 from conftest import fine_manager, make_query, row_tuples
+from kernel_reference import recount
 from query_reference import matchable_variables
 
 GROUPED_SCHEMA = Schema(
@@ -127,6 +129,56 @@ class TestLifecycle:
         again = WindowManager(query)  # a second pass over the same events
         assert row_tuples(again.run(events)) == row_tuples(rows)
         assert again.peak_entries == manager.peak_entries
+
+    @pytest.mark.parametrize("emit_empty", [False, True])
+    @pytest.mark.parametrize("semantics", ["any", "next", "cont"])
+    def test_closes_keep_the_keys_in_order_as_engines_come_and_go(
+        self, semantics, emit_empty
+    ):
+        # Keys 1 and 4 open at 0 s. Key 4 goes idle past WITHIN, loses its
+        # engine at the close of window 0 and returns at 6.5 s; key 2
+        # first arrives at 3.5 s, between the closes of windows 0 and 1,
+        # and sorts between the keys already open; key 3 first arrives
+        # with key 4's return. ``finish`` closes windows 5 to 7.
+        query = make_query(
+            pattern="SEQ(A+, B)", semantics=semantics, where="A.v < NEXT(A).v",
+            returns="COUNT(*), SUM(A.v)", group_by="g", within="3 s", slide="1 s",
+            schema=GROUPED_SCHEMA,
+        )
+        stream = [
+            (0, "A", 0, 1), (0, "A", 2, 4), (500, "A", 3, 4), (800, "B", 0, 4),
+            (1000, "A", 1, 1), (1500, "B", 0, 1), (2000, "A", 2, 1), (3000, "A", 0, 1),
+            (3500, "A", 1, 2), (4000, "B", 0, 1), (4000, "A", 2, 2),
+            (4500, "B", 1, 2), "close 6000", (6500, "A", 1, 4), (6500, "A", 0, 3),
+            (7000, "A", 2, 4), (7000, "B", 0, 3), (7500, "B", 0, 4), (7500, "A", 3, 1),
+        ]
+        manager = WindowManager(query, emit_empty=emit_empty)
+        events, got, closed, held = [], [], [], []
+
+        def check(rows):
+            got.extend(rows)
+            closed.append(sorted({r.wid for r in rows}))
+            held.append((4,) in manager._engines)
+            kernels = [e.kernel for e in manager._engines.values()]
+            assert manager.current_entries == sum(map(recount, kernels))
+            assert manager._keys in (None, sorted(manager._engines))
+
+        for item in stream:
+            if isinstance(item, str):
+                check(manager.close_expired(int(item.split()[1])))
+                continue
+            time, etype, v, g = item
+            events.append(_ev(time, etype, v=v, g=g))
+            check(manager.ingest(events[-1]))
+        check(manager.finish())
+        assert manager.current_entries == 0
+        assert closed[-1] == [5, 6, 7]
+        assert row_tuples(got) == row_tuples(oracle_rows(query, events, emit_empty=emit_empty))
+        assert [(r.wid, r.key) for r in got] == sorted((r.wid, r.key) for r in got)
+        assert [h for h, _ in itertools.groupby(held)] == [False, True, False, True, False]
+        # Window 4 holds key 4's A at 6.5 s and no B.
+        want = [0, 4, 5, 6, 7] if emit_empty else [0, 5, 6, 7]
+        assert [r.wid for r in got if r.key == (4,)] == want
 
     def test_entry_accounting_balances(self):
         query = make_query(within="5 s", slide="1 s", schema=GROUPED_SCHEMA)
@@ -536,16 +588,6 @@ def test_the_fine_plan_follows_past_the_oracle():
     assert coarse.peak_entries < fine.peak_entries
 
 
-def _recount(kernel):
-    """A kernel's entries counted from its state: each type cell once per
-    open window it reaches, each kept event once per open window that
-    holds it."""
-    k = kernel.plan.k
-    cells = sum(max(0, len(v) // k - kernel._stale) for v in kernel.type_cells.values())
-    held = sum(max(0, f + len(c) // k - kernel.base) for _, _, f, c in kernel.events)
-    return cells + held
-
-
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_closed_windows_are_trimmed_at_the_next_step(data):
@@ -609,7 +651,7 @@ def test_closed_windows_are_trimmed_at_the_next_step(data):
             step_held()
         got += manager.ingest(event)
         kernels = [e.kernel for e in manager._engines.values()]
-        counts = [_recount(kernel) for kernel in kernels]
+        counts = [recount(kernel) for kernel in kernels]
         assert [kernel.entry_count for kernel in kernels] == counts
         assert manager.current_entries == sum(counts)
         # The oldest open window is the least kernel base, and the next
