@@ -62,8 +62,9 @@ counts add 0, sums never hold -0.0, and MIN and MAX skip ``None``.
 ``entry_count`` counts one entry per type cell vector per open window it
 reaches, and one per kept event per open window that holds it, as if
 every window kept its own state; closed windows not yet trimmed count for
-nothing. ``step`` and ``drop_front`` keep it current. ``snapshot()``
-reads the trend counts of the oldest open window and the entry count.
+nothing. ``step`` and ``drop_front`` keep it current, also through a
+step that raises. ``snapshot()`` reads the trend counts of the oldest
+open window and the entry count.
 """
 
 from __future__ import annotations
@@ -127,9 +128,7 @@ class MixedKernel:
 
     * skip-till-any-match: everything before the event's timestamp. A
       variable's cells then hold all of its trends, and the end variable's
-      cells are the final ones. An event of a variable other than the
-      start that is on no trend in any open window can pass nothing on:
-      it is not kept, or no longer (see ``_trim``).
+      cells are the final ones.
     * skip-till-next-match: an open chain must take the first event that
       can extend it, so a predecessor leaves the readable state once an
       event reads it, also for the later events of the same timestamp.
@@ -139,6 +138,13 @@ class MixedKernel:
       timestamp, unmatched ones included. When a timestamp holds more than
       one event, no trend can pass through it, so its events pass on only
       the trends they start.
+
+    Under every semantics, the state of a variable other than the start
+    that counts no trend in any open window is dropped (see ``_trim``), so
+    no later event is checked against it. That is exact: such a cell is
+    the identity there and nothing is added to a stored event later; under
+    skip-till-next-match reading it would consume only itself, and under
+    contiguous semantics the next step forgets it anyway.
     """
 
     def __init__(self, plan):
@@ -151,9 +157,7 @@ class MixedKernel:
         self.roles = []  # role of each kept event
         self.ends = []  # window id past the last window of each kept event
         self._one_role = len(plan.event_grained) == 1
-        # The variables whose state is dropped once it counts no trend in
-        # any open window (see ``_trim``).
-        self._fading = set(plan.type_preds) - {plan.start} if plan.cumulative else set()
+        self._fading = set(plan.type_preds) - {plan.start}  # see ``_trim``
         self.columns = {
             a: [] for kept in plan.kept_preds.values() for _, checks in kept
             for a, _, _ in checks
@@ -242,11 +246,11 @@ class MixedKernel:
     def _trim(self):
         """Cut the windows closed since the last step off the vectors, and
         the kept events that hold none of the open ones. A type cell that
-        ends in a closed window goes. Under skip-till-any-match, so does
-        the state of a variable other than the start that counts no trend
-        in any open window: such a type cell reads like an absent one, and
-        such a kept event never changes, and every later event falls into
-        the open windows, so it can pass nothing on."""
+        ends in a closed window goes. So does, under every semantics, the
+        state of a variable other than the start that counts no trend in
+        any open window: it reads like an absent cell and never changes,
+        and every later event falls into the open windows. Under next a
+        read would consume only it; under cont the next step forgets it."""
         k = self.plan.k
         cut = self._stale * k
         self._stale = 0
@@ -465,7 +469,7 @@ def _read_source(plan, cells, n, r):
             lines += [
                 f"gone = type_cells.pop({p!r}, None)",
                 "if gone:",
-                "    grown -= len(gone)",
+                f"    self.entry_count -= len(gone) // {k}",
             ]
         if kept:
             lines += ["if kept:", "    self._forget(kept)"]
@@ -490,17 +494,17 @@ def _read_source(plan, cells, n, r):
 
 
 def _write_source(plan, cells, r):
-    """The lines that write an ``r``-event's new ``cell``. Under
-    skip-till-any-match, a cell of a variable other than the start that
-    counts no trend in any window is the identity and passes nothing on,
-    so it is neither kept nor stored as a variable's first cell."""
+    """The lines that write an ``r``-event's new ``cell``. A cell of a
+    variable other than the start that counts no trend in any window is
+    the identity and passes nothing on, so it is neither kept nor stored
+    as a variable's first cell (see ``MixedKernel``)."""
     k = plan.k
     event_grained = r in plan.event_grained
     if event_grained:
         store = [f"self._keep(time, {r!r}, cell, attrs)"]
     else:
         store = [f"type_cells[{r!r}] = cell", "grown += len(cell)"]
-    if plan.cumulative and r != plan.start:
+    if r != plan.start:
         store = [f"if any(cell[::{k}]):", *("    " + line for line in store)]
     if event_grained:
         return store

@@ -33,7 +33,7 @@ from .query import (
 
 CompiledQuery = namedtuple(
     "CompiledQuery",
-    "probe start end event_grained final cumulative consume cont "
+    "probe start end event_grained final consume cont "
     "absorb merge readout additive source k identity type_preds kept_preds step",
 )
 
@@ -45,7 +45,8 @@ def compile_query(query: Query, event_grained: frozenset | None = None) -> Compi
     overrides the coarsest granularity that ``classify_and_plan`` picks.
     The fields past ``probe`` are what the kernel reads: ``final`` says
     whether finished trends need cells of their own (under
-    skip-till-any-match a type-grained end variable's cells hold them);
+    skip-till-any-match a type-grained end variable's cells hold them),
+    and ``consume`` and ``cont`` mark the other two semantics;
     ``absorb``, ``merge``, ``readout`` and ``additive`` come from
     ``cells.compile_cells``; ``type_preds`` and ``kept_preds`` split each
     variable's predecessors by granularity, and ``kept_preds`` pairs each
@@ -64,14 +65,12 @@ def compile_query(query: Query, event_grained: frozenset | None = None) -> Compi
     code = compile_cells(
         accs, extractors, aggregate_names(query), roles, template.start_type
     )
-    cumulative = query.semantics is Semantics.ANY
     compiled = CompiledQuery(
         probe=RoleProbe(query),
         start=template.start_type,
         end=template.end_type,
         event_grained=event_grained,
-        final=not (cumulative and template.end_type not in event_grained),
-        cumulative=cumulative,
+        final=query.semantics is not Semantics.ANY or template.end_type in event_grained,
         consume=query.semantics is Semantics.NEXT,
         cont=query.semantics is Semantics.CONT,
         absorb=code.absorb,

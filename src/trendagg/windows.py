@@ -26,9 +26,10 @@ Since windows close before a later timestamp is stepped, the windows a
 key holds are always the oldest of the windows its next timestamp falls
 into. The events are applied once per key; the engine opens the missing
 windows at the back. A key's kernel numbers its windows by window id,
-its ``base`` being the oldest. The open window ids of all keys together
-are contiguous, so closing visits only the windows that end, and closing
-one reads the kernels whose oldest window is the closing id.
+its ``base`` being the oldest. A new key's oldest window is the oldest
+one still open, since every window that ended by its first timestamp has
+closed; so every key holds the closing window, and a close reads every
+kernel and moves every ``base`` on by one.
 
 A close visits the keys in order, so that rows come out in (window id,
 key) order. The sorted keys are kept from one close to the next: a new
@@ -261,10 +262,7 @@ class WindowManager:
         return rows
 
     def _close_oldest(self, rows):
-        # Open window ids are contiguous: an event opens every window it
-        # falls into that its key does not hold yet, and all windows that
-        # end after it stay open. The keys holding the closing window are
-        # those whose kernel's oldest window, its ``base``, is that id.
+        # Every key holds the closing window, as its ``base``.
         wid = self._first_wid
         start = self.spec.start_of(wid)
         end = self.spec.end_of(wid)
@@ -277,8 +275,6 @@ class WindowManager:
         for key in keys:
             engine = engines[key]
             kernel = engine.kernel
-            if kernel.base > wid:  # it opened after this window
-                continue
             cell = kernel.final_cell()
             if cell[0] != 0 or self.emit_empty:
                 rows.append(_trusted_row(wid, start, end, key, engine.results(cell)))

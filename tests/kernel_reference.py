@@ -92,7 +92,9 @@ class ReferenceKernel(MixedKernel):
                         pred[: len(c)] = merge(pred[: len(c)], c)
                 if plan.consume:
                     for p in plan.type_preds[r]:
-                        self.type_cells.pop(p, None)
+                        gone = self.type_cells.pop(p, ())
+                        self.entry_count -= len(gone) // k
+                        held -= len(gone)
                     if kept:
                         self._forget(kept)
                 cell = plan.absorb[r](pred, attrs)
@@ -115,7 +117,7 @@ class ReferenceKernel(MixedKernel):
         elif plan.consume:  # written first, the leftover readable cells merged in front
             readable, self.type_cells = self.type_cells, {}
         for r, cell, attrs in writes:
-            on_trend = not plan.cumulative or r == plan.start or any(cell[::k])
+            on_trend = r == plan.start or any(cell[::k])
             if r in plan.event_grained:
                 if on_trend:
                     self._keep(time, r, cell, attrs)

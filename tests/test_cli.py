@@ -260,21 +260,26 @@ class TestOracle:
             # B@12 s lacks v.
             ("SEQ(A, B+)", "B.v < NEXT(B).v", "WITHIN 10 s SLIDE 5 s",
              "1,A,1\n6,B,1\n12,B,\n", ["0,0,10000,1", "1,5000,15000,0", "2,10000,20000,0"]),
+            # B@6 s has no A before it; C@8 s would be checked against it.
+            ("SEQ(A+, B, C+)", "B.v != C.v AND C.v < NEXT(C).v", "WITHIN 10 s",
+             "6,B,\n8,C,4\n9,C,1\n", ["0,0,10000,0"]),
         ],
-        ids=["kleene", "seq", "sliding"],
+        ids=["kleene", "seq", "sliding", "kleene-end"],
     )
+    @pytest.mark.parametrize("semantics", ["any", "next", "cont"])
     def test_a_stored_event_on_no_trend_is_never_checked(
-        self, workdir, capsys, pattern, where, window, rows, out
+        self, workdir, capsys, pattern, where, window, rows, out, semantics
     ):
-        # Under any, an event of a variable other than the start that is on
-        # no trend in any open window is not kept, or no longer, so no later
-        # event is checked against it, as in the oracle, which checks only
-        # events that extend a trend.
+        # Under every semantics, an event of a variable other than the start
+        # that is on no trend in any open window is not kept, or no longer,
+        # so no later event is checked against it, as in the oracle, which
+        # checks only events that extend a trend.
         schema = '{"A": {"v": "float"}, "B": {"v": "float"}, "C": {"v": "float"}}'
         (workdir / "abc.json").write_text(schema)
         (workdir / "abc.csv").write_text("time,type,v\n" + rows)
         (workdir / "abc.txt").write_text(
-            f"RETURN COUNT(*) PATTERN {pattern} SEMANTICS any WHERE {where} {window}\n"
+            f"RETURN COUNT(*) PATTERN {pattern} SEMANTICS {semantics} "
+            f"WHERE {where} {window}\n"
         )
         outcomes = []
         for command in ("run", "oracle"):

@@ -138,10 +138,9 @@ def _drive(compiled, ops):
         k = compiled.k
         for kernel in kernels:
             assert kernel.ends == [f + len(c) // k for _, _, f, c in kernel.events]
-        if not going:  # a step that raised may leave its count behind
-            return got
-        for kernel in kernels:
             assert kernel.entry_count == recount(kernel)
+        if not going:
+            return got
     return None
 
 

@@ -154,6 +154,15 @@ class TestLifecycle:
         ]
         manager = WindowManager(query, emit_empty=emit_empty)
         events, got, closed, held = [], [], [], []
+        close_oldest = manager._close_oldest
+
+        def close(rows):
+            # Every key holds the closing window as its oldest.
+            kernels = [e.kernel for e in manager._engines.values()]
+            assert kernels and all(k.base == manager._first_wid for k in kernels)
+            close_oldest(rows)
+
+        manager._close_oldest = close
 
         def check(rows):
             got.extend(rows)
