@@ -24,7 +24,6 @@ from .errors import (
     TrendAggError,
     UnknownAttribute,
     UnknownType,
-    UnsupportedQuery,
 )
 from .events import (
     TRANSPORT_SCHEMA,
@@ -96,7 +95,6 @@ __all__ = [
     "TypeAtom",
     "UnknownAttribute",
     "UnknownType",
-    "UnsupportedQuery",
     "WindowManager",
     "WindowSpec",
     "aggregate_trends",

@@ -133,7 +133,9 @@ class MixedKernel:
       can extend it, so a predecessor leaves the readable state once an
       event reads it, also for the later events of the same timestamp.
       Chains whose tips play the same variable, or end at the same kept
-      event, continue alike, so one cell per tip is exact.
+      event, continue alike, so one cell per tip is exact. An event reads
+      as every variable it plays before any of those reads consume, so a
+      chain it can extend as two variables forks into both.
     * contiguous: only the events at the key's immediately preceding
       timestamp, unmatched ones included. When a timestamp holds more than
       one event, no trend can pass through it, so its events pass on only
@@ -311,20 +313,21 @@ def compile_step(plan, cells):
     passes. The first reads: for each event of the group and variable it
     plays, a block per pattern variable reads its type-grained
     predecessors one by one, calls ``_predecessors`` only when it has kept
-    ones, merges kept cells additively or by ``merge``, drops what it read
-    only under skip-till-next-match, absorbs the event and feeds
-    ``final_acc`` only where the plan has one. The second writes the new
-    cells: it keeps each new event of an event-grained variable, and
-    merges the others into their variable's cells, in arrival order;
-    under skip-till-next-match the readable cells left over are merged in
-    front of them, and under contiguous semantics nothing older stays. On
-    a vector of one window the blocks run the absorb's one-window lines
-    and the merge's one-window expression that ``cells`` (the query's
-    ``cells.CellCode``) hands over, inline; on wider vectors they call the
-    absorb and ``merge``, which run the same lines window by window. So a
-    slot fails at the same point, with the same error, either way. Names
-    enter the source only as ``repr()`` literals. Returns the function and
-    its source."""
+    ones, merges kept cells additively or by ``merge``, absorbs the event
+    and feeds ``final_acc`` only where the plan has one; under
+    skip-till-next-match, once every variable the event plays has read,
+    one block drops what they read (``_consume_source``). The second
+    writes the new cells: it keeps each new event of an event-grained
+    variable, and merges the others into their variable's cells, in
+    arrival order; under skip-till-next-match the readable cells left over
+    are merged in front of them, and under contiguous semantics nothing
+    older stays. On a vector of one window the blocks run the absorb's
+    one-window lines and the merge's one-window expression that ``cells``
+    (the query's ``cells.CellCode``) hands over, inline; on wider vectors
+    they call the absorb and ``merge``, which run the same lines window by
+    window. So a slot fails at the same point, with the same error, either
+    way. Names enter the source only as ``repr()`` literals. Returns the
+    function and its source."""
     k = plan.k
     roles = sorted(plan.type_preds)
     typed = any(r not in plan.event_grained for r in roles)
@@ -345,8 +348,14 @@ def compile_step(plan, cells):
             "    type_cells = self.type_cells",
             "    grown = 0  # slots added to the type cells",
         ]
-    lines += ["    out = []", "    for roles, attrs in group:", "        for r in roles:"]
+    lines += ["    out = []", "    for roles, attrs in group:"]
+    kept = any(plan.kept_preds.values())
+    if plan.consume and kept:
+        lines.append("        read = []  # the kept events the event's roles read")
+    lines.append("        for r in roles:")
     lines += _by_role(roles, 12, lambda n, r: _read_source(plan, cells, n, r))
+    if plan.consume:
+        lines += _consume_source(plan, roles, kept)
     # Every event has read: write the group's new cells.
     writes = "out"
     if plan.cont:
@@ -464,15 +473,8 @@ def _read_source(plan, cells, n, r):
             if plan.additive
             else "        pred[:len(c)] = merge(pred[:len(c)], c)",
         ]
-    if plan.consume:  # the chains just read now end at this event
-        for p in type_preds:
-            lines += [
-                f"gone = type_cells.pop({p!r}, None)",
-                "if gone:",
-                f"    self.entry_count -= len(gone) // {k}",
-            ]
-        if kept:
-            lines += ["if kept:", "    self._forget(kept)"]
+    if plan.consume and kept:  # consumed once the event's roles have read
+        lines.append("read += kept")
     # One window: the absorb's and the merge's one-window arithmetic,
     # inline; wider vectors call the absorb and ``merge``.
     one = [*cells.absorb_one[r], f"cell = [{', '.join(f'c{s}' for s in range(k))}]"]
@@ -491,6 +493,29 @@ def _read_source(plan, cells, n, r):
         *("    " + line for line in many),
         f"out.append(({r!r}, cell, attrs))",
     ]
+
+
+def _consume_source(plan, roles, kept):
+    """The lines, under skip-till-next-match, that drop what an event read
+    once every variable it plays has read: the chains it read now end at
+    it. A variable's cells go for each variable it plays that reads them,
+    and the kept events that any of them read, each once."""
+    k = plan.k
+    lines = []
+    popping = [r for r in roles if plan.type_preds[r]]
+    if popping:
+        lines.append("        for r in roles:")
+        for n, r in enumerate(popping):
+            lines.append(f"            {'elif' if n else 'if'} r == {r!r}:")
+            for p in plan.type_preds[r]:
+                lines += [
+                    f"                gone = type_cells.pop({p!r}, None)",
+                    "                if gone:",
+                    f"                    self.entry_count -= len(gone) // {k}",
+                ]
+    if kept:
+        lines += ["        if read:", "            self._forget(sorted(set(read)))"]
+    return lines
 
 
 def _write_source(plan, cells, r):

@@ -38,14 +38,7 @@ from .events import (
     write_csv_stream,
 )
 from .oracle import DEFAULT_CAP, aggregate_trends, enumerate_trends
-from .query import (
-    Query,
-    RoleProbe,
-    Semantics,
-    aggregate_names,
-    check_supported,
-    load_query,
-)
+from .query import Query, RoleProbe, Semantics, aggregate_names, load_query
 from .windows import ResultRow, WindowManager, WindowSpec, key_getter, route, windows_of
 
 
@@ -145,7 +138,6 @@ def oracle_rows(query: Query, events, cap: int = DEFAULT_CAP, emit_empty: bool =
     ends. Raises ``OutOfOrder``, as the manager does, when an event's time
     is below its predecessor's.
     """
-    check_supported(query)
     spec = WindowSpec(query.within_ms, query.slide_ms)
     probe = RoleProbe(query)
     key_of = key_getter(query.partition_attrs)

@@ -21,14 +21,7 @@ from operator import attrgetter
 
 from ._kernels_py import MixedKernel, compile_step
 from .cells import build_accumulators, compile_cells, identity_cell
-from .query import (
-    Query,
-    RoleProbe,
-    Semantics,
-    aggregate_names,
-    check_supported,
-    classify_and_plan,
-)
+from .query import Query, RoleProbe, Semantics, aggregate_names, classify_and_plan
 
 
 CompiledQuery = namedtuple(
@@ -54,7 +47,6 @@ def compile_query(query: Query, event_grained: frozenset | None = None) -> Compi
     ``step`` is the kernel step that ``_kernels_py.compile_step`` generates
     from the other fields and the cells' one-window lines; ``source`` is
     the generated text of the cell functions and the step."""
-    check_supported(query)
     if event_grained is None:
         event_grained = classify_and_plan(query)
     template = query.template

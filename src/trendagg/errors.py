@@ -45,10 +45,6 @@ class DuplicateTypeInPattern(QuerySyntaxError):
     """The same pattern variable is bound more than once."""
 
 
-class UnsupportedQuery(TrendAggError):
-    """Query is well-formed but outside the supported execution classes."""
-
-
 class MissingAttribute(TrendAggError):
     """An event lacks an attribute needed by an aggregate or predicate."""
 

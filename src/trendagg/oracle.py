@@ -18,10 +18,13 @@ Semantics, in operational terms:
 * skip-till-any-match: between trend events anything may be skipped, so
   every event is both taken and not taken (depth-first over both choices).
 * skip-till-next-match: an event that can extend an open match must extend
-  it - only irrelevant events are skipped. Each start-variable event opens
-  one deterministic chain; the chain consumes every later event adjacent to
-  its tip and a finished trend is recorded each time the tip passes the end
-  variable.
+  it - only irrelevant events are skipped. Each start-variable occurrence
+  opens a chain; the chain takes the first later event that can extend its
+  tip, and forks once for each variable that event can play there (more
+  than one only when several variables read its stream type). A finished
+  trend is recorded each time the tip passes the end variable. The search
+  is the skip-till-any-match one, with a tip's remaining candidates cut to
+  the other occurrences of the event that extended it.
 * contiguous: additionally, nothing at all may lie strictly between a
   trend's first and last event. The skip-till-any-match search is pruned:
   ``last`` is extended by ``occ`` only if no event time lies strictly
@@ -39,7 +42,7 @@ from __future__ import annotations
 
 from collections import Counter, namedtuple
 
-from .errors import ExplosionGuard, MissingAttribute, UnsupportedQuery
+from .errors import ExplosionGuard, MissingAttribute
 from .query import AggKind, Query, RoleProbe, Semantics
 
 DEFAULT_CAP = 1_000_000
@@ -80,11 +83,22 @@ def _adjacency(query):
     return adjacent
 
 
-def _search(events, query: Query, cap: int, contiguous: bool):
-    """Skip-till-any-match trends by depth-first search, pruned to the
-    gap-free ones when ``contiguous``."""
+def _search(events, query: Query, cap: int, semantics: Semantics):
+    """The trends of ``semantics`` by one depth-first search over the
+    matchable occurrences: every start occurrence opens a trend, and a
+    trend's tip is extended by the candidates that may follow it.
+
+    Under skip-till-any-match every later candidate is tried. Under
+    contiguous semantics the same search is pruned to the gap-free trends.
+    Under skip-till-next-match, once the tip is extended by the candidate
+    at position ``j``, its other candidates shrink to the other
+    occurrences of that same event: the chain takes the first event that
+    can extend it, once for each variable the event can play there."""
     template = query.template
+    contiguous = semantics is Semantics.CONT
+    consume = semantics is Semantics.NEXT
     candidates = _matchable(events, query)
+    run_end = {occ.index: j + 1 for j, occ in enumerate(candidates)}
     times = sorted({ev.time for ev in events})
     following = dict(zip(times, times[1:]))
     ties = Counter(ev.time for ev in events)
@@ -111,6 +125,8 @@ def _search(events, query: Query, cap: int, contiguous: bool):
         for j in untried[-1]:
             occ = candidates[j]
             if may_follow(trend, occ):
+                if consume and trend:
+                    untried[-1] = iter(range(j + 1, run_end[occ.index]))
                 trend.append(occ)
                 untried.append(iter(range(j + 1, n)))
                 if occ.variable == template.end_type:
@@ -127,32 +143,12 @@ def _search(events, query: Query, cap: int, contiguous: bool):
 
 def enumerate_any(events, query: Query, cap: int = DEFAULT_CAP):
     """All finished trends under skip-till-any-match, in canonical order."""
-    return _search(events, query, cap, contiguous=False)
+    return _search(events, query, cap, Semantics.ANY)
 
 
 def enumerate_next(events, query: Query, cap: int = DEFAULT_CAP):
     """All finished trends under skip-till-next-match, in canonical order."""
-    template = query.template
-    candidates = _matchable(events, query)
-    if len({occ.index for occ in candidates}) < len(candidates):
-        raise UnsupportedQuery(
-            "skip-till-next-match needs an unambiguous variable per event"
-        )
-    adjacent = _adjacency(query)
-    found = 0
-    for k, first in enumerate(candidates):
-        if first.variable != template.start_type:
-            continue
-        chain = []
-        for occ in candidates[k:]:
-            if chain and not adjacent(chain[-1], occ):
-                continue
-            chain.append(occ)
-            if occ.variable == template.end_type:
-                if found >= cap:
-                    raise ExplosionGuard(cap)
-                found += 1
-                yield tuple(chain)
+    return _search(events, query, cap, Semantics.NEXT)
 
 
 def enumerate_cont(events, query: Query, cap: int = DEFAULT_CAP):
@@ -162,7 +158,7 @@ def enumerate_cont(events, query: Query, cap: int = DEFAULT_CAP):
     match anything still breaks contiguity when it falls strictly inside a
     trend's time span.
     """
-    return _search(events, query, cap, contiguous=True)
+    return _search(events, query, cap, Semantics.CONT)
 
 
 _ENUMERATORS = {

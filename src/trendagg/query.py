@@ -13,7 +13,9 @@ optional whitespace):
 Predicate forms: ``[attr]`` (all trend events share the value, hoisted into
 the partition key), ``X.attr OP constant``, ``X.attr OP Y.attr`` and
 ``X.attr OP NEXT(X).attr`` (the latter two constrain which events may sit
-next to each other inside a trend).
+next to each other inside a trend: the left variable's event comes first,
+and a pair in which it never directly precedes the right one's is a
+``QuerySyntaxError``).
 """
 
 from __future__ import annotations
@@ -24,13 +26,7 @@ import re
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from .errors import (
-    InputError,
-    QuerySyntaxError,
-    UnknownAttribute,
-    UnknownType,
-    UnsupportedQuery,
-)
+from .errors import InputError, QuerySyntaxError, UnknownAttribute, UnknownType
 from .events import Event, Schema
 from .pattern import Pattern, PatternTemplate, analyze_pattern, parse_pattern
 
@@ -163,15 +159,13 @@ class Query:
     @property
     def adjacency(self) -> dict:
         """The adjacency checks of each predecessor pair, in query order:
-        ``(prev, next) -> ((prev_attr, compare, next_attr), ...)``. A
-        predicate on two variables that never sit next to each other binds
-        no pair."""
+        ``(prev, next) -> ((prev_attr, compare, next_attr), ...)``.
+        ``parse_query`` admits only pairs that may sit next to each other."""
         table = {}
         for p in self.adjacent_predicates:
-            if p.prev_variable in self.template.pred_types.get(p.next_variable, ()):
-                table.setdefault((p.prev_variable, p.next_variable), []).append(
-                    (p.prev_attr, p.op.apply, p.next_attr)
-                )
+            table.setdefault((p.prev_variable, p.next_variable), []).append(
+                (p.prev_attr, p.op.apply, p.next_attr)
+            )
         return {pair: tuple(checks) for pair, checks in table.items()}
 
 
@@ -412,6 +406,13 @@ def parse_query(text: str, schema: Schema) -> Query:
     semantics = _SEMANTICS_NAMES[sem_text]
 
     predicates = _parse_where(clauses["WHERE"], view) if "WHERE" in clauses else []
+    preds = template.pred_types
+    for p in predicates:
+        if isinstance(p, Adjacent) and p.prev_variable not in preds[p.next_variable]:
+            raise QuerySyntaxError(
+                f"{p.prev_variable} never directly precedes {p.next_variable} "
+                "in the pattern"
+            )
 
     group_by = []
     if "GROUP-BY" in clauses:
@@ -477,18 +478,6 @@ def load_query(path, schema: Schema) -> Query:
 
 # --------------------------------------------------------------------------
 # Planning
-
-def check_supported(query: Query) -> None:
-    """Raise ``UnsupportedQuery`` for a query that ``run`` and ``oracle``
-    both refuse, whatever the stream: under skip-till-next-match, a pattern
-    that binds one stream type to several variables."""
-    sources = list(query.aliases.values())
-    if query.semantics is Semantics.NEXT and len(set(sources)) != len(sources):
-        raise UnsupportedQuery(
-            "skip-till-next-match cannot run a pattern that binds one "
-            "stream type to several variables"
-        )
-
 
 def classify_and_plan(query: Query) -> frozenset:
     """Choose the coarsest exact aggregation granularity: the variables

@@ -229,10 +229,12 @@ class WindowManager:
                 engine.kernel.base = lo  # its windows are numbered by id
             kernel = engine.kernel
             before = kernel.entry_count
-            engine.step_with_roles(time, group, span)
-            self.current_entries += kernel.entry_count - before
-            if self.current_entries > self.peak_entries:
-                self.peak_entries = self.current_entries
+            try:
+                engine.step_with_roles(time, group, span)
+            finally:  # the kernel's count is exact also after a raise
+                self.current_entries += kernel.entry_count - before
+                if self.current_entries > self.peak_entries:
+                    self.peak_entries = self.current_entries
 
     def run(self, events):
         """Feed a whole stream and yield result rows as windows close."""

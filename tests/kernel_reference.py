@@ -59,9 +59,11 @@ class ReferenceKernel(MixedKernel):
         merge = plan.merge
         held = _slots(self.type_cells)
         # Every event of the group reads the state as it stood before the
-        # timestamp, less what earlier events consumed under next.
+        # timestamp, less what earlier events consumed under next; an event
+        # consumes only once each variable it plays has read.
         out = []
         for roles, attrs in group:
+            read = set()  # the kept events the event's roles read
             for r in roles:
                 # Merging starts from the first type-grained predecessor
                 # rather than from the identity; 0 + x is x for every slot
@@ -90,17 +92,18 @@ class ReferenceKernel(MixedKernel):
                         pred[: len(c)] = map(add, pred, c)
                     else:
                         pred[: len(c)] = merge(pred[: len(c)], c)
-                if plan.consume:
-                    for p in plan.type_preds[r]:
-                        gone = self.type_cells.pop(p, ())
-                        self.entry_count -= len(gone) // k
-                        held -= len(gone)
-                    if kept:
-                        self._forget(kept)
+                read.update(kept)
                 cell = plan.absorb[r](pred, attrs)
                 if r == plan.end and self.final_acc is not None:
                     self.final_acc = merge(self.final_acc, cell)
                 out.append((r, cell, attrs))
+            if plan.consume:  # every role has read: the chains read end here
+                for r in roles:
+                    for p in plan.type_preds[r]:
+                        gone = self.type_cells.pop(p, ())
+                        self.entry_count -= len(gone) // k
+                        held -= len(gone)
+                self._forget(sorted(read))
         # Then the group's new cells are written, in arrival order.
         writes = out
         readable = {}

@@ -249,6 +249,38 @@ class TestOracle:
             0, [f"wid,window_start_ms,window_end_ms,{returns.replace(', ', ',')}", row]
         )
 
+    @pytest.mark.parametrize("emit_empty", [[], ["--emit-empty"]])
+    @pytest.mark.parametrize(
+        "rows, out",
+        [
+            # a2 extends a1's chain as X and as Y, and the chain forks; a3
+            # extends (a1, a2 as X) and (a2): the trends hold X.v 1 + 2,
+            # 1 and 2.
+            ("1,A,1\n2,A,2\n3,A,3\n", ["0,0,100000,3,6"]),
+            # No A event: no event plays two variables, and no row.
+            ("1,B,5\n2,C,3\n", []),
+        ],
+        ids=["forks", "no-a"],
+    )
+    def test_aliased_next_pattern_agrees_with_run(
+        self, workdir, capsys, rows, out, emit_empty
+    ):
+        (workdir / "alias.csv").write_text("time,type,v\n" + rows)
+        (workdir / "alias.txt").write_text(
+            "RETURN COUNT(*), SUM(X.v) PATTERN SEQ(A X+, A Y) SEMANTICS next "
+            "WITHIN 100 s\n"
+        )
+        outcomes = []
+        for command in ("run", "oracle"):
+            code = _run(
+                [command, "--query", workdir / "alias.txt", "--input",
+                 workdir / "alias.csv", "--schema", workdir / "schema.json",
+                 *emit_empty]
+            )
+            outcomes.append((code, capsys.readouterr().out.splitlines()))
+        header = "wid,window_start_ms,window_end_ms,COUNT(*),SUM(X.v)"
+        assert outcomes == [(0, [header, *out])] * 2
+
     @pytest.mark.parametrize(
         "pattern, where, window, rows, out",
         [
@@ -676,26 +708,37 @@ class TestErrors:
         )
         assert not out.exists()
 
-    @pytest.mark.parametrize("emit_empty", [[], ["--emit-empty"]])
-    @pytest.mark.parametrize("command", ["run", "oracle"])
-    def test_aliased_next_pattern_exits_2(self, workdir, capsys, command, emit_empty):
-        # The stream holds no A event, so no event plays two variables; both
-        # subcommands still refuse the pattern itself.
-        (workdir / "noa.csv").write_text("time,type,v\n1,B,5\n2,C,3\n")
-        (workdir / "alias.txt").write_text(
-            "RETURN COUNT(*) PATTERN SEQ(A X+, A Y) SEMANTICS next WITHIN 100 s\n"
+    @pytest.mark.parametrize(
+        "where, rows",
+        [
+            # B.v > A.v reads as B before A, which SEQ(A, B) never has.
+            ("B.v > A.v", None),
+            # The same check with the earlier event on the left filters.
+            ("A.v < B.v", ["wid,window_start_ms,window_end_ms,COUNT(*)"]),
+        ],
+        ids=["never-adjacent", "adjacent"],
+    )
+    def test_a_predicate_on_a_pair_never_adjacent_exits_2(
+        self, workdir, capsys, where, rows
+    ):
+        (workdir / "ab.csv").write_text("time,type,v\n1,A,5\n2,B,1\n")
+        (workdir / "ab.txt").write_text(
+            f"RETURN COUNT(*) PATTERN SEQ(A, B) SEMANTICS any WHERE {where} "
+            "WITHIN 100 s\n"
         )
-        code = _run(
-            [command, "--query", workdir / "alias.txt", "--input", workdir / "noa.csv",
-             "--schema", workdir / "schema.json", *emit_empty]
-        )
-        captured = capsys.readouterr()
-        assert code == 2
-        assert captured.out == ""
-        assert captured.err == (
-            "error: skip-till-next-match cannot run a pattern that binds one "
-            "stream type to several variables\n"
-        )
+        for command in ("run", "oracle"):
+            code = _run(
+                [command, "--query", workdir / "ab.txt", "--input", workdir / "ab.csv",
+                 "--schema", workdir / "schema.json"]
+            )
+            captured = capsys.readouterr()
+            if rows is None:
+                assert (code, captured.out) == (2, "")
+                assert captured.err == (
+                    "error: B never directly precedes A in the pattern\n"
+                )
+            else:
+                assert (code, captured.out.splitlines()) == (0, rows)
 
     @pytest.mark.parametrize(
         "rows, returns, where, message",

@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trendagg import Event, build_engine
-from trendagg.errors import UnsupportedQuery
 from trendagg.oracle import aggregate_trends, enumerate_trends
 
 from conftest import SHOWCASE, make_query, stream_strategy
@@ -124,11 +123,17 @@ class TestEdgeBehaviour:
         assert engine.kernel.snapshot().entries == idle
         assert engine.step([Event(3000, "B", {"v": 0})])[0][1][0] == 0
 
-    @pytest.mark.parametrize("semantics", ["next"])
-    def test_aliases_rejected(self, semantics):
-        query = make_query(pattern="SEQ(A X+, A Y)", semantics=semantics)
-        with pytest.raises(UnsupportedQuery):
-            build_engine(query)
+    def test_aliases_fork_where_an_event_plays_two_variables(self):
+        # Under next, a2 extends a1's chain as X and as Y, so the chain
+        # forks; a3 then extends (a1, a2 as X) and (a2) alike. The trends
+        # are (a1, a2 as Y), (a1, a2, a3 as Y) and (a2, a3 as Y); the
+        # skip-till-any-match trend (a1, a3 as Y) skips a2, which could
+        # extend it.
+        events = [Event(1000 * t, "A", {"v": t}) for t in (1, 2, 3)]
+        for semantics, count in (("next", 3), ("any", 4)):
+            query = make_query(pattern="SEQ(A X+, A Y)", semantics=semantics)
+            assert build_engine(query).run(events).results() == {"COUNT(*)": count}
+            assert len(list(enumerate_trends(events, query))) == count
 
 
 def _assert_matches_oracle(query, events):
@@ -180,13 +185,31 @@ def test_random_cont_matches_oracle(data):
     _assert_matches_oracle(query, data.draw(stream_strategy()))
 
 
+# Patterns that bind stream type A to two variables, each with the
+# adjacency predicates that bind a pair in it.
+_ALIASED = {
+    "SEQ(A X+, A Y)": (None, "X.v < Y.v", "X.v < NEXT(X).v"),
+    "SEQ(A X, A Y+, B)": (None, "X.v < Y.v", "Y.v >= NEXT(Y).v"),
+}
+
+
+def _draw_aliased(data, semantics):
+    pattern = data.draw(st.sampled_from(sorted(_ALIASED)))
+    where = data.draw(st.sampled_from(_ALIASED[pattern]))
+    query = make_query(
+        pattern=pattern, semantics=semantics, where=where,
+        returns="COUNT(*), SUM(X.v), MAX(Y.v)",
+    )
+    return query, data.draw(stream_strategy(types="AAB"))
+
+
 @settings(max_examples=120, deadline=None)
 @given(data=st.data())
 def test_aliased_cont_matches_oracle(data):
-    pattern = data.draw(st.sampled_from(("SEQ(A X+, A Y)", "SEQ(A X, A Y+, B)")))
-    where = data.draw(st.sampled_from((None, "X.v < Y.v", "X.v < NEXT(X).v")))
-    query = make_query(
-        pattern=pattern, semantics="cont", where=where,
-        returns="COUNT(*), SUM(X.v), MAX(Y.v)",
-    )
-    _assert_matches_oracle(query, data.draw(stream_strategy(types="AAB")))
+    _assert_matches_oracle(*_draw_aliased(data, "cont"))
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_aliased_next_matches_oracle(data):
+    _assert_matches_oracle(*_draw_aliased(data, "next"))

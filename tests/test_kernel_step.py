@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from trendagg import Engine, Event, Schema
 from trendagg._kernels_py import MixedKernel
 from trendagg.engines import compile_query
-from trendagg.errors import AggregateOverflow, MissingAttribute, UnsupportedQuery
+from trendagg.errors import AggregateOverflow, MissingAttribute
 
 from conftest import make_query
 from kernel_reference import ReferenceKernel, recount
@@ -153,10 +153,7 @@ def _pump():
 def test_generated_step_matches_the_interpreted_one(data):
     pump = data.draw(st.integers(0, 9)) == 0
     query, event_grained, types = data.draw(_queries(pump))
-    try:
-        compiled = compile_query(query, event_grained)
-    except UnsupportedQuery:  # an aliased pattern under next
-        return
+    compiled = compile_query(query, event_grained)
     floats = pump or data.draw(st.booleans())
     ops = _pump() if pump else []
     ops += data.draw(_ops(types, floats, 1000 * _PUMP))
@@ -213,3 +210,18 @@ def test_an_overflow_comes_before_a_later_slots_missing_attribute(width):
         "AggregateOverflow",
         "the sum of A.v exceeds the float range: int too large to convert to float",
     )
+
+
+@pytest.mark.parametrize("where", [None, "X.v < NEXT(X).v"])
+@pytest.mark.parametrize("fine", [False, True])
+def test_an_event_reads_as_every_variable_before_it_consumes(where, fine):
+    # Under next each A event plays X and Y, and both read X's cells or
+    # kept X events: the read as X must leave them for the read as Y. The
+    # last timestamp holds two events, the second of which finds them
+    # consumed.
+    query = make_query(pattern="SEQ(A X+, A Y)", semantics="next", where=where,
+                       returns="COUNT(*), SUM(X.v)")
+    compiled = compile_query(query, frozenset(query.template.types) if fine else None)
+    ops = [("step", 1000 * t, [("A", {"v": t})], 1 + t % 2) for t in (1, 2, 3)]
+    ops.append(("step", 4000, [("A", {"v": 4}), ("A", {"v": 5})], 2))
+    assert _drive(compiled, ops) is None

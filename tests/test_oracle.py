@@ -12,7 +12,6 @@ from trendagg import (
     ExplosionGuard,
     Schema,
     TRANSPORT_SCHEMA,
-    UnsupportedQuery,
     aggregate_trends,
     enumerate_any,
     enumerate_cont,
@@ -97,10 +96,24 @@ def test_next_consumes_extending_events():
     assert keys(trends) == {((0, "A"), (2, "B")), ((1, "A"), (2, "B"))}
 
 
-def test_next_rejects_ambiguous_variable_choice():
-    query = q("SEQ(A X+, A Y)", "next")
-    with pytest.raises(UnsupportedQuery):
-        list(enumerate_next([ev(1, "A"), ev(2, "A")], query))
+def test_next_forks_once_per_variable_an_event_plays():
+    # a2 can extend a1's chain as X and as Y: the chain takes a2 and forks,
+    # so (a1, a3 as Y), which skips a2, is no trend. a3 then extends each
+    # chain whose tip plays X, as X and as Y.
+    events = [ev(1, "A"), ev(2, "A"), ev(3, "A")]
+    assert list(map(key, enumerate_next(events, q("SEQ(A X+, A Y)", "next")))) == [
+        ((0, "X"), (1, "X"), (2, "Y")),
+        ((0, "X"), (1, "Y")),
+        ((1, "X"), (2, "Y")),
+    ]
+    # With X.v < Y.v, a2 (v 1) can extend a1 (v 2) as X only; the chain
+    # must still take it, and a3 (v 3) extends it as Y.
+    events = [ev(1, "A", 2), ev(2, "A", 1), ev(3, "A", 3)]
+    query = q("SEQ(A X+, A Y)", "next", "X.v < Y.v")
+    assert keys(enumerate_next(events, query)) == {
+        ((0, "X"), (1, "X"), (2, "Y")),
+        ((1, "X"), (2, "Y")),
+    }
 
 
 def test_cont_gap_free_filter():
@@ -216,10 +229,73 @@ def _literal_cases():
         yield events, pattern, where
 
 
+def _literal_next(events, query):
+    """From-scratch skip-till-next-match enumeration: the
+    skip-till-any-match trends in which no event strictly between two
+    neighbours can extend the earlier one, as any variable."""
+
+    def extends(i, variable, m):
+        return any(
+            check_adjacent(
+                query.template,
+                query.predicates,
+                events[i],
+                events[m],
+                prev_variable=variable,
+                next_variable=nv,
+            )
+            for nv in matchable_variables(query, events[m])
+        )
+
+    return {
+        trend
+        for trend in _literal_any(events, query)
+        if not any(
+            extends(i, pv, m)
+            for (i, pv), (j, _) in zip(trend, trend[1:])
+            for m in range(i + 1, j)
+        )
+    }
+
+
+def _aliased_cases():
+    """Small random streams, mostly of A events, under patterns that bind
+    type A to two variables, each with a WHERE clause that binds a pair."""
+    rng = random.Random(26)
+    patterns = [
+        ("SEQ(A X+, A Y)", None),
+        ("SEQ(A X+, A Y)", "X.v < NEXT(X).v"),
+        ("SEQ(A X+, A Y)", "X.v <= Y.v"),
+        ("SEQ(A X+, A Y+)", "X.v <= Y.v"),
+        ("SEQ(A X, A Y+, B)", "Y.v >= NEXT(Y).v"),
+        ("(SEQ(A X+, A Y))+", "Y.v < X.v"),
+        ("SEQ(A X+, A Y)", "X.v > 0 AND Y.v < 4"),
+        ("SEQ(B, A X+, A Y+)", "B.v < X.v"),
+    ]
+    for case in range(400):
+        pattern, where = patterns[case % len(patterns)]
+        n = rng.randint(2, 7)
+        times = sorted(rng.randint(1, 6) for _ in range(n))  # ties likely
+        events = [
+            ev(times[i], rng.choice("AAAB"), rng.randint(0, 4))
+            for i in range(n)
+        ]
+        yield events, pattern, where
+
+
 def test_any_matches_literal_subset_enumeration():
     for events, pattern, where in _literal_cases():
         query = q(pattern, where=where)
         assert keys(enumerate_any(events, query)) == _literal_any(events, query)
+
+
+def test_next_matches_literal_first_extension_rule():
+    cases = itertools.chain(_literal_cases(), _aliased_cases())
+    for events, pattern, where in cases:
+        query = q(pattern, "next", where)
+        assert keys(enumerate_next(events, query)) == _literal_next(events, query), (
+            pattern, where, events,
+        )
 
 
 def test_trends_come_in_ascending_order_and_cont_is_gap_free():
@@ -228,10 +304,7 @@ def test_trends_come_in_ascending_order_and_cont_is_gap_free():
     for events, pattern, where in _literal_cases():
         for semantics in ("any", "next", "cont"):
             trends = enumerate_trends(events, q(pattern, semantics, where))
-            try:
-                found = list(map(key, trends))
-            except UnsupportedQuery:  # ``next`` with an event playing X and Y
-                continue
+            found = list(map(key, trends))
             assert all(a < b for a, b in zip(found, found[1:])), (semantics, events)
         query = q(pattern, "cont", where)
         want = _gap_free(events, _literal_any(events, query))

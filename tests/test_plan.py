@@ -2,7 +2,7 @@
 
 import pytest
 
-from trendagg import Schema, classify_and_plan, parse_query
+from trendagg import QuerySyntaxError, Schema, classify_and_plan, parse_query
 
 SCHEMA = Schema({"A": {"v": "int"}, "B": {"v": "int"}, "C": {"v": "int"}})
 
@@ -37,10 +37,12 @@ def test_any_with_adjacency_keeps_predecessor_events():
     assert plan_for("any", "A.v <= B.v AND B.v < A.v") == frozenset({"A", "B"})
 
 
-def test_adjacency_on_impossible_edge_constrains_nothing():
+def test_adjacency_on_impossible_edge_is_an_error():
     # In SEQ(A, B, C) a C-event never directly follows an A-event, so a
-    # predicate on that pair gates no edge and no events need keeping.
-    assert plan_for("any", "A.v < C.v", pattern="SEQ(A, B, C)") == frozenset()
+    # predicate on that pair could gate no edge: it is refused, not dropped.
+    message = "^A never directly precedes C in the pattern$"
+    with pytest.raises(QuerySyntaxError, match=message):
+        plan_for("any", "A.v < C.v", pattern="SEQ(A, B, C)")
 
 
 def test_plan_ignores_predicate_order():

@@ -444,6 +444,9 @@ _WINDOWED_FAMILIES = [
     ("next", "A+", "A.v < NEXT(A).v", "COUNT(*), SUM(A.v), AVG(A.v)"),
     ("next", "(SEQ(A+, B))+", "B.v < A.v", "COUNT(*), COUNT(A), SUM(B.v)"),
     ("next", "SEQ(A+, B, C+)", None, "COUNT(*), SUM(A.v), MIN(A.v)"),
+    ("next", "SEQ(A X+, A Y)", None, "COUNT(*), SUM(X.v), AVG(Y.v)"),
+    ("next", "SEQ(A X+, A Y)", "X.v < NEXT(X).v", "COUNT(*), SUM(X.v), MIN(Y.v)"),
+    ("next", "SEQ(A X+, A Y+)", "X.v <= Y.v", "COUNT(*), COUNT(X), MAX(Y.v)"),
 ]
 
 
@@ -861,3 +864,19 @@ class TestHeldTimestamp:
         manager.ingest(Event(2000, "A", {"v": 1.0}))
         assert kernel.snapshot() == (1, {"A": 1}, [], 1)
         assert [r.values for r in manager.finish()] == [{"COUNT(*)": 5}]
+
+    def test_entry_counts_stay_exact_through_a_step_that_raises(self):
+        # Under next, A@3 s consumes A's cells before the tied B@3 s, which
+        # lacks v, raises. The manager's count still follows the kernel's:
+        # it used to read 2 against the kernel's 1.
+        query = make_query(pattern="SEQ(A+, B+)", semantics="next",
+                           where="B.v < NEXT(B).v", within="10 s")
+        manager = WindowManager(query)
+        for time, etype, attrs in ((1000, "A", {}), (2000, "B", {"v": 1}),
+                                   (2500, "A", {}), (3000, "A", {}), (3000, "B", {})):
+            manager.ingest(Event(time, etype, attrs))
+        with pytest.raises(MissingAttribute, match="attribute v"):
+            manager.ingest(Event(4000, "A", {}))
+        kernel = manager._engines[()].kernel
+        assert manager.current_entries == kernel.entry_count == recount(kernel) == 1
+        assert manager.peak_entries == 2
