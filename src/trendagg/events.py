@@ -12,6 +12,7 @@ import functools
 import itertools
 import json
 import random
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional
@@ -32,22 +33,6 @@ class Event:
             raise ValueError(f"negative event time {self.time}")
         if not self.etype:
             raise ValueError("empty event type")
-
-
-_new_object = object.__new__
-_set_time = Event.time.__set__
-_set_etype = Event.etype.__set__
-_set_attrs = Event.attrs.__set__
-
-
-def _trusted_event(time, etype, attrs) -> Event:
-    """An ``Event`` whose time and type the caller has already checked: set
-    through the slot descriptors, without ``__post_init__``'s re-check."""
-    event = _new_object(Event)
-    _set_time(event, time)
-    _set_etype(event, etype)
-    _set_attrs(event, attrs)
-    return event
 
 
 class Schema:
@@ -95,18 +80,16 @@ class Schema:
 
 
 def _parse_time_ms(cell, row_number):
-    # Fast paths for plain ``digits.ddd`` and ``digits[.digits]``; everything
-    # else, and every error, goes through Fraction.
+    # A fast path for plain ``digits[.digits]``; everything else, and every
+    # error, goes through Fraction. The reader inlines ``digits.ddd``.
     whole, dot, frac = cell.partition(".")
-    if len(frac) == 3 and whole.isdigit() and frac.isdigit() and cell.isascii():
-        return int(whole + frac)
-    if whole.isdigit() and cell.isascii() and (frac.isdigit() or not dot):
-        frac = frac.rstrip("0")
-        if len(frac) <= 3:
-            return int(whole) * 1000 + int(frac.ljust(3, "0"))
     try:
+        if whole.isdigit() and cell.isascii() and (frac.isdigit() or not dot):
+            frac = frac.rstrip("0")
+            if len(frac) <= 3:
+                return int(whole) * 1000 + int(frac.ljust(3, "0"))
         seconds = Fraction(cell)
-    except (ValueError, ZeroDivisionError):
+    except (ValueError, ZeroDivisionError):  # also more digits than int() reads
         raise MalformedRow(row_number, f"bad time value {cell!r}") from None
     ms = seconds * 1000
     if ms.denominator != 1:
@@ -116,11 +99,19 @@ def _parse_time_ms(cell, row_number):
     return int(ms)
 
 
+# int() reads at most sys.get_int_max_str_digits() digits, 4,300 by default.
+_INTEGER_FORM = re.compile(r"[+-]?\d+(?:_\d+)*").fullmatch
+
+
 def _infer(cell):
+    """An int, else a float, else the string. A cell in integer form that
+    int() refuses, for more digits than it reads, raises ``ValueError`` as
+    it does under an int schema, instead of reading as a float."""
     try:
         return int(cell)
     except ValueError:
-        pass
+        if _INTEGER_FORM(cell):
+            raise
     try:
         return float(cell)
     except ValueError:
@@ -129,6 +120,37 @@ def _infer(cell):
 
 # Converter per schema kind; a column the schema does not cover is inferred.
 _DECODERS = {"int": int, "float": float, "str": str, None: _infer}
+
+
+def _bad_value(row_number, cell, attr, kind):
+    """The error for a cell that its converter refuses: an int or float
+    one, or an inferred one in integer form (see ``_infer``)."""
+    return MalformedRow(row_number, f"value {cell!r} for {attr} is not a valid {kind or 'int'}")
+
+
+def _compile_decoder(columns, kinds):
+    """``decode(row, row_number)``: a typed-column row's attributes, for
+    ``columns`` of ``kinds``, as a generated function. Per column, the
+    stripped cell, if not empty, goes through its kind's converter in
+    ``_DECODERS``, bound by name (a str cell is kept as it is); a refused
+    cell raises ``_bad_value``'s error, formatted at run time. Names enter
+    the source only through ``repr()``."""
+    lines = ["def decode(row, row_number):", "    attrs = {}"]
+    for i, (attr, kind) in enumerate(zip(columns, kinds), start=2):
+        lines += [f"    cell = row[{i}].strip()", "    if cell:"]
+        if kind == "str":
+            lines.append(f"        attrs[{attr!r}] = cell")
+            continue
+        lines += [
+            "        try:",
+            f"            attrs[{attr!r}] = {_DECODERS[kind].__name__}(cell)",
+            "        except ValueError:",
+            f"            raise bad_value(row_number, cell, {attr!r}, {kind!r}) from None",
+        ]
+    lines += ["    return attrs", ""]
+    namespace = {"_infer": _infer, "bad_value": _bad_value}
+    exec(compile("\n".join(lines), "<trendagg decoder>", "exec"), namespace)
+    return namespace["decode"]
 
 
 # Events parsed per block. ``read_csv_stream`` parses the first block before
@@ -145,8 +167,9 @@ def read_csv_stream(path, schema: Optional[Schema] = None) -> Iterator[Event]:
 
     Both layouts strip names and cells of surrounding whitespace. Value
     kinds come from ``schema`` when it covers the event type, otherwise
-    they are inferred (int, then float, then string). Rows must be in
-    non-decreasing time order.
+    they are inferred (int, then float, then string; see ``_infer``). Rows
+    must be in non-decreasing time order. Typed-column rows are decoded by
+    one generated function per event type in the stream.
 
     Returns an iterator. The first ``BLOCK_ROWS`` rows are parsed before the
     call returns, so a malformed or backwards row among them raises here
@@ -157,15 +180,23 @@ def read_csv_stream(path, schema: Optional[Schema] = None) -> Iterator[Event]:
 
 
 def _read_blocks(path, schema):
-    """Lists of at most ``BLOCK_ROWS`` events, in file order."""
+    """Lists of at most ``BLOCK_ROWS`` events, in file order.
+
+    A typed-column row is decoded by its event type's generated ``decode``,
+    built once per stream by ``_compile_decoder``. A ``digits.ddd`` time is
+    read inline, and each ``Event`` is set through its slot descriptors,
+    without ``__post_init__``'s re-check of the time and type checked here.
+    """
 
     @functools.cache
     def kind_of(etype, attr):
         return schema.kind_of(etype, attr) if schema else None
 
+    new_object = object.__new__
+    set_time, set_etype, set_attrs = Event.time.__set__, Event.etype.__set__, Event.attrs.__set__
     last_ms = -1
     row_number = 0  # records read; a csv.Error is in the next one
-    column_decoders = {}  # event type -> (attr, converter) per column
+    decoders = {}  # event type -> its generated decode(row, row_number)
     block = []
     append = block.append
     with open(path, newline="", encoding="utf-8-sig") as fh:
@@ -184,57 +215,60 @@ def _read_blocks(path, schema):
                 if attr in columns[:i]:
                     raise MalformedRow(1, f"duplicate column {attr!r}")
             kv_mode = not columns
+            width = len(header)
             for row_number, row in enumerate(reader, start=2):
                 if not row:
                     continue
                 if kv_mode:
                     if len(row) < 2:
                         raise MalformedRow(row_number, "need at least time and type")
+                elif len(row) != width:
+                    raise MalformedRow(row_number, f"expected {width} columns, got {len(row)}")
+                cell = row[0].strip()
+                whole, _, frac = cell.partition(".")
+                if len(frac) == 3 and whole.isdigit() and frac.isdigit() and cell.isascii():
+                    try:
+                        time_ms = int(whole + frac)
+                    except ValueError:  # more digits than int() reads: a bad time
+                        time_ms = _parse_time_ms(cell, row_number)
                 else:
-                    if len(row) != len(header):
-                        raise MalformedRow(
-                            row_number,
-                            f"expected {len(header)} columns, got {len(row)}",
-                        )
-                time_ms = _parse_time_ms(row[0].strip(), row_number)
+                    time_ms = _parse_time_ms(cell, row_number)
                 if time_ms < last_ms:
                     raise OutOfOrder(row_number, last_ms, time_ms)
                 last_ms = time_ms
                 etype = row[1].strip()
                 if not etype:
                     raise MalformedRow(row_number, "empty event type")
-                attrs = {}
-                try:
-                    if kv_mode:
-                        for pair in row[2:]:
-                            pair = pair.strip()
-                            if not pair:
-                                continue
-                            attr, eq, cell = pair.partition("=")
-                            attr, cell = attr.strip(), cell.strip()
-                            if not eq:
-                                raise MalformedRow(row_number, f"expected key=value, got {pair!r}")
-                            if not attr:
-                                raise MalformedRow(row_number, f"no attribute name in {pair!r}")
-                            if attr in attrs:
-                                raise MalformedRow(row_number, f"repeated attribute {attr!r}")
-                            attrs[attr] = _DECODERS[kind_of(etype, attr)](cell)
-                    else:
-                        decoders = column_decoders.get(etype)
-                        if decoders is None:
-                            decoders = column_decoders[etype] = [
-                                (attr, _DECODERS[kind_of(etype, attr)]) for attr in columns
-                            ]
-                        for (attr, convert), cell in zip(decoders, row[2:]):
-                            cell = cell.strip()
-                            if cell:
-                                attrs[attr] = convert(cell)
-                except ValueError:  # only a declared kind's converter raises
-                    raise MalformedRow(
-                        row_number,
-                        f"value {cell!r} for {attr} is not a valid {kind_of(etype, attr)}",
-                    ) from None
-                append(_trusted_event(time_ms, etype, attrs))
+                if kv_mode:
+                    attrs = {}
+                    for pair in row[2:]:
+                        pair = pair.strip()
+                        if not pair:
+                            continue
+                        attr, eq, cell = pair.partition("=")
+                        attr, cell = attr.strip(), cell.strip()
+                        if not eq:
+                            raise MalformedRow(row_number, f"expected key=value, got {pair!r}")
+                        if not attr:
+                            raise MalformedRow(row_number, f"no attribute name in {pair!r}")
+                        if attr in attrs:
+                            raise MalformedRow(row_number, f"repeated attribute {attr!r}")
+                        kind = kind_of(etype, attr)
+                        try:
+                            attrs[attr] = _DECODERS[kind](cell)
+                        except ValueError:
+                            raise _bad_value(row_number, cell, attr, kind) from None
+                else:
+                    decode = decoders.get(etype)
+                    if decode is None:
+                        kinds = [kind_of(etype, attr) for attr in columns]
+                        decode = decoders[etype] = _compile_decoder(columns, kinds)
+                    attrs = decode(row, row_number)
+                event = new_object(Event)
+                set_time(event, time_ms)
+                set_etype(event, etype)
+                set_attrs(event, attrs)
+                append(event)
                 if len(block) == BLOCK_ROWS:
                     yield block
                     block = []

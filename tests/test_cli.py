@@ -152,8 +152,12 @@ class TestInferredSchema:
              "WHERE A.v < NEXT(A).v WITHIN 10000 s", "float", [],
              "error: the sum of A.v exceeds the float range: "
              "int too large to convert to float\n"),
+            # An integer cell past int()'s 4,300-digit limit is malformed,
+            # whether its kind is declared or inferred.
+            (["1", "9" * 5000], "RETURN SUM(A.v) PATTERN A+ SEMANTICS any WITHIN 10 s",
+             "int", [], f"error: row 3: value {'9' * 5000!r} for v is not a valid int\n"),
         ],
-        ids=["str-column", "int-in-float-column", "float-sum-overflow"],
+        ids=["str-column", "int-in-float-column", "float-sum-overflow", "int-past-digit-limit"],
     )
     def test_cells_decode_by_the_inferred_kind(
         self, workdir, capsys, cells, query, kind, out, err
@@ -707,6 +711,16 @@ class TestErrors:
             "error: row 5002: value 'notint' for v is not a valid int\n"
         )
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["run", "oracle"])
+    @pytest.mark.parametrize("time", ["9" * 5000, "9" * 5000 + ".000"], ids=["whole", "millis"])
+    def test_a_time_past_the_int_digit_limit_exits_2(self, workdir, capsys, command, time):
+        # int() reads at most 4,300 digits; such a time is a malformed row.
+        (workdir / "big.csv").write_text(f"time,type,v\n{time},A,1\n")
+        code = _run([command, "--query", workdir / "q.txt", "--input", workdir / "big.csv"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err == f"error: row 2: bad time value {time!r}\n"
 
     @pytest.mark.parametrize(
         "where, rows",

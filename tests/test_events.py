@@ -1,6 +1,8 @@
+import csv
 import dataclasses
 import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -18,7 +20,10 @@ from trendagg import (
     read_csv_stream,
     write_csv_stream,
 )
-from trendagg.events import BLOCK_ROWS, _infer, _parse_time_ms
+from trendagg import events as events_module
+from trendagg.events import BLOCK_ROWS, _parse_time_ms
+
+from reader_reference import read_typed_csv
 
 
 def test_event_validation():
@@ -364,8 +369,9 @@ def _time_cells(draw):
 
 @settings(max_examples=400, deadline=None)
 @given(cell=_time_cells())
-# Each guard of the three-digit fast path, pinned: a missing whole part, a
-# sign, padding, non-ASCII digits, and a fraction that is not all digits.
+# Each guard of the reader's three-digit fast path, pinned: a missing whole
+# part, a sign, padding, non-ASCII digits, a fraction that is not all
+# digits, and more digits than int() reads.
 @example(cell=".123")
 @example(cell="-1.234")
 @example(cell="+1.234")
@@ -373,14 +379,26 @@ def _time_cells(draw):
 @example(cell="\u0661.234")
 @example(cell="\u00b2.234")
 @example(cell="1.2e3")
-def test_time_parsing_agrees_with_fractions(cell):
-    want = _fraction_time_ms(cell)
-    try:
-        got = _parse_time_ms(cell, 7)
-    except MalformedRow as exc:
-        got = str(exc)
-    assert got == want
-    assert type(got) is type(want)
+@example(cell="9" * 5000 + ".000")
+@example(cell="9" * 5000)
+def test_time_parsing_agrees_with_fractions(tmp_path_factory, cell):
+    """``_parse_time_ms``, and a reader's row, whose ``digits.ddd`` times
+    take an inline path, read a time cell as an exact Fraction would. A
+    reader strips the cell first, so its errors name the stripped cell."""
+    path = tmp_path_factory.getbasetemp() / "time.csv"
+    # The header, then five blank rows: the cell's row is row 7.
+    path.write_text("time,type\n" + "\n" * 5 + f"{cell},A\n", encoding="utf-8")
+    for parse, read in (
+        (lambda: _parse_time_ms(cell, 7), cell),
+        (lambda: next(read_csv_stream(path)).time, cell.strip()),
+    ):
+        want = _fraction_time_ms(read)
+        try:
+            got = parse()
+        except MalformedRow as exc:
+            got = str(exc)
+        assert got == want
+        assert type(got) is type(want)
 
 
 def test_time_parsing_examples():
@@ -406,66 +424,109 @@ _READ_SCHEMA = Schema(
         "B": {"u": "float", "w": "str", "s": "int"},
     }
 )
-_READ_CELLS = ("", " ", "  \t", "3", " -4 ", "2.5", "1e3", "-0.0", "x", "007", "inf", "1_0")
+_READ_CELLS = (
+    "", " ", "  \t", "3", " -4 ", "2.5", "1e3", "-0.0", "x", "007", "inf", "nan", "1_0",
+)
+# Rarer cells: a quoted comma, and integers past int()'s 4,300-digit limit.
+_RARE_CELLS = ('a,"b', "9" * 4301, "-" + "1" * 4301)
+# Header names that generated source would choke on if one were spliced in
+# without repr(): quotes, backslashes, braces, non-ASCII letters, Python
+# keywords and the decoder's own names.
+_NAMES = st.one_of(
+    st.sampled_from(
+        ("u", "w", "if", "class", "None", "attrs", "cell", "row", "row_number",
+         "int", "_infer", "bad_value", "a}{'\"\\", "é", "名前")
+    ),
+    st.text(alphabet="ab'\"\\{}é中 _", min_size=1, max_size=4).map(str.strip).filter(bool),
+)
+_TYPES = ("A", "B", "C", " A ", "D")  # D is never in the schema
 
 
-def _coerce(cell, kind, row_number, attr):
-    """One cell decoded by its declared kind: the reference for the readers'
-    column converters and their error message."""
+@st.composite
+def _typed_streams(draw):
+    """``(schema, rows)``: a typed-column CSV as lists of cells, header
+    first, and a schema over two or three types whose kinds differ per
+    column, or ``None``. Mostly good rows, with blank rows and every kind
+    of bad row drawn among them."""
+    names = draw(st.lists(_NAMES, min_size=1, max_size=4, unique=True))
+    schema = None
+    if draw(st.booleans()):
+        kinds = st.sampled_from(("int", "float", "str", None))
+        schema = Schema(
+            {
+                etype: {n: k for n in names if (k := draw(kinds))}
+                for etype in draw(st.sampled_from((("A", "B"), ("A", "B", "C"))))
+            }
+        )
+    rows = [["time", "type", *(draw(st.sampled_from(("", " "))) + n for n in names)]]
+    ms = 0
+    for _ in range(draw(st.integers(0, 12))):
+        shape = draw(
+            st.sampled_from(
+                ("row",) * 24 + ("blank", "short", "long", "backwards", "bad time", "no type")
+            )
+        )
+        if shape == "blank":
+            rows.append([])
+            continue
+        if shape == "backwards" and ms:
+            ms -= draw(st.integers(1, ms))
+        else:
+            ms += draw(st.integers(0, 1500))
+        time = draw(st.sampled_from((f"{ms // 1000}.{ms % 1000:03d}", f" {ms / 1000} ")))
+        if shape == "bad time":
+            time = draw(st.sampled_from(("x", "1.0005", "-1", "", "9" * 5000 + ".000")))
+        etype = " " if shape == "no type" else draw(st.sampled_from(_TYPES))
+        cell = st.sampled_from(_READ_CELLS * 4 + _RARE_CELLS)
+        cells = draw(st.lists(cell, min_size=len(names), max_size=len(names)))
+        if shape == "short":
+            cells.pop()
+        elif shape == "long":
+            cells.append("1")
+        rows.append([time, etype, *cells])
+    return schema, rows
+
+
+def _read_outcome(read):
+    """The events ``read()`` returns, as reprs, which show each value's
+    type, or the class and message of the error it raises."""
     try:
-        if kind == "int":
-            return int(cell)
-        if kind == "float":
-            return float(cell)
-        return cell
-    except ValueError:
-        raise MalformedRow(
-            row_number, f"value {cell!r} for {attr} is not a valid {kind}"
-        ) from None
-
-
-def _reference_read(rows, schema):
-    """The typed-column rows decoded cell by cell through ``_coerce``."""
-    events = []
-    for row_number, (etype, cells) in enumerate(rows, start=2):
-        attrs = {}
-        for attr, cell in zip("uws", cells):
-            cell = cell.strip()
-            if cell:
-                kind = schema.kind_of(etype, attr)
-                attrs[attr] = _coerce(cell, kind, row_number, attr) if kind else _infer(cell)
-        events.append(Event(row_number * 1000, etype, attrs))
-    return events
+        return [(type(e), repr(e)) for e in read()]
+    except (MalformedRow, OutOfOrder) as exc:
+        return type(exc), str(exc)
 
 
 @settings(max_examples=300, deadline=None)
-@given(
-    rows=st.lists(
-        st.tuples(
-            st.sampled_from("ABC"),  # C is not in the schema: inferred
-            st.tuples(*[st.sampled_from(_READ_CELLS)] * 3),
-        ),
-        max_size=6,
-    )
-)
-def test_column_decoders_agree_with_coerce(tmp_path_factory, rows):
-    path = tmp_path_factory.mktemp("read") / "stream.csv"
-    path.write_text(
-        "time,type,u,w,s\n"
-        + "".join(f"{n},{t},{','.join(cells)}\n" for n, (t, cells) in enumerate(rows, 2))
-    )
-    try:
-        want = _reference_read(rows, _READ_SCHEMA)
-    except MalformedRow as exc:
-        with pytest.raises(MalformedRow) as err:
-            read_csv_stream(path, schema=_READ_SCHEMA)
-        assert str(err.value) == str(exc)
-        return
-    got = list(read_csv_stream(path, schema=_READ_SCHEMA))
-    assert got == want
-    assert [[type(v) for v in e.attrs.values()] for e in got] == [
-        [type(v) for v in e.attrs.values()] for e in want
-    ]
+@given(stream=_typed_streams())
+@example(stream=(_READ_SCHEMA, [["time", "type", "u", "w", "s"], ["1", "A", "2.5", "", ""]]))
+def test_column_decoders_agree_with_coerce(tmp_path_factory, stream):
+    """The reader's generated per-type decoders equal the cell-by-cell loop
+    of ``reader_reference``: the same events with the same value types, or
+    the same error. Blocks of two events put most errors past the first."""
+    schema, rows = stream
+    path = tmp_path_factory.getbasetemp() / "typed.csv"
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows(rows)
+    want = _read_outcome(lambda: read_typed_csv(path, schema))
+    with mock.patch.object(events_module, "BLOCK_ROWS", 2):
+        assert _read_outcome(lambda: list(read_csv_stream(path, schema))) == want
+
+
+def test_a_decoder_is_built_once_per_type_and_stream(tmp_path, monkeypatch):
+    built = []
+
+    def counted(columns, kinds):
+        built.append(kinds)
+        return compile_decoder(columns, kinds)
+
+    compile_decoder = events_module._compile_decoder
+    monkeypatch.setattr(events_module, "_compile_decoder", counted)
+    monkeypatch.setattr(events_module, "BLOCK_ROWS", 3)
+    path = _write(tmp_path, "time,type,u,w\n" + "".join(f"{n},{'AB'[n % 2]},{n},1\n" for n in range(10)))
+    for reads in (1, 2):
+        events = list(read_csv_stream(path, schema=_READ_SCHEMA))
+        assert [e.attrs for e in events[:2]] == [{"u": 0, "w": 1.0}, {"u": 1.0, "w": "1"}]
+        assert built == [["int", "float"], ["float", "str"]] * reads
 
 
 def test_column_decoder_errors_name_the_cell(tmp_path):

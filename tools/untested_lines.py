@@ -14,8 +14,8 @@ tool to run by hand, not a test.
 A statement line is the first line of a statement that compiles to at
 least one instruction; docstrings, and lines such as ``try:`` or
 ``else:``, are not counted. Code that the package generates at run time
-(its cell functions, kernel steps and filters) has no file and is left
-out.
+(its cell functions, kernel steps, filters and CSV decoders) has no file
+and is left out.
 """
 
 from __future__ import annotations
