@@ -10,7 +10,7 @@ without materializing the (worst-case exponential) set of matched trends.
 A brute-force enumerating oracle ships alongside for verification.
 """
 
-from .engines import Engine, build_engine
+from .engines import Engine
 from .errors import (
     AggregateOverflow,
     DuplicateTypeInPattern,
@@ -34,13 +34,7 @@ from .events import (
     read_csv_stream,
     write_csv_stream,
 )
-from .oracle import (
-    aggregate_trends,
-    enumerate_any,
-    enumerate_cont,
-    enumerate_next,
-    enumerate_trends,
-)
+from .oracle import aggregate_trends, enumerate_trends
 from .pattern import (
     PatternTemplate,
     Plus,
@@ -98,11 +92,7 @@ __all__ = [
     "WindowManager",
     "WindowSpec",
     "aggregate_trends",
-    "build_engine",
     "classify_and_plan",
-    "enumerate_any",
-    "enumerate_cont",
-    "enumerate_next",
     "enumerate_trends",
     "generate_transport_stream",
     "infer_schema",

@@ -6,7 +6,8 @@ Subcommands:
     oracle  same, but by explicit trend enumeration (slow; for checking)
     gen     write a synthetic public-transport stream
 
-``run`` and ``oracle`` print the same CSV shape:
+``run`` and ``oracle`` evaluate the query under the semantics of its
+SEMANTICS clause and print the same CSV shape:
 
     wid,window_start_ms,window_end_ms,<partition attrs...>,<aggregates...>
 
@@ -19,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import itertools
 import os
 import shutil
@@ -91,8 +91,6 @@ def _load(args):
             schema = infer_schema(read_csv_stream(path))
         events = read_csv_stream(path, schema=schema)
         query = load_query(args.query, schema)
-        if getattr(args, "semantics", None):
-            query = dataclasses.replace(query, semantics=Semantics(args.semantics))
         yield query, events
 
 
@@ -108,7 +106,15 @@ def _spooled(path):
 
 def _write_out(rows, query: Query, path) -> int:
     """Write evaluated rows to ``path``, or to stdout. Callers evaluate every
-    row first, so a user error mid-stream leaves no partial output."""
+    row first, so a user error mid-stream leaves no partial output. So does
+    an exact aggregate (a count or an int sum) of more digits than ``str()``
+    writes, which is checked here before anything is written."""
+    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+    bound = 10**digits
+    for row in rows if digits else ():
+        for name, value in row.values.items():
+            if type(value) is int and abs(value) >= bound:
+                raise InputError(f"window {row.wid}: {name} has more than {digits} digits")
     if path in (None, "-"):
         return write_rows(rows, query, sys.stdout)
     with open(path, "w", newline="", encoding="utf-8") as fh:
@@ -229,11 +235,6 @@ def build_parser() -> argparse.ArgumentParser:
             action="store_true",
             help="keep zero-trend rows for keys that matched events",
         )
-        p.add_argument(
-            "--semantics",
-            choices=("any", "next", "cont"),
-            help="override the query's SEMANTICS clause",
-        )
 
     p_run = sub.add_parser("run", help="evaluate a query with the incremental engine")
     io_args(p_run)
@@ -279,7 +280,3 @@ def main(argv=None) -> int:
     except OSError as exc:  # a missing or unreadable file
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

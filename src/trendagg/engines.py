@@ -5,7 +5,8 @@ granularity, the role probe, the tables every kernel of the query reads,
 and the query's cell arithmetic and kernel step, generated as
 straight-line functions (``cells.compile_cells``: one ``absorb`` per
 pattern variable, one ``merge`` and one ``readout``;
-``_kernels_py.compile_step``: one ``step``). An Engine owns one kernel
+``_kernels_py.compile_step``: one ``step``). An Engine, built as
+``Engine(query)`` or from a shared ``CompiledQuery``, owns one kernel
 instance - the incremental state of one partition key over its open
 windows - plus the read-out of a window's aggregates. It is fed one
 timestamp at a time: all of the key's events at that time in one step, as
@@ -132,7 +133,3 @@ class Engine:
         if cell is None:
             cell = self.kernel.final_cell()
         return self.compiled.readout(cell)
-
-
-def build_engine(query: Query) -> Engine:
-    return Engine(query)

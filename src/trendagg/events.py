@@ -13,6 +13,7 @@ import itertools
 import json
 import random
 import re
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional
@@ -99,6 +100,14 @@ def _parse_time_ms(cell, row_number):
     return int(ms)
 
 
+def max_ms_digits() -> int:
+    """The most digits a time or a duration may have in milliseconds, or 0
+    for no limit. ``str()`` writes an int of at most
+    ``sys.get_int_max_str_digits()`` digits; one fewer each leaves room for
+    a window's end, at most a time plus a duration."""
+    return max(getattr(sys, "get_int_max_str_digits", lambda: 0)() - 1, 0)
+
+
 # int() reads at most sys.get_int_max_str_digits() digits, 4,300 by default.
 _INTEGER_FORM = re.compile(r"[+-]?\d+(?:_\d+)*").fullmatch
 
@@ -183,8 +192,9 @@ def _read_blocks(path, schema):
     """Lists of at most ``BLOCK_ROWS`` events, in file order.
 
     A typed-column row is decoded by its event type's generated ``decode``,
-    built once per stream by ``_compile_decoder``. A ``digits.ddd`` time is
-    read inline, and each ``Event`` is set through its slot descriptors,
+    built once per stream by ``_compile_decoder``. A time of more than
+    ``max_ms_digits()`` digits in ms is a malformed row. A ``digits.ddd``
+    time is read inline, and each ``Event`` is set through its slot descriptors,
     without ``__post_init__``'s re-check of the time and type checked here.
     """
 
@@ -195,6 +205,8 @@ def _read_blocks(path, schema):
     new_object = object.__new__
     set_time, set_etype, set_attrs = Event.time.__set__, Event.etype.__set__, Event.attrs.__set__
     last_ms = -1
+    digits = max_ms_digits()
+    end_ms = 10**digits if digits else float("inf")  # the first time refused
     row_number = 0  # records read; a csv.Error is in the next one
     decoders = {}  # event type -> its generated decode(row, row_number)
     block = []
@@ -233,7 +245,11 @@ def _read_blocks(path, schema):
                         time_ms = _parse_time_ms(cell, row_number)
                 else:
                     time_ms = _parse_time_ms(cell, row_number)
-                if time_ms < last_ms:
+                if not last_ms <= time_ms < end_ms:
+                    if time_ms >= end_ms:
+                        raise MalformedRow(
+                            row_number, f"time {cell!r} has more than {digits} digits in ms"
+                        )
                     raise OutOfOrder(row_number, last_ms, time_ms)
                 last_ms = time_ms
                 etype = row[1].strip()

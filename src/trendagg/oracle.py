@@ -13,7 +13,8 @@ keys, without a sort: the candidates are listed in that order, a trend is
 yielded before its extensions, and the extensions of one trend are tried
 in candidate order. So float sums are added in the same order on every run.
 
-Semantics, in operational terms:
+``enumerate_trends`` is the one search for all three semantics; it reads
+the semantics from the query (its SEMANTICS clause). In operational terms:
 
 * skip-till-any-match: between trend events anything may be skipped, so
   every event is both taken and not taken (depth-first over both choices).
@@ -34,7 +35,7 @@ Semantics, in operational terms:
   inside its span. The prune keeps exactly the gap-free trends, and every
   prefix of a gap-free trend is gap-free, so the search reaches them all.
 
-The input to the contiguous enumeration must be the partition's raw event
+Under contiguous semantics the input must be the partition's raw event
 sequence - events that fail local predicates still break contiguity.
 """
 
@@ -83,20 +84,25 @@ def _adjacency(query):
     return adjacent
 
 
-def _search(events, query: Query, cap: int, semantics: Semantics):
-    """The trends of ``semantics`` by one depth-first search over the
-    matchable occurrences: every start occurrence opens a trend, and a
-    trend's tip is extended by the candidates that may follow it.
+def enumerate_trends(events, query: Query, cap: int = DEFAULT_CAP):
+    """An iterator over the query's trends in ``events``, in canonical
+    order, by one depth-first search over the matchable occurrences: every
+    start occurrence opens a trend, and a trend's tip is extended by the
+    candidates that may follow it. Raises ``ExplosionGuard`` once more
+    than ``cap`` trends are found.
 
     Under skip-till-any-match every later candidate is tried. Under
-    contiguous semantics the same search is pruned to the gap-free trends.
-    Under skip-till-next-match, once the tip is extended by the candidate
-    at position ``j``, its other candidates shrink to the other
-    occurrences of that same event: the chain takes the first event that
-    can extend it, once for each variable the event can play there."""
+    contiguous semantics the same search is pruned to the gap-free trends,
+    so ``events`` must be the partition's full sequence: an event that
+    cannot match anything still breaks contiguity when it falls strictly
+    inside a trend's time span. Under skip-till-next-match, once the tip
+    is extended by the candidate at position ``j``, its other candidates
+    shrink to the other occurrences of that same event: the chain takes
+    the first event that can extend it, once for each variable the event
+    can play there."""
     template = query.template
-    contiguous = semantics is Semantics.CONT
-    consume = semantics is Semantics.NEXT
+    contiguous = query.semantics is Semantics.CONT
+    consume = query.semantics is Semantics.NEXT
     candidates = _matchable(events, query)
     run_end = {occ.index: j + 1 for j, occ in enumerate(candidates)}
     times = sorted({ev.time for ev in events})
@@ -141,41 +147,9 @@ def _search(events, query: Query, cap: int, semantics: Semantics):
                 trend.pop()
 
 
-def enumerate_any(events, query: Query, cap: int = DEFAULT_CAP):
-    """All finished trends under skip-till-any-match, in canonical order."""
-    return _search(events, query, cap, Semantics.ANY)
-
-
-def enumerate_next(events, query: Query, cap: int = DEFAULT_CAP):
-    """All finished trends under skip-till-next-match, in canonical order."""
-    return _search(events, query, cap, Semantics.NEXT)
-
-
-def enumerate_cont(events, query: Query, cap: int = DEFAULT_CAP):
-    """All finished trends under contiguous semantics, in canonical order.
-
-    ``events`` must be the partition's full sequence: an event that cannot
-    match anything still breaks contiguity when it falls strictly inside a
-    trend's time span.
-    """
-    return _search(events, query, cap, Semantics.CONT)
-
-
-_ENUMERATORS = {
-    Semantics.ANY: enumerate_any,
-    Semantics.NEXT: enumerate_next,
-    Semantics.CONT: enumerate_cont,
-}
-
-
-def enumerate_trends(events, query: Query, cap: int = DEFAULT_CAP):
-    """An iterator over the query's trends in ``events``, in canonical order."""
-    return _ENUMERATORS[query.semantics](events, query, cap=cap)
-
-
 def aggregate_trends(trends, specs) -> dict:
     """Fold trends into the requested aggregate values, in one pass and in
-    the order given, which the enumerators make canonical."""
+    the order given, which ``enumerate_trends`` makes canonical."""
     trends_seen = 0
     folds = [[0, 0, None, None] for _ in specs]  # count, total, low, high
     for trend in trends:

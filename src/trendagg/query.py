@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 from .errors import InputError, QuerySyntaxError, UnknownAttribute, UnknownType
-from .events import Event, Schema
+from .events import Event, Schema, max_ms_digits
 from .pattern import Pattern, PatternTemplate, analyze_pattern, parse_pattern
 
 
@@ -202,7 +202,14 @@ def parse_duration_ms(text: str) -> int:
     if not m:
         raise QuerySyntaxError(f"bad duration {text.strip()!r}")
     unit = m.group(2).lower() if m.group(2) else None
-    return int(m.group(1)) * _UNIT_MS[unit]
+    try:
+        ms = int(m.group(1)) * _UNIT_MS[unit]
+    except ValueError:  # more digits than int() reads
+        ms = float("inf")
+    digits = max_ms_digits()
+    if digits and ms >= 10**digits:
+        raise QuerySyntaxError(f"duration {text.strip()!r} has more than {digits} digits in ms")
+    return ms
 
 
 def _split_unquoted(keywords, text: str) -> list[str]:

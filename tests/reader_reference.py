@@ -6,7 +6,7 @@ Every row is read eagerly, and every check raises what the reader does."""
 import csv
 
 from trendagg.errors import InputError, MalformedRow, OutOfOrder
-from trendagg.events import Event, _infer, _parse_time_ms
+from trendagg.events import Event, _infer, _parse_time_ms, max_ms_digits
 
 
 def coerce(cell, kind, row_number, attr):
@@ -31,6 +31,7 @@ def coerce(cell, kind, row_number, attr):
 def read_typed_csv(path, schema):
     """Every event of a ``time,type,<attr>,...`` CSV, as a list."""
     last_ms = -1
+    digits = max_ms_digits()
     row_number = 0
     events = []
     with open(path, newline="", encoding="utf-8-sig") as fh:
@@ -56,7 +57,12 @@ def read_typed_csv(path, schema):
                     raise MalformedRow(
                         row_number, f"expected {len(header)} columns, got {len(row)}"
                     )
-                time_ms = _parse_time_ms(row[0].strip(), row_number)
+                cell = row[0].strip()
+                time_ms = _parse_time_ms(cell, row_number)
+                if digits and time_ms >= 10**digits:
+                    raise MalformedRow(
+                        row_number, f"time {cell!r} has more than {digits} digits in ms"
+                    )
                 if time_ms < last_ms:
                     raise OutOfOrder(row_number, last_ms, time_ms)
                 last_ms = time_ms

@@ -17,11 +17,11 @@ from operator import attrgetter
 import pytest
 
 from trendagg import (
+    Engine,
     Event,
     Schema,
     WindowManager,
     WindowSpec,
-    build_engine,
     classify_and_plan,
     parse_query,
     windows_of,
@@ -100,7 +100,7 @@ def test_criterion_1_worked_example(capsys):
 def test_criterion_2_state_traces(capsys):
     with verdict(capsys, "criterion 2 (intermediate-state traces)"):
         # Type-grained, skip-till-any-match.
-        engine = build_engine(make_query())
+        engine = Engine(make_query())
         counts = [
             (cells[0][1][0] if (cells := engine.step([e])) else None)
             for e in SHOWCASE
@@ -112,7 +112,7 @@ def test_criterion_2_state_traces(capsys):
         assert snapshot.counts.get("B", 0) == 43
 
         # Mixed granularity with B.v < A.v.
-        engine = build_engine(make_query(where="B.v < A.v"))
+        engine = Engine(make_query(where="B.v < A.v"))
         counts = [
             (cells[0][1][0] if (cells := engine.step([e])) else None)
             for e in SHOWCASE
@@ -121,7 +121,7 @@ def test_criterion_2_state_traces(capsys):
         assert engine.kernel.snapshot().final == 33
 
         # Skip-till-next-match.
-        engine = build_engine(make_query(semantics="next"))
+        engine = Engine(make_query(semantics="next"))
         counts = [
             (cells[0][1][0] if (cells := engine.step([e])) else None)
             for e in SHOWCASE
@@ -130,7 +130,7 @@ def test_criterion_2_state_traces(capsys):
         assert engine.kernel.snapshot().final == 8
 
         # Contiguous: c5 severs the open chains, so b6 extends none.
-        engine = build_engine(make_query(semantics="cont"))
+        engine = Engine(make_query(semantics="cont"))
         counts = [
             (cells[0][1][0] if (cells := engine.step([e])) else None)
             for e in SHOWCASE
@@ -205,7 +205,7 @@ def test_criterion_3_oracle_equivalence(capsys):
                 expected = aggregate_trends(
                     enumerate_trends(events, query), query.aggregates
                 )
-                got = build_engine(query).run(events).results()
+                got = Engine(query).run(events).results()
                 assert got.keys() == expected.keys()
                 for name, want in expected.items():
                     if isinstance(want, float):
@@ -263,7 +263,7 @@ def test_criterion_5_space_bounds(capsys, transport_runs):
                 Event(1000 * (i + 1), kind, {"v": i % 5})
                 for i, kind in enumerate(kinds)
             ]
-            engine = build_engine(query)
+            engine = Engine(query)
             engine.run(events)
             # The first B, before any A, is on no trend and is not kept.
             assert len(engine.kernel.snapshot().stored) == n_b - 1
@@ -277,7 +277,7 @@ def test_criterion_5_space_bounds(capsys, transport_runs):
         for semantics in ("next", "cont"):
             peaks = []
             for n in (400, 4000):
-                engine = build_engine(make_query(semantics=semantics))
+                engine = Engine(make_query(semantics=semantics))
                 engine.run(
                     Event(1000 * (i + 1), SHOWCASE[i % 8].etype, SHOWCASE[i % 8].attrs)
                     for i in range(n)
@@ -316,7 +316,7 @@ def test_criterion_6_scaling_shape(capsys, transport_runs):
         assert len(events) == 30
 
         engine_time = min(
-            _timed(lambda: build_engine(query).run(events).results())
+            _timed(lambda: Engine(query).run(events).results())
             for _ in range(5)
         )
         started = time.perf_counter()
@@ -325,7 +325,7 @@ def test_criterion_6_scaling_shape(capsys, transport_runs):
         oracle_time = time.perf_counter() - started
 
         assert values["COUNT(*)"] == 2**19 - 1
-        engine = build_engine(query).run(events)
+        engine = Engine(query).run(events)
         assert engine.kernel.snapshot().final == 2**19 - 1
         assert oracle_time / engine_time >= 100.0, (oracle_time, engine_time)
 

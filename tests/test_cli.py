@@ -27,6 +27,16 @@ def workdir(tmp_path):
     return tmp_path
 
 
+@pytest.fixture
+def int_digit_limit():
+    """CPython's default limit on the digits int() reads and str() writes,
+    4,300, whatever the environment set."""
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield
+    sys.set_int_max_str_digits(old)
+
+
 def _run(args):
     return main([str(a) for a in args])
 
@@ -40,11 +50,12 @@ class TestRun:
         for semantics, expected, peak in (
             ("any", 43, 2), ("next", 8, 1), ("cont", 2, 1)
         ):
+            query = workdir / f"q_{semantics}.txt"
+            query.write_text(QUERY_TEXT.replace("SEMANTICS any", f"SEMANTICS {semantics}"))
             out = workdir / f"out_{semantics}.csv"
             code = _run(
-                ["run", "--query", workdir / "q.txt", "--input",
-                 workdir / "stream.csv", "--schema", workdir / "schema.json",
-                 "--semantics", semantics, "--output", out]
+                ["run", "--query", query, "--input", workdir / "stream.csv",
+                 "--schema", workdir / "schema.json", "--output", out]
             )
             assert code == 0
             lines = out.read_text().strip().splitlines()
@@ -722,6 +733,91 @@ class TestErrors:
         assert (code, captured.out) == (2, "")
         assert captured.err == f"error: row 2: bad time value {time!r}\n"
 
+    @pytest.mark.parametrize("command", ["run", "oracle"])
+    @pytest.mark.parametrize(
+        "time, within, error",
+        [
+            # 4,299 digits of ms each: a window ends below their sum, which
+            # has at most 4,300 digits, as many as str() writes.
+            ("9" * 4296 + ".999", "9" * 4299 + " ms", None),
+            ("0", "9" * 4296 + " s", None),
+            ("9" * 4297 + ".999", "10 s", "row 2: time '{time}'"),
+            ("9" * 4300, "10 s", "row 2: time '{time}'"),
+            ("1e4400", "10 s", "row 2: time '{time}'"),
+            ("1", "9" * 4300 + " ms", "duration '{within}'"),
+            ("1", "9" * 4300 + " s", "duration '{within}'"),
+            ("1", "9" * 5000 + " ms", "duration '{within}'"),
+        ],
+        ids=[
+            "both-at-bound", "duration-s-at-bound", "time-millis", "time-whole",
+            "time-exponent", "duration-ms", "duration-s", "duration-past-int",
+        ],
+    )
+    def test_numbers_past_the_int_digit_limit_exit_2(
+        self, workdir, capsys, int_digit_limit, command, time, within, error
+    ):
+        # Every window bound the writer formats must stay within str()'s
+        # digit limit, so a time or duration of more than 4,299 digits in
+        # ms is refused as it is read.
+        (workdir / "big.csv").write_text(f"time,type,v\n{time},A,1\n")
+        (workdir / "big.txt").write_text(
+            f"RETURN COUNT(*) PATTERN A+ SEMANTICS any WITHIN {within}\n"
+        )
+        code = _run([command, "--query", workdir / "big.txt", "--input", workdir / "big.csv"])
+        captured = capsys.readouterr()
+        if error is None:
+            assert code == 0, captured.err
+            header, row = captured.out.splitlines()
+            start = int(row.split(",")[1])
+            assert row.split(",")[2] == str(start + int(within.split()[0]) * (
+                1000 if within.endswith(" s") else 1
+            ))
+            return
+        message = error.format(time=time, within=within)
+        assert (code, captured.out) == (2, "")
+        assert captured.err == f"error: {message} has more than 4299 digits in ms\n"
+
+    @pytest.mark.parametrize("command", ["run", "oracle"])
+    def test_without_a_digit_limit_any_time_is_read(self, workdir, capsys, command):
+        (workdir / "big.csv").write_text("time,type,v\n1e4400,A,1\n")
+        (workdir / "big.txt").write_text(
+            f"RETURN COUNT(*) PATTERN A+ SEMANTICS any WITHIN {'9' * 5000} ms\n"
+        )
+        old = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            code = _run([command, "--query", workdir / "big.txt", "--input", workdir / "big.csv"])
+            # One tumbling window, [0, 10**5000 - 1) ms, holds 10**4403 ms.
+            expected = f"0,0,{10**5000 - 1},1"
+        finally:
+            sys.set_int_max_str_digits(old)
+        captured = capsys.readouterr()
+        assert code == 0, captured.err
+        assert captured.out.splitlines()[1] == expected
+
+    @pytest.mark.parametrize("command", ["run", "oracle"])
+    @pytest.mark.parametrize("events", [1, 2])
+    def test_an_aggregate_past_the_int_digit_limit_exits_2(
+        self, workdir, capsys, int_digit_limit, command, events
+    ):
+        # One 4,300-digit v sums to itself; two give 3 trends and a
+        # SUM(A.v) of 4v, 4,301 digits: no row is written.
+        v = "9" * 4300
+        rows = "".join(f"{t},A,{v}\n" for t in range(1, events + 1))
+        (workdir / "big.csv").write_text("time,type,v\n" + rows)
+        (workdir / "big.txt").write_text(
+            "RETURN COUNT(*), SUM(A.v) PATTERN A+ SEMANTICS any WITHIN 10 s\n"
+        )
+        code = _run([command, "--query", workdir / "big.txt", "--input", workdir / "big.csv"])
+        captured = capsys.readouterr()
+        header = "wid,window_start_ms,window_end_ms,COUNT(*),SUM(A.v)"
+        if events == 1:
+            assert code == 0, captured.err
+            assert captured.out.splitlines() == [header, f"0,0,10000,1,{v}"]
+            return
+        assert (code, captured.out) == (2, "")
+        assert captured.err == "error: window 0: SUM(A.v) has more than 4300 digits\n"
+
     @pytest.mark.parametrize(
         "where, rows",
         [
@@ -938,6 +1034,19 @@ def test_retired_bench_subcommand_is_a_usage_error(workdir):
     )
     assert done.returncode == 2
     assert b"invalid choice: 'bench'" in done.stderr
+    assert b"Traceback" not in done.stderr
+
+
+@pytest.mark.parametrize("command", ["run", "oracle"])
+def test_a_semantics_option_is_a_usage_error(workdir, command):
+    # The query's SEMANTICS clause is the one way to pick the semantics.
+    done = _module(
+        [command, "--query", workdir / "q.txt", "--input", workdir / "stream.csv",
+         "--semantics", "next"]
+    )
+    assert (done.returncode, done.stdout) == (2, b"")
+    assert done.stderr.startswith(b"usage: trendagg")
+    assert b"unrecognized arguments: --semantics next" in done.stderr
     assert b"Traceback" not in done.stderr
 
 

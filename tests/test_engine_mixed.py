@@ -5,11 +5,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trendagg import (
+    Engine,
     Event,
     MissingAttribute,
     Schema,
     WindowManager,
-    build_engine,
 )
 from trendagg.cli import oracle_rows
 from trendagg.oracle import aggregate_trends, enumerate_trends
@@ -35,7 +35,7 @@ class TestShowcaseTrace:
     """
 
     def test_per_event_cell_counts(self):
-        engine = build_engine(_mixed_query())
+        engine = Engine(_mixed_query())
         assert engine.compiled.event_grained == frozenset({"B"})
         counts = []
         for e in SHOWCASE:
@@ -44,7 +44,7 @@ class TestShowcaseTrace:
         assert counts == [1, 1, 3, 6, None, 10, 12, 22]
 
     def test_running_state(self):
-        engine = build_engine(_mixed_query())
+        engine = Engine(_mixed_query())
         a_counts, finals = [], []
         for e in SHOWCASE:
             engine.step([e])
@@ -100,7 +100,7 @@ class TestMergedPredecessors:
 
     def test_one_window_matches_oracle(self):
         query = self._query()
-        engine = build_engine(query).run(self.EVENTS)
+        engine = Engine(query).run(self.EVENTS)
         assert engine.compiled.event_grained == frozenset({"A"})
         expected = aggregate_trends(enumerate_trends(self.EVENTS, query), query.aggregates)
         assert expected["COUNT(*)"] > 0
@@ -123,7 +123,7 @@ class TestSelfAdjacency:
             Event(3000, "A", {"v": 1}),
         ]
         query = make_query(pattern="A+", where="A.v < NEXT(A).v")
-        engine = build_engine(query).run(events)
+        engine = Engine(query).run(events)
         assert engine.compiled.event_grained == frozenset({"A"})
         # a1; a2; a3; (a1,a2) -- value 1 is not < 1, so (a1,a3) is out.
         assert engine.kernel.snapshot().final == 4
@@ -132,7 +132,7 @@ class TestSelfAdjacency:
     def test_tied_events_never_chain(self):
         events = [Event(1000, "A", {"v": 1}), Event(1000, "A", {"v": 2})]
         query = make_query(pattern="A+", where="A.v < NEXT(A).v")
-        engine = build_engine(query).run(events)
+        engine = Engine(query).run(events)
         assert engine.kernel.snapshot().final == 2
 
 
@@ -145,7 +145,7 @@ class TestStateFootprint:
             etype = "B" if i % ((n_a + n_b) // max(n_b, 1)) == 0 and n_b else "A"
             events.append(Event(t, etype, {"v": i % 7}))
             t += 1000
-        engine = build_engine(_mixed_query())
+        engine = Engine(_mixed_query())
         engine.run(events)
         stored = len(engine.kernel.snapshot().stored)
         return engine.peak_entries, stored
@@ -192,7 +192,7 @@ def test_random_mixed_matches_oracle(data):
     )
     events = data.draw(stream_strategy())
     expected = aggregate_trends(enumerate_trends(events, query), query.aggregates)
-    engine = build_engine(query).run(events)
+    engine = Engine(query).run(events)
     got = engine.results()
     for name, want in expected.items():
         if isinstance(want, float):
@@ -215,7 +215,7 @@ def test_every_operator_matches_oracle(data):
     query = make_query(pattern="A+", where=where, returns="COUNT(*), SUM(A.v)")
     events = data.draw(stream_strategy(types="AB"))
     expected = aggregate_trends(enumerate_trends(events, query), query.aggregates)
-    assert build_engine(query).run(events).results() == expected
+    assert Engine(query).run(events).results() == expected
 
 
 class TestMissingPredicateAttribute:
@@ -238,7 +238,7 @@ class TestMissingPredicateAttribute:
     def test_unchecked_events_may_lack_it(self):
         # Tied events are never compared, and a kept event that an earlier
         # check rejects never meets the later one.
-        engine = build_engine(make_query(pattern="A+", where="A.v < NEXT(A).v"))
+        engine = Engine(make_query(pattern="A+", where="A.v < NEXT(A).v"))
         engine.run([Event(1000, "A", {}), Event(1000, "A", {"v": 2})])
         assert engine.kernel.snapshot().final == 2
         schema_query = make_query(
@@ -246,6 +246,6 @@ class TestMissingPredicateAttribute:
             where="A.v < NEXT(A).v AND A.w < NEXT(A).w",
             schema=_VW_SCHEMA,
         )
-        engine = build_engine(schema_query)
+        engine = Engine(schema_query)
         engine.run([Event(1000, "A", {"v": 5}), Event(2000, "A", {"v": 1, "w": 0})])
         assert engine.kernel.snapshot().final == 2

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trendagg import Event, build_engine
+from trendagg import Engine, Event
 from trendagg.oracle import aggregate_trends, enumerate_trends
 
 from conftest import SHOWCASE, make_query, stream_strategy
@@ -30,14 +30,14 @@ class TestShowcaseTraces:
     """
 
     def test_next_trace(self):
-        engine = build_engine(make_query(semantics="next"))
+        engine = Engine(make_query(semantics="next"))
         assert engine.compiled.event_grained == frozenset()
         counts, finals = _trace(engine, SHOWCASE)
         assert counts == [1, 1, 2, 3, None, 3, 4, 4]
         assert finals == [0, 1, 1, 1, 1, 4, 4, 8]
 
     def test_cont_trace(self):
-        engine = build_engine(make_query(semantics="cont"))
+        engine = Engine(make_query(semantics="cont"))
         counts, finals = _trace(engine, SHOWCASE)
         # b6 reads only c5's timestamp, which holds no trend; B is not the
         # start variable, so b6 ends none. a7 starts a fresh chain.
@@ -87,7 +87,7 @@ class TestFormerDivergences:
         query = make_query(pattern=pattern, semantics=semantics, where=where)
         events = _events(spec)
         assert len(list(enumerate_trends(events, query))) == count
-        engine = build_engine(query).run(events)
+        engine = Engine(query).run(events)
         assert engine.kernel.snapshot().final == count
 
 
@@ -95,7 +95,7 @@ class TestEdgeBehaviour:
     def test_tied_starts_each_count(self):
         events = [Event(1000, "A", {"v": 1}), Event(1000, "A", {"v": 2})]
         query = make_query(pattern="A+", semantics="next")
-        engine = build_engine(query).run(events)
+        engine = Engine(query).run(events)
         assert engine.kernel.snapshot().final == 2
         assert len(list(enumerate_trends(events, query))) == 2
 
@@ -109,13 +109,13 @@ class TestEdgeBehaviour:
                     Event(1000 * (i + 1), SHOWCASE[i % 8].etype, SHOWCASE[i % 8].attrs)
                     for i in range(n)
                 ]
-                engine = build_engine(make_query(semantics=semantics)).run(events)
+                engine = Engine(make_query(semantics=semantics)).run(events)
                 peaks.append(engine.peak_entries)
             assert peaks[0] == peaks[1], semantics
 
     def test_cont_reset_releases_entry(self):
         query = make_query(semantics="cont")
-        engine = build_engine(query)
+        engine = Engine(query)
         idle = engine.kernel.snapshot().entries
         engine.step([Event(1000, "A", {"v": 1})])
         assert engine.kernel.snapshot().entries > idle
@@ -132,13 +132,13 @@ class TestEdgeBehaviour:
         events = [Event(1000 * t, "A", {"v": t}) for t in (1, 2, 3)]
         for semantics, count in (("next", 3), ("any", 4)):
             query = make_query(pattern="SEQ(A X+, A Y)", semantics=semantics)
-            assert build_engine(query).run(events).results() == {"COUNT(*)": count}
+            assert Engine(query).run(events).results() == {"COUNT(*)": count}
             assert len(list(enumerate_trends(events, query))) == count
 
 
 def _assert_matches_oracle(query, events):
     expected = aggregate_trends(enumerate_trends(events, query), query.aggregates)
-    assert build_engine(query).run(events).results() == expected, events
+    assert Engine(query).run(events).results() == expected, events
 
 
 # Every pattern the single-chain semantics are tested on, with and

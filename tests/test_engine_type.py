@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trendagg import Event, build_engine
+from trendagg import Engine, Event
 from trendagg.oracle import aggregate_trends, enumerate_trends
 
 from conftest import SHOWCASE, make_query, stream_strategy
@@ -32,12 +32,12 @@ class TestShowcaseTrace:
     """
 
     def test_per_event_cell_counts(self):
-        engine = build_engine(make_query())
+        engine = Engine(make_query())
         assert engine.compiled.event_grained == frozenset()
         assert _counts(engine, SHOWCASE) == [1, 1, 3, 6, None, 10, 22, 32]
 
     def test_variable_cell_progression(self):
-        engine = build_engine(make_query())
+        engine = Engine(make_query())
         a_counts, b_counts = [], []
         for e in SHOWCASE:
             engine.step([e])
@@ -76,7 +76,7 @@ class TestEqualTimestamps:
         # Two A's at the same instant can't extend each other: each is a
         # fresh length-1 trend.
         events = [Event(1000, "A", {"v": 1}), Event(1000, "A", {"v": 2})]
-        engine = build_engine(make_query(pattern="A+"))
+        engine = Engine(make_query(pattern="A+"))
         assert [cell[0] for _, cell in engine.step(events)] == [1, 1]
         assert engine.kernel.snapshot().final == 2
 
@@ -87,7 +87,7 @@ class TestEqualTimestamps:
             Event(2000, "B", {"v": 3}),
         ]
         query = make_query(pattern="SEQ(A+, B)")
-        engine = build_engine(query).run(events)
+        engine = Engine(query).run(events)
         # Trends: (a,b) twice -- the tied A's contribute independently.
         assert engine.kernel.snapshot().final == 2
         assert len(list(enumerate_trends(events, query))) == 2
@@ -99,7 +99,7 @@ class TestMultiRoleAliases:
         # chains and simultaneously closes trends as Y.
         events = [Event(t, "A", {"v": t // 1000}) for t in (1000, 2000, 3000)]
         query = make_query(pattern="SEQ(A X+, A Y)")
-        engine = build_engine(query).run(events)
+        engine = Engine(query).run(events)
         expected = aggregate_trends(enumerate_trends(events, query), query.aggregates)
         # (x1,y2) (x1,y3) (x2,y3) (x1,x2,y3): count 4.
         assert expected["COUNT(*)"] == 4
@@ -109,7 +109,7 @@ class TestMultiRoleAliases:
         # A single event may play X and Y, but not both inside one trend.
         events = [Event(1000, "A", {"v": 1}), Event(2000, "A", {"v": 2})]
         query = make_query(pattern="SEQ(A X+, A Y)")
-        engine = build_engine(query).run(events)
+        engine = Engine(query).run(events)
         final = engine.kernel.snapshot().final
         assert final == len(list(enumerate_trends(events, query))) == 1
 
@@ -124,13 +124,13 @@ class TestAggregates:
             Event(3000, "B", {"v": 7}),
         ]
         query = make_query(returns="MIN(B.v), MAX(B.v), COUNT(*)")
-        engine = build_engine(query).run(events)
+        engine = Engine(query).run(events)
         assert engine.results() == {"MIN(B.v)": 7, "MAX(B.v)": 7, "COUNT(*)": 1}
 
     def test_all_aggregates_match_oracle(self):
         returns = "COUNT(*), COUNT(A), SUM(A.v), MIN(A.v), MAX(A.v), AVG(A.v), SUM(B.v)"
         query = make_query(returns=returns)
-        engine = build_engine(query).run(SHOWCASE)
+        engine = Engine(query).run(SHOWCASE)
         expected = aggregate_trends(enumerate_trends(SHOWCASE, query), query.aggregates)
         got = engine.results()
         assert got.keys() == expected.keys()
@@ -142,7 +142,7 @@ class TestAggregates:
 
     def test_empty_engine_results(self):
         query = make_query(returns="COUNT(*), SUM(A.v), AVG(A.v), MIN(A.v)")
-        engine = build_engine(query)
+        engine = Engine(query)
         assert engine.results() == {
             "COUNT(*)": 0,
             "SUM(A.v)": 0,
@@ -161,7 +161,7 @@ class TestStateFootprint:
                 Event(1000 * (i + 1), rng.choice("AAB"), {"v": rng.randrange(9)})
                 for i in range(n)
             ]
-            engine = build_engine(query).run(events)
+            engine = Engine(query).run(events)
             peaks.append(engine.peak_entries)
         # One cell per variable.
         assert peaks[0] == peaks[1] == 2
@@ -187,7 +187,7 @@ def test_random_any_matches_oracle(data):
     query = make_query(pattern=pattern, where=where, returns=returns)
     events = data.draw(stream_strategy())
     expected = aggregate_trends(enumerate_trends(events, query), query.aggregates)
-    engine = build_engine(query).run(events)
+    engine = Engine(query).run(events)
     got = engine.results()
     assert got.keys() == expected.keys()
     for name, want in expected.items():

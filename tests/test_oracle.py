@@ -13,9 +13,6 @@ from trendagg import (
     Schema,
     TRANSPORT_SCHEMA,
     aggregate_trends,
-    enumerate_any,
-    enumerate_cont,
-    enumerate_next,
     enumerate_trends,
     generate_transport_stream,
     parse_query,
@@ -47,7 +44,7 @@ def keys(trends):
 def test_any_small_example():
     # 3 starts followed by one end: any non-empty start subset finishes
     events = [ev(1, "A"), ev(2, "A"), ev(3, "A"), ev(4, "B")]
-    trends = list(enumerate_any(events, q("SEQ(A+, B)")))
+    trends = list(enumerate_trends(events, q("SEQ(A+, B)")))
     assert len(trends) == 7
     assert keys(trends) == {
         ((0, "A"), (3, "B")),
@@ -62,13 +59,13 @@ def test_any_small_example():
 
 def test_any_respects_local_predicates():
     events = [ev(1, "A", 5), ev(2, "A", 0), ev(3, "B", 1)]
-    trends = enumerate_any(events, q("SEQ(A+, B)", where="A.v > 0"))
+    trends = enumerate_trends(events, q("SEQ(A+, B)", where="A.v > 0"))
     assert keys(trends) == {((0, "A"), (2, "B"))}
 
 
 def test_equal_timestamps_are_never_adjacent():
     events = [Event(1000, "A"), Event(1000, "A")]
-    trends = enumerate_any(events, q("A+"))
+    trends = enumerate_trends(events, q("A+"))
     assert keys(trends) == {((0, "A"),), ((1, "A"),)}
 
 
@@ -77,7 +74,7 @@ def test_next_closed_form_on_runs_of_starts():
     # one chain per start; chain i finishes k-i+1 times: total k(k+1)/2.
     for k in (1, 2, 3, 5, 8):
         events = [ev(i + 1, "A") for i in range(k)]
-        assert len(list(enumerate_next(events, q("A+", "next")))) == k * (k + 1) // 2
+        assert len(list(enumerate_trends(events, q("A+", "next")))) == k * (k + 1) // 2
 
 
 def test_next_consumes_extending_events():
@@ -85,14 +82,14 @@ def test_next_consumes_extending_events():
     # must take it. b3 then cannot follow a B, and (a1, b3) - a perfectly
     # good skip-till-any trend - is never produced under skip-till-next.
     events = [ev(1, "A"), ev(2, "B"), ev(3, "B")]
-    assert keys(enumerate_next(events, q("(SEQ(A+, B))+", "next"))) == {
+    assert keys(enumerate_trends(events, q("(SEQ(A+, B))+", "next"))) == {
         ((0, "A"), (1, "B")),
     }
-    assert ((0, "A"), (2, "B")) in keys(enumerate_any(events, q("(SEQ(A+, B))+")))
+    assert ((0, "A"), (2, "B")) in keys(enumerate_trends(events, q("(SEQ(A+, B))+")))
     # a1 a2 b3 under SEQ(A, B): a2 cannot extend a1's chain (no A->A edge),
     # so it is skipped as irrelevant there while opening its own chain.
     events = [ev(1, "A"), ev(2, "A"), ev(3, "B")]
-    trends = enumerate_next(events, q("SEQ(A, B)", "next"))
+    trends = enumerate_trends(events, q("SEQ(A, B)", "next"))
     assert keys(trends) == {((0, "A"), (2, "B")), ((1, "A"), (2, "B"))}
 
 
@@ -101,7 +98,7 @@ def test_next_forks_once_per_variable_an_event_plays():
     # so (a1, a3 as Y), which skips a2, is no trend. a3 then extends each
     # chain whose tip plays X, as X and as Y.
     events = [ev(1, "A"), ev(2, "A"), ev(3, "A")]
-    assert list(map(key, enumerate_next(events, q("SEQ(A X+, A Y)", "next")))) == [
+    assert list(map(key, enumerate_trends(events, q("SEQ(A X+, A Y)", "next")))) == [
         ((0, "X"), (1, "X"), (2, "Y")),
         ((0, "X"), (1, "Y")),
         ((1, "X"), (2, "Y")),
@@ -110,7 +107,7 @@ def test_next_forks_once_per_variable_an_event_plays():
     # must still take it, and a3 (v 3) extends it as Y.
     events = [ev(1, "A", 2), ev(2, "A", 1), ev(3, "A", 3)]
     query = q("SEQ(A X+, A Y)", "next", "X.v < Y.v")
-    assert keys(enumerate_next(events, query)) == {
+    assert keys(enumerate_trends(events, query)) == {
         ((0, "X"), (1, "X"), (2, "Y")),
         ((1, "X"), (2, "Y")),
     }
@@ -120,15 +117,15 @@ def test_cont_gap_free_filter():
     # A foreign event strictly inside the span severs the trend even
     # though it matches nothing.
     events = [ev(1, "A"), ev(2, "C"), ev(3, "A")]
-    trends = enumerate_cont(events, q("A+", "cont"))
+    trends = enumerate_trends(events, q("A+", "cont"))
     assert keys(trends) == {((0, "A"),), ((2, "A"),)}
     # So does a locally filtered-out event of a pattern type.
     events = [ev(1, "A", 1), ev(2, "A", 0), ev(3, "A", 1)]
-    trends = enumerate_cont(events, q("A+", "cont", where="A.v > 0"))
+    trends = enumerate_trends(events, q("A+", "cont", where="A.v > 0"))
     assert keys(trends) == {((0, "A"),), ((2, "A"),)}
     # Without the gap the full run appears.
     events = [ev(1, "A"), ev(2, "A")]
-    trends = enumerate_cont(events, q("A+", "cont"))
+    trends = enumerate_trends(events, q("A+", "cont"))
     assert keys(trends) == {((0, "A"),), ((1, "A"),), ((0, "A"), (1, "A"))}
 
 
@@ -138,7 +135,7 @@ def test_cont_checks_adjacency_only_between_contiguous_events():
     # engine.
     events = [ev(1, "A", 1), ev(2, "C"), Event(3000, "A", {})]
     query = q("A+", "cont", where="A.v < NEXT(A).v")
-    assert keys(enumerate_cont(events, query)) == {((0, "A"),), ((2, "A"),)}
+    assert keys(enumerate_trends(events, query)) == {((0, "A"),), ((2, "A"),)}
 
 
 def test_semantics_containment():
@@ -150,9 +147,9 @@ def test_semantics_containment():
             for i in range(rng.randint(2, 8))
         ]
         pattern = rng.choice(patterns)
-        any_keys = keys(enumerate_any(events, q(pattern)))
-        assert keys(enumerate_next(events, q(pattern, "next"))) <= any_keys
-        assert keys(enumerate_cont(events, q(pattern, "cont"))) <= any_keys
+        any_keys = keys(enumerate_trends(events, q(pattern)))
+        assert keys(enumerate_trends(events, q(pattern, "next"))) <= any_keys
+        assert keys(enumerate_trends(events, q(pattern, "cont"))) <= any_keys
 
 
 def _literal_any(events, query):
@@ -286,14 +283,14 @@ def _aliased_cases():
 def test_any_matches_literal_subset_enumeration():
     for events, pattern, where in _literal_cases():
         query = q(pattern, where=where)
-        assert keys(enumerate_any(events, query)) == _literal_any(events, query)
+        assert keys(enumerate_trends(events, query)) == _literal_any(events, query)
 
 
 def test_next_matches_literal_first_extension_rule():
     cases = itertools.chain(_literal_cases(), _aliased_cases())
     for events, pattern, where in cases:
         query = q(pattern, "next", where)
-        assert keys(enumerate_next(events, query)) == _literal_next(events, query), (
+        assert keys(enumerate_trends(events, query)) == _literal_next(events, query), (
             pattern, where, events,
         )
 
@@ -308,14 +305,14 @@ def test_trends_come_in_ascending_order_and_cont_is_gap_free():
             assert all(a < b for a, b in zip(found, found[1:])), (semantics, events)
         query = q(pattern, "cont", where)
         want = _gap_free(events, _literal_any(events, query))
-        assert keys(enumerate_cont(events, query)) == want, events
+        assert keys(enumerate_trends(events, query)) == want, events
 
 
 def test_explosion_guard():
     events = [ev(i + 1, "A") for i in range(12)]
     with pytest.raises(ExplosionGuard):
-        list(enumerate_any(events, q("A+"), cap=100))
-    assert len(list(enumerate_any(events, q("A+"), cap=10_000))) == 2**12 - 1
+        list(enumerate_trends(events, q("A+"), cap=100))
+    assert len(list(enumerate_trends(events, q("A+"), cap=10_000))) == 2**12 - 1
 
 
 def test_cont_cap_counts_contiguous_trends():
@@ -326,9 +323,9 @@ def test_cont_cap_counts_contiguous_trends():
         TRANSPORT_SCHEMA,
     )
     events = generate_transport_stream(3, 3, 300, 5)
-    assert len(list(enumerate_cont(events, query, cap=1_000))) == 465
+    assert len(list(enumerate_trends(events, query, cap=1_000))) == 465
     with pytest.raises(ExplosionGuard):
-        list(enumerate_cont(events, query, cap=464))
+        list(enumerate_trends(events, query, cap=464))
 
 
 def test_folding_holds_no_trends():
@@ -341,22 +338,12 @@ def test_folding_holds_no_trends():
     )
     tracemalloc.start()
     try:
-        values = aggregate_trends(enumerate_any(events, query), query.aggregates)
+        values = aggregate_trends(enumerate_trends(events, query), query.aggregates)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert values == {"COUNT(*)": 2**16 - 1, "SUM(A.v)": 2**15 * sum(range(16))}
     assert peak < 256 * 1024, peak
-
-
-def test_enumerate_trends_dispatch():
-    events = [ev(1, "A"), ev(2, "B")]
-    query = q("SEQ(A, B)")
-    assert list(enumerate_trends(events, query)) == list(enumerate_any(events, query))
-    next_q = q("SEQ(A, B)", "next")
-    assert list(enumerate_trends(events, next_q)) == list(enumerate_next(events, next_q))
-    cont_q = q("SEQ(A, B)", "cont")
-    assert list(enumerate_trends(events, cont_q)) == list(enumerate_cont(events, cont_q))
 
 
 def test_aggregate_trends_hand_computed():
@@ -367,7 +354,7 @@ def test_aggregate_trends_hand_computed():
         "PATTERN SEQ(A+, B) SEMANTICS any WITHIN 1 h",
         SCHEMA,
     )
-    trends = enumerate_any(events, query)
+    trends = enumerate_trends(events, query)
     # trends: (a1,b), (a2,b), (a1,a2,b)
     out = aggregate_trends(trends, query.aggregates)
     assert out == {
