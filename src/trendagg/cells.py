@@ -142,8 +142,8 @@ def compile_cells(accs, extractors, names, roles, start):
     the generated text.
 
     The one-window arithmetic is also handed out as source, for
-    ``_kernels_py.compile_step`` to run inline: ``absorb_one[r]`` holds
-    lines that give, on one window, the cells ``absorb[r]`` gives; they
+    ``kernels.compile_step`` to run inline: ``absorb_one[r]`` holds lines
+    that give, on one window, the cells ``absorb[r]`` gives; they
     read ``pred`` and ``attrs`` and leave the new cell's slots in the
     locals ``c0``, ``c1``, .... ``merge_one(x, y)`` is the expression, a
     list display, of the merge of two cells held in the locals ``x0``,

@@ -19,12 +19,12 @@ class InputError(TrendAggError):
 
 
 class OutOfOrder(TrendAggError):
-    """Event time decreased within a stream."""
+    """Event time decreased within a stream, or a step repeated one."""
 
     def __init__(self, row_number, previous_ms, current_ms):
+        went = "went backwards" if current_ms < previous_ms else "did not advance"
         super().__init__(
-            f"row {row_number}: time went backwards "
-            f"({current_ms} ms after {previous_ms} ms)"
+            f"row {row_number}: time {went} ({current_ms} ms after {previous_ms} ms)"
         )
         self.row_number = row_number
 

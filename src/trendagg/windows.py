@@ -1,10 +1,10 @@
 """Sliding windows and partitioning on top of the engines.
 
-The query is compiled once; each partition key owns one engine whose state
-covers all of the key's open windows. Window ids are derived
-arithmetically from the event time: window ``w`` covers
-``[w * slide, w * slide + within)`` milliseconds, so an event at time
-``t`` falls into a contiguous run of ids, ``windows_of(t, spec)``.
+The query is compiled once (``kernels.compile_query``); each partition key
+owns one engine whose state covers all of the key's open windows. Window
+ids are derived arithmetically from the event time: window ``w`` covers
+``[w * slide, w * slide + within)`` milliseconds, so an event at time ``t``
+falls into a contiguous run of ids, ``windows_of(t, spec)``.
 ``WindowManager`` computes that run's first id and length once per
 timestamp, from ``t // slide`` and ``(t - within) // slide + 1``, clamped
 at 0. Windows close as soon as an event at or past their end boundary
@@ -20,7 +20,11 @@ events at it are applied in one step, keys in the order they first
 arrived at that time, before any window closes. So an error that a step
 raises (``MissingAttribute``, ``AggregateOverflow``) surfaces at that
 later call, and the state and entry counts read between two calls do not
-yet hold the current timestamp's events.
+yet hold the current timestamp's events. Once a step or a closing
+window's read-out has raised, the manager has stopped: every later
+``ingest``, ``close_expired`` and ``finish`` raises that error again.
+``OutOfOrder`` and ``MissingGroupAttribute`` raise before the manager
+changes anything, so they leave it usable.
 
 Since windows close before a later timestamp is stepped, the windows a
 key holds are always the oldest of the windows its next timestamp falls
@@ -65,8 +69,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from operator import itemgetter
 
-from .engines import Engine, compile_query
+from .engines import Engine
 from .errors import MissingGroupAttribute, OutOfOrder
+from .kernels import compile_query
 from .query import Query, Semantics
 
 
@@ -173,7 +178,8 @@ class WindowManager:
         self._pending = {}
         self._first_wid = 0  # oldest open window id
         self._min_end = float("inf")
-        self._last_time = 0
+        self._last_time = 0  # infinite once failed: see ``_fail``
+        self._failed = None  # the error a step or a close raised
         self.events_ingested = 0
         self.rows_emitted = 0
         self.current_entries = 0
@@ -189,6 +195,8 @@ class WindowManager:
         time = event.time
         if time != self._last_time:
             if time < self._last_time:
+                if self._failed is not None:
+                    raise self._failed
                 raise OutOfOrder(self.events_ingested + 1, self._last_time, time)
             if self._pending:
                 self._step_pending()
@@ -231,6 +239,9 @@ class WindowManager:
             before = kernel.entry_count
             try:
                 engine.step_with_roles(time, group, span)
+            except Exception as exc:
+                self._fail(exc)
+                raise
             finally:  # the kernel's count is exact also after a raise
                 self.current_entries += kernel.entry_count - before
                 if self.current_entries > self.peak_entries:
@@ -246,6 +257,8 @@ class WindowManager:
         """Emit and drop every window that ended at or before ``now_ms``.
         The stream is then at ``now_ms``: a later event before it raises
         ``OutOfOrder``."""
+        if self._failed is not None:
+            raise self._failed
         if now_ms > self._last_time:  # the stream is past the held events
             if self._pending:
                 self._step_pending()
@@ -257,11 +270,21 @@ class WindowManager:
 
     def finish(self):
         """Emit everything still open, in (window id, key) order."""
+        if self._failed is not None:
+            raise self._failed
         self._step_pending()
         rows = []
         while self._engines:
             self._close_oldest(rows)
         return rows
+
+    def _fail(self, exc):
+        """Stop the manager: its state no longer follows the stream, so
+        every later ``ingest``, ``close_expired`` and ``finish`` raises
+        ``exc``. With the last time at infinity, every event takes the
+        out-of-order branch of ``ingest``, where that check sits."""
+        self._failed = exc
+        self._last_time = float("inf")
 
     def _close_oldest(self, rows):
         # Every key holds the closing window, as its ``base``.
@@ -279,7 +302,12 @@ class WindowManager:
             kernel = engine.kernel
             cell = kernel.final_cell()
             if cell[0] != 0 or self.emit_empty:
-                rows.append(_trusted_row(wid, start, end, key, engine.results(cell)))
+                try:
+                    values = engine.results(cell)
+                except Exception as exc:
+                    self._fail(exc)
+                    raise
+                rows.append(_trusted_row(wid, start, end, key, values))
             if kernel.width == 1:  # the key's last window: drop it all
                 del engines[key]
                 freed += kernel.entry_count

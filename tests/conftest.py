@@ -2,7 +2,7 @@ import pytest
 from hypothesis import strategies as st
 
 from trendagg import Event, Schema, WindowManager, parse_query
-from trendagg.engines import compile_query
+from trendagg.kernels import compile_query
 
 # A/B/C event types, one int attribute each. The showcase stream below is
 # the worked example every engine is traced against: with pattern

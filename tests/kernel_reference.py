@@ -1,5 +1,5 @@
 """The interpreted kernel step: the reference that the ``step`` generated
-by ``_kernels_py.compile_step`` is tested against. It reads the plan's
+by ``kernels.compile_step`` is tested against. It reads the plan's
 tables and flags on every event, walks every branch that any plan may
 need, and counts the type cells' entries from their lengths rather than
 slot by slot. Its ``drop_front`` finds the kept events that a close
@@ -11,7 +11,7 @@ state."""
 from itertools import islice
 from operator import add
 
-from trendagg._kernels_py import MixedKernel
+from trendagg.kernels import MixedKernel
 
 
 def _slots(type_cells):

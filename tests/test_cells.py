@@ -15,9 +15,8 @@ from trendagg.cells import (
     event_updates,
     identity_cell,
 )
-from trendagg._kernels_py import compile_step
-from trendagg.engines import compile_query
 from trendagg.errors import AggregateOverflow
+from trendagg.kernels import compile_query, compile_step
 from trendagg.query import aggregate_names
 
 from cells_reference import absorb_cells, finalize, merge_by_slot, merge_functions

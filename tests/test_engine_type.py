@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trendagg import Engine, Event
+from trendagg import Engine, Event, InputError, OutOfOrder
 from trendagg.oracle import aggregate_trends, enumerate_trends
 
 from conftest import SHOWCASE, make_query, stream_strategy
@@ -91,6 +91,26 @@ class TestEqualTimestamps:
         # Trends: (a,b) twice -- the tied A's contribute independently.
         assert engine.kernel.snapshot().final == 2
         assert len(list(enumerate_trends(events, query))) == 2
+
+    def test_a_timestamp_is_stepped_once_in_order(self):
+        # Stepped as two timestamps, a tie or a time that goes back made
+        # the two A's chain: a count of 3 where the oracle counts 2.
+        query = make_query(pattern="A+")
+        a1, a2 = Event(1000, "A", {"v": 1}), Event(2000, "A", {"v": 1})
+        assert len(list(enumerate_trends([a1, a1], query))) == 2
+        with pytest.raises(OutOfOrder, match=r"^row 2: time went backwards \(1000 ms after 2000 ms\)$"):
+            Engine(query).run([a2, a1])
+        engine = Engine(query)
+        engine.step([a1])
+        with pytest.raises(OutOfOrder, match=r"^row 2: time did not advance \(1000 ms after 1000 ms\)$"):
+            engine.step([a1])
+        assert engine.kernel.snapshot().final == 1  # the refused step changed nothing
+
+    def test_one_step_takes_one_time(self):
+        engine = Engine(make_query(pattern="A+"))
+        with pytest.raises(InputError, match="not 1000 ms and 2000 ms"):
+            engine.step([Event(1000, "A", {"v": 1}), Event(2000, "A", {"v": 1})])
+        assert engine.kernel.snapshot().final == 0
 
 
 class TestMultiRoleAliases:

@@ -1,4 +1,4 @@
-"""The generated kernel step (``_kernels_py.compile_step``) against the
+"""The generated kernel step (``kernels.compile_step``) against the
 interpreted one in ``kernel_reference``. Both kernels share one compiled
 query and are driven with the same steps, each of one timestamp's events,
 and window closes; after each, their results, exceptions and state must
@@ -11,9 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trendagg import Engine, Event, Schema
-from trendagg._kernels_py import MixedKernel
-from trendagg.engines import compile_query
 from trendagg.errors import AggregateOverflow, MissingAttribute
+from trendagg.kernels import MixedKernel, compile_query
 
 from conftest import make_query
 from kernel_reference import ReferenceKernel, recount

@@ -11,7 +11,7 @@ from trendagg import (
 )
 from trendagg import pattern as pattern_module
 from trendagg import query as query_module
-from trendagg.engines import compile_query
+from trendagg.kernels import compile_query
 from trendagg.pattern import analyze_pattern
 
 from conftest import ABC_SCHEMA

@@ -21,7 +21,6 @@ from trendagg import (
     parse_query,
     windows_of,
 )
-from trendagg._kernels_py import MixedKernel
 from trendagg.cli import oracle_rows
 from trendagg.errors import (
     AggregateOverflow,
@@ -29,6 +28,7 @@ from trendagg.errors import (
     MissingGroupAttribute,
     OutOfOrder,
 )
+from trendagg.kernels import MixedKernel
 from trendagg.query import RoleProbe
 
 from conftest import fine_manager, make_query, row_tuples
@@ -447,6 +447,15 @@ _WINDOWED_FAMILIES = [
     ("next", "SEQ(A X+, A Y)", None, "COUNT(*), SUM(X.v), AVG(Y.v)"),
     ("next", "SEQ(A X+, A Y)", "X.v < NEXT(X).v", "COUNT(*), SUM(X.v), MIN(Y.v)"),
     ("next", "SEQ(A X+, A Y+)", "X.v <= Y.v", "COUNT(*), COUNT(X), MAX(Y.v)"),
+    # Equality, inequality and >= adjacency checks.
+    ("any", "A+", "A.v = NEXT(A).v", "COUNT(*), SUM(A.v), MIN(A.v)"),
+    ("any", "(SEQ(A+, B))+", "B.v != A.v", "COUNT(*), SUM(B.v), MAX(A.v)"),
+    ("any", "SEQ(A+, B+)", "A.v >= B.v AND B.v = NEXT(B).v", "COUNT(*), SUM(B.v), MIN(A.v)"),
+    ("cont", "A+", "A.v = NEXT(A).v", "COUNT(*), SUM(A.v), AVG(A.v)"),
+    ("cont", "SEQ(A+, B+)", "A.v >= B.v AND B.v = NEXT(B).v", "COUNT(*), SUM(A.v), MAX(B.v)"),
+    ("next", "A+", "A.v = NEXT(A).v", "COUNT(*), SUM(A.v), MIN(A.v)"),
+    ("next", "(SEQ(A+, B))+", "B.v != A.v", "COUNT(*), SUM(A.v), MIN(A.v)"),
+    ("next", "SEQ(A X+, A Y)", "X.v = NEXT(X).v", "COUNT(*), SUM(X.v), MIN(Y.v)"),
 ]
 
 
@@ -880,3 +889,105 @@ class TestHeldTimestamp:
         kernel = manager._engines[()].kernel
         assert manager.current_entries == kernel.entry_count == recount(kernel) == 1
         assert manager.peak_entries == 2
+
+    def test_a_manager_that_failed_stays_failed(self):
+        # Key 2's event at 1 s lacks v. Once its step has raised, a later
+        # ingest and finish used to return, and finish dropped key 3's
+        # event at 1 s: COUNT(*) 1 for key 3, with two events.
+        query = make_query(pattern="A+", returns="g, COUNT(*), SUM(A.v)",
+                           group_by="g", within="10 s", schema=FLOAT_SCHEMA)
+        manager = WindowManager(query)
+        for g in (1, 2, 3):
+            manager.ingest(Event(1000, "A", {"g": g} if g == 2 else {"g": g, "v": 1.0}))
+        with pytest.raises(MissingAttribute, match=r"A\.v") as failed:
+            manager.ingest(Event(2000, "A", {"g": 1, "v": 1.0}))
+        for later in (
+            lambda: manager.ingest(Event(3000, "A", {"g": 3, "v": 5.0})),
+            lambda: manager.ingest(Event(1000, "A", {"g": 3, "v": 5.0})),
+            lambda: manager.close_expired(20000),
+            manager.finish,
+        ):
+            with pytest.raises(MissingAttribute) as again:
+                later()
+            assert again.value is failed.value
+
+    def test_a_read_out_that_raised_at_a_close_stays_raised(self):
+        # Key 2's AVG of 10**400 leaves the float range at window 0's close,
+        # after key 1 has closed it. Each retry used to close key 1's
+        # window 0 again, trimming it on and on.
+        schema = Schema({"A": {"v": "int", "g": "int"}})
+        query = make_query(pattern="A+", returns="g, AVG(A.v)", group_by="g",
+                           within="2 s", slide="1 s", schema=schema)
+        manager = WindowManager(query)
+        manager.ingest(Event(0, "A", {"g": 1, "v": 1}))
+        manager.ingest(Event(0, "A", {"g": 2, "v": 10**400}))
+        with pytest.raises(AggregateOverflow, match=r"AVG\(A\.v\)") as failed:
+            manager.ingest(Event(2500, "A", {"g": 1, "v": 1}))
+        state = [(k.base, k.width, k.entry_count) for k in
+                 (e.kernel for e in manager._engines.values())]
+        entries = manager.current_entries
+        for later in (
+            lambda: manager.ingest(Event(2500, "A", {"g": 1, "v": 1})),
+            lambda: manager.close_expired(4000),
+            manager.finish,
+        ):
+            with pytest.raises(AggregateOverflow) as again:
+                later()
+            assert again.value is failed.value
+        assert [(k.base, k.width, k.entry_count) for k in
+                (e.kernel for e in manager._engines.values())] == state
+        assert manager.current_entries == entries
+
+    def test_out_of_order_and_a_missing_key_leave_the_manager_usable(self):
+        query = make_query(pattern="A+", group_by="g", within="10 s",
+                           schema=FLOAT_SCHEMA)
+        manager = WindowManager(query)
+        manager.ingest(Event(2000, "A", {"g": 1}))
+        with pytest.raises(OutOfOrder):
+            manager.ingest(Event(1000, "A", {"g": 1}))
+        with pytest.raises(MissingGroupAttribute):
+            manager.ingest(Event(3000, "A", {}))
+        manager.ingest(Event(3000, "A", {"g": 1}))
+        assert [r.values for r in manager.finish()] == [{"COUNT(*)": 3}]
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_a_failed_manager_raises_on_every_later_call(data):
+    """Drawn streams where one event in four lacks ``v``: once a call
+    raises, every later ``ingest``, ``close_expired`` and ``finish``
+    raises that same error, and the state no longer moves."""
+    semantics, pattern, where, returns = data.draw(st.sampled_from(_WINDOWED_FAMILIES))
+    within, slide = data.draw(_window_shapes())
+    query = make_query(pattern=pattern, semantics=semantics, where=where,
+                       returns=returns, group_by="g", within=f"{within} ms",
+                       slide=f"{slide} ms", schema=GROUPED_SCHEMA)
+    manager = WindowManager(query, emit_empty=data.draw(st.booleans()))
+    calls, t = [], 0
+    for _ in range(data.draw(st.integers(1, 14))):
+        t += data.draw(st.sampled_from((0, 500, 1000, 1500)))
+        attrs = {"g": data.draw(st.sampled_from((1, 2)))}
+        if data.draw(st.integers(0, 3)):
+            attrs["v"] = data.draw(st.integers(0, 4))
+        event = Event(t, data.draw(st.sampled_from("AABBC")), attrs)
+        calls.append(lambda event=event: manager.ingest(event))
+        if data.draw(st.integers(0, 4)) == 0:
+            calls.append(lambda now=t: manager.close_expired(now))
+    calls += [manager.finish, lambda: manager.close_expired(t + 10**6), manager.finish]
+    failed = None
+    for call in calls:
+        if failed is None:
+            try:
+                call()
+            except (AggregateOverflow, MissingAttribute) as exc:
+                failed = exc
+                state = (manager.current_entries, manager._first_wid, {
+                    key: engine.kernel.snapshot() for key, engine in manager._engines.items()
+                })
+            continue
+        with pytest.raises(type(failed)) as again:
+            call()
+        assert again.value is failed
+        assert state == (manager.current_entries, manager._first_wid, {
+            key: engine.kernel.snapshot() for key, engine in manager._engines.items()
+        })

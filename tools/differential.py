@@ -5,10 +5,12 @@
 For each seed (default: 1) it draws 60 streams of 3 to 9 events of types
 A, B and C, at whole seconds from 0 to 14 (so ties are common), each with
 an int ``v`` from 0 to 4 that one event in five lacks. Every stream runs
-under each of 5 patterns with adjacency predicates, each of the 3
-semantics (written into the query's SEMANTICS clause), 3 window shapes,
-``--emit-empty`` on and off, and two RETURN clauses: ``COUNT(*)`` and
-``COUNT(*), SUM(A.v)``. Both commands run in this process through
+under each of 6 patterns with adjacency predicates, one of them binding A
+to two variables, each of the 3 semantics (written into the query's
+SEMANTICS clause), 3 window shapes, ``--emit-empty`` on and off, and two
+RETURN clauses: ``COUNT(*)`` and ``COUNT(*), SUM(v)``, the sum of ``v``
+over the pattern's first variable (``A``, or ``X`` where A plays ``X`` and
+``Y``). Both commands run in this process through
 ``trendagg.cli.main`` with ``--schema``; a case agrees when their exit
 codes, stdout and stderr, less the ``N events -> ...`` summary line, are
 the same.
@@ -16,7 +18,7 @@ the same.
 It prints the number of disagreements per semantics and RETURN clause,
 and the first case of each kind of disagreement: the query, the flag, the
 stream and what each command printed. It exits 1 when a ``COUNT(*)`` case
-disagrees; the ``SUM(A.v)`` cases are reported but do not set the exit
+disagrees; the ``SUM(v)`` cases are reported but do not set the exit
 code. It uses the standard library only.
 """
 
@@ -39,16 +41,17 @@ from trendagg.cli import main as cli_main  # noqa: E402
 from trendagg.events import Schema  # noqa: E402
 
 STREAMS = 60
-PATTERNS = (
-    ("A+", "A.v < NEXT(A).v"),
-    ("SEQ(A+, B)", "A.v <= B.v"),
-    ("(SEQ(A+, B))+", "B.v < A.v"),
-    ("SEQ(A+, B+)", "A.v < B.v AND B.v < NEXT(B).v"),
-    ("SEQ(A+, B, C+)", "B.v != C.v AND C.v < NEXT(C).v"),
+PATTERNS = (  # (pattern, WHERE clause, the variable SUM(v) reads)
+    ("A+", "A.v < NEXT(A).v", "A"),
+    ("SEQ(A+, B)", "A.v <= B.v", "A"),
+    ("(SEQ(A+, B))+", "B.v < A.v", "A"),
+    ("SEQ(A+, B+)", "A.v < B.v AND B.v < NEXT(B).v", "A"),
+    ("SEQ(A+, B, C+)", "B.v != C.v AND C.v < NEXT(C).v", "A"),
+    ("SEQ(A X+, A Y)", "X.v >= NEXT(X).v AND X.v = Y.v", "X"),
 )
 SEMANTICS = ("any", "next", "cont")
 WINDOWS = ("WITHIN 10 s", "WITHIN 10 s SLIDE 5 s", "WITHIN 6 s SLIDE 2 s")
-RETURNS = ("COUNT(*)", "COUNT(*), SUM(A.v)")
+RETURNS = ("COUNT(*)", "COUNT(*), SUM(v)")
 GATED = "COUNT(*)"  # disagreements under this RETURN clause fail the run
 SCHEMA = Schema({t: {"v": "int"} for t in "ABC"})
 SUMMARY = re.compile(r"\d+ events -> \d+ rows.*\n")
@@ -91,10 +94,11 @@ def differ(seed: int, tmp: Path) -> tuple[Counter, Counter, dict]:
         path.write_text(draw_stream(rng), encoding="utf-8")
         streams.append(path)
     cases, disagreements, first = Counter(), Counter(), {}
-    for (pattern, where), semantics, window, returns in itertools.product(
+    for (pattern, where, summed), semantics, window, returns in itertools.product(
         PATTERNS, SEMANTICS, WINDOWS, RETURNS
     ):
-        text = f"RETURN {returns} PATTERN {pattern} SEMANTICS {semantics} WHERE {where} {window}\n"
+        clause = returns.replace("SUM(v)", f"SUM({summed}.v)")
+        text = f"RETURN {clause} PATTERN {pattern} SEMANTICS {semantics} WHERE {where} {window}\n"
         query = tmp / "query.txt"
         query.write_text(text, encoding="utf-8")
         for stream in streams:
